@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, Partition, connected_components, induced_subgraph
+from .graphs import Graph, Partition, connected_components, induced_subgraph, is_connected
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,7 @@ class BlockCutTree:
 
 def bcv_tree(g: Graph, report: BiconnectivityReport | None = None) -> BlockCutTree:
     """Block cut-vertex tree: vertex-BCCs linked through their cut vertices."""
-    if g.n > 1 and len(connected_components(g).classes) != 1:
+    if not is_connected(g):
         raise ValueError("bcv_tree requires a connected graph")
     rep = report or biconnectivity_report(g)
     kinds: list[str] = []
@@ -197,7 +197,7 @@ def bcv_tree(g: Graph, report: BiconnectivityReport | None = None) -> BlockCutTr
 
 def bce_tree(g: Graph, report: BiconnectivityReport | None = None) -> BlockCutTree:
     """Block cut-edge tree: edge-BCC classes joined by cut edges."""
-    if g.n > 1 and len(connected_components(g).classes) != 1:
+    if not is_connected(g):
         raise ValueError("bce_tree requires a connected graph")
     rep = report or biconnectivity_report(g)
     kinds = [COMPONENT] * len(rep.edge_bccs.classes)

@@ -7,6 +7,7 @@ Exit codes: 0 success (or all checks pass), 1 check failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -165,7 +166,10 @@ def _distance_cell(value, as_json: bool):
 
 def cmd_distances(args) -> int:
     g = read_graph_file(args.file)
-    matrix = spd_matrix(g) if args.kind == "spd" else rd_matrix(g)
+    try:
+        matrix = spd_matrix(g) if args.kind == "spd" else rd_matrix(g)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     rows = [
         [_distance_cell(matrix[u, v], args.json) for v in range(g.n)]
         for u in range(g.n)
@@ -262,7 +266,10 @@ def cmd_check(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use; parse_args leaves it unchanged,
+    so every later call reuses it."""
     parser = argparse.ArgumentParser(
         prog="wlcheck",
         description="Color refinement, biconnectivity, distances, and expressivity checks",
@@ -309,8 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

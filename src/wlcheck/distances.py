@@ -4,6 +4,10 @@ All resistance values are exact `fractions.Fraction`s so that refinement
 can hash them; a single rounding anywhere would silently merge or split
 color classes. Cross-component entries use the UNREACHABLE sentinel, which
 orders after every finite value and hashes as its own token.
+
+Resistance distances and hitting times both come from one fraction-free
+integer solver, `_fraction_free_solve`, which returns a determinant and an
+adjugate product; each output entry is a single Fraction of two integers.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .graphs import Graph, connected_components, induced_subgraph
+from .graphs import Graph, connected_components, induced_subgraph, is_connected
 
 
 class _Unreachable:
@@ -87,41 +91,40 @@ def spd_matrix(g: Graph) -> SpdMatrix:
     return SpdMatrix(n=g.n, rows=tuple(rows))
 
 
-def _bareiss_inverse(a: list[list[int]]) -> list[list[Fraction]]:
-    """Exact inverse of an integer matrix.
+def _fraction_free_solve(
+    a: list[list[int]], b: list[list[int]] | None = None
+) -> tuple[int, list[list[int]]]:
+    """Exact solve of an integer system: returns (det(A), adj(A) @ B).
 
-    Fraction-free forward elimination on [A | I] keeps everything integral
-    (each 2x2-determinant step divides exactly by the previous pivot);
-    Fractions appear only in the final back-substitution.
+    Fraction-free Gauss-Jordan on [A | B]: step k replaces every other row
+    by a 2x2 determinant against the pivot row, divided exactly by the
+    previous pivot (Sylvester's identity), so every entry stays an integer.
+    Column k of A is dropped once it is eliminated. B defaults to the
+    identity, whose column k is not stored until step k: until then it is
+    the previous pivot in row k and 0 elsewhere, and step k turns it into
+    -f in each other row with multiplier f. So every row stays n wide.
+    The input must have nonzero leading principal minors, as a positive
+    definite matrix does; no pivoting is done.
     """
     n = len(a)
-    aug = [list(map(int, a[i])) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    width = 2 * n
+    identity = b is None
+    rows = [list(a[i]) if identity else list(a[i]) + list(b[i]) for i in range(n)]
     prev = 1
     for k in range(n):
-        pivot = aug[k][k]
+        pivot, *tail_k = rows[k]
         if pivot == 0:
-            # positive definite input: every leading principal minor > 0
-            raise ArithmeticError("singular matrix in exact inversion")
-        for i in range(k + 1, n):
-            row_i = aug[i]
-            row_k = aug[k]
-            f = row_i[k]
-            for j in range(k + 1, width):
-                row_i[j] = (row_i[j] * pivot - f * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    inv: list[list[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
-    for col in range(n):
-        x = [Fraction(0)] * n
-        for i in range(n - 1, -1, -1):
-            s = Fraction(aug[i][n + col])
-            for j in range(i + 1, n):
-                s -= aug[i][j] * x[j]
-            x[i] = s / aug[i][i]
+            raise ArithmeticError("singular matrix in exact solve")
         for i in range(n):
-            inv[i][col] = x[i]
-    return inv
+            if i != k:
+                f, *tail_i = rows[i]
+                rows[i] = [(x * pivot - f * y) // prev for x, y in zip(tail_i, tail_k)]
+                if identity:
+                    rows[i].append(-f)
+        if identity:
+            tail_k.append(prev)
+        rows[k] = tail_k
+        prev = pivot
+    return prev, rows
 
 
 RD_MAX_COMPONENT_NODES = 128
@@ -131,9 +134,11 @@ RD_MAX_COMPONENT_NODES = 128
 def rd_matrix(g: Graph) -> RdMatrix:
     """Exact resistance distance per connected component.
 
-    On each component of size s the integer matrix s*L + J is inverted
-    exactly; with M = (L + J/s)^{-1} = s * inv, the resistance between i
-    and j is M[i][i] + M[j][j] - 2*M[i][j]. Cross-component entries are
+    Each component's Laplacian is grounded at its last node (that row and
+    column removed) and solved exactly for its integer adjugate and its
+    determinant tau, the spanning-tree count. With the grounded node's row
+    and column of the adjugate taken as 0, the resistance between i and j is
+    (adj[i][i] + adj[j][j] - 2*adj[i][j]) / tau. Cross-component entries are
     UNREACHABLE.
     """
     rows: list[list[object]] = [[UNREACHABLE] * g.n for _ in range(g.n)]
@@ -143,22 +148,19 @@ def rd_matrix(g: Graph) -> RdMatrix:
             raise ValueError(
                 f"exact RD capped at components of {RD_MAX_COMPONENT_NODES} nodes"
             )
-        if s == 1:
-            rows[comp[0]][comp[0]] = Fraction(0)
-            continue
         sub, names = induced_subgraph(g, comp)
-        a = [[1] * s for _ in range(s)]
-        for i in range(s):
-            a[i][i] += s * sub.degree(i)
+        grounded = [[0] * (s - 1) for _ in range(s - 1)]
+        for i in range(s - 1):
+            grounded[i][i] = sub.degree(i)
         for u, v in sub.edges:
-            a[u][v] -= s
-            a[v][u] -= s
-        inv = _bareiss_inverse(a)
+            if v < s - 1:
+                grounded[u][v] = grounded[v][u] = -1
+        tau, adj = _fraction_free_solve(grounded)
+        adj = [row + [0] for row in adj] + [[0] * s]
         for i in range(s):
-            for j in range(s):
-                # factor s from M = s * inv
-                val = s * (inv[i][i] + inv[j][j] - 2 * inv[i][j])
-                rows[names[i]][names[j]] = val
+            for j in range(i, s):
+                r = Fraction(adj[i][i] + adj[j][j] - 2 * adj[i][j], tau)
+                rows[names[i]][names[j]] = rows[names[j]][names[i]] = r
     return RdMatrix(n=g.n, rows=tuple(tuple(r) for r in rows))
 
 
@@ -169,56 +171,34 @@ def hitting_time_matrix(g: Graph) -> tuple[tuple[Fraction, ...], ...]:
     """Exact expected hitting times h(u, v) of the simple random walk.
 
     For each target v, h(., v) solves the linear system
-    h(u, v) = 1 + mean of h(w, v) over neighbors w of u, with h(v, v) = 0.
-    Oracle for the commute-time identity; dense solve, so guarded small.
+    h(u, v) = 1 + mean of h(w, v) over neighbors w of u, with h(v, v) = 0,
+    with each row scaled by deg(u) to stay integral. Every target gets its
+    own solve, independent of rd_matrix, so the commute-time identity
+    h(u, v) + h(v, u) = 2m * R(u, v) stays a real check. Dense, so guarded
+    small.
     """
     n = g.n
     if n > HITTING_TIME_MAX_NODES:
         raise ValueError(f"hitting_time_matrix capped at {HITTING_TIME_MAX_NODES} nodes")
-    if n > 1 and len(connected_components(g).classes) != 1:
+    if not is_connected(g):
         raise ValueError("hitting_time_matrix requires a connected graph")
     result = [[Fraction(0)] * n for _ in range(n)]
     for v in range(n):
         others = [u for u in range(n) if u != v]
         idx = {u: i for i, u in enumerate(others)}
         m = len(others)
-        # rows scaled by deg(u) to stay integral: deg(u) h(u) - sum h(w) = deg(u)
-        mat: list[list[int]] = [[0] * (m + 1) for _ in range(m)]
+        # deg(u) h(u) - sum over neighbors w != v of h(w) = deg(u)
+        mat: list[list[int]] = [[0] * m for _ in range(m)]
         for u in others:
             i = idx[u]
             mat[i][i] = g.degree(u)
-            mat[i][m] = g.degree(u)
             for w in g.adjacency[u]:
                 if w != v:
-                    mat[i][idx[w]] -= 1
-        sol = _solve_fraction(mat)
+                    mat[i][idx[w]] = -1
+        det, sol = _fraction_free_solve(mat, [[g.degree(u)] for u in others])
         for u in others:
-            result[u][v] = sol[idx[u]]
+            result[u][v] = Fraction(sol[idx[u]][0], det)
     return tuple(tuple(r) for r in result)
-
-
-def _solve_fraction(mat: list[list[int]]) -> list[Fraction]:
-    """Gaussian elimination over Fractions on an augmented [A | b]."""
-    m = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    for k in range(m):
-        piv = next((r for r in range(k, m) if a[r][k] != 0), None)
-        if piv is None:
-            raise ArithmeticError("singular hitting-time system")
-        a[k], a[piv] = a[piv], a[k]
-        for i in range(k + 1, m):
-            if a[i][k] == 0:
-                continue
-            f = a[i][k] / a[k][k]
-            for j in range(k, m + 1):
-                a[i][j] -= f * a[k][j]
-    x = [Fraction(0)] * m
-    for i in range(m - 1, -1, -1):
-        s = a[i][m]
-        for j in range(i + 1, m):
-            s -= a[i][j] * x[j]
-        x[i] = s / a[i][i]
-    return x
 
 
 @dataclass(frozen=True)
@@ -239,7 +219,7 @@ class DistanceRegularProfile:
 
 def distance_regular_profile(g: Graph) -> DistanceRegularProfile:
     """Check |N^i(u) ∩ N^j(v)| depends only on (i, j, dis(u, v))."""
-    if g.n > 1 and len(connected_components(g).classes) != 1:
+    if not is_connected(g):
         raise ValueError("distance_regular_profile requires a connected graph")
     spd = spd_matrix(g)
     n = g.n

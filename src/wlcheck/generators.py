@@ -11,7 +11,7 @@ import heapq
 import random
 
 from .biconn import biconnectivity_report
-from .graphs import Graph, connected_components
+from .graphs import Graph, is_connected
 
 
 class GenerationError(ValueError):
@@ -238,7 +238,7 @@ def _random_biconnected_block(rng: random.Random, degrees: list[int]) -> Graph |
         return None
     for _ in range(BLOCK_SAMPLE_RETRIES):
         g = _randomize_by_swaps(rng, len(degrees), set(base))
-        if len(connected_components(g).classes) != 1:
+        if not is_connected(g):
             continue
         rep = biconnectivity_report(g)
         if rep.cut_vertices or rep.cut_edges:

@@ -16,6 +16,7 @@ from fractions import Fraction
 from . import generators as gen
 from .biconn import biconnectivity_report, brute_force_cut_sets, per_component_forms
 from .distances import (
+    HITTING_TIME_MAX_NODES,
     UNREACHABLE,
     distance_regular_profile,
     hitting_time_matrix,
@@ -23,7 +24,7 @@ from .distances import (
     rd_matrix,
     spd_matrix,
 )
-from .graphs import Graph, connected_components
+from .graphs import Graph, connected_components, is_connected
 from .refine import run_algorithm
 
 
@@ -688,9 +689,6 @@ def check_wl_condition(corpus: Corpus) -> CheckReport:
 # resistance-distance properties
 
 
-HITTING_ORACLE_MAX = 30
-
-
 def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
     """Exact RD laws: metric axioms, rd <= spd with tree equality, the
     additive-triple cut-vertex characterization, commute times, and range."""
@@ -766,9 +764,7 @@ def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
 
     # commute-time identity on connected graphs small enough for the oracle
     for gid, g in corpus.members:
-        if g.n > HITTING_ORACLE_MAX or g.n < 2:
-            continue
-        if len(connected_components(g).classes) != 1:
+        if g.n > HITTING_TIME_MAX_NODES or g.n < 2 or not is_connected(g):
             continue
         rd = rd_matrix(g)
         h = hitting_time_matrix(g)

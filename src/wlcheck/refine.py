@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .distances import UNREACHABLE, rd_matrix, spd_matrix, token_sort_key
-from .graphs import Graph, Partition, automorphisms, connected_components
+from .graphs import Graph, Partition, automorphisms, is_connected
 
 
 class InterningContext:
@@ -106,7 +106,8 @@ def _iterate(update, initial, total_elements):
 
 def refine_1wl(graphs: list[Graph], ctx: InterningContext | None = None) -> list[Coloring]:
     """Classic color refinement: hash own color plus neighbor multiset."""
-    ctx = ctx or InterningContext()
+    if ctx is None:
+        ctx = InterningContext()
     c0 = ctx.intern(("init",))
     initial = [[c0] * g.n for g in graphs]
 
@@ -156,7 +157,8 @@ def refine_gdwl(
     Unreachable pairs contribute the UNREACHABLE token, so component
     structure is part of the hash.
     """
-    ctx = ctx or InterningContext()
+    if ctx is None:
+        ctx = InterningContext()
     c0 = ctx.intern(("init",))
     initial = [[c0] * g.n for g in graphs]
     # bucket nodes by distance token once; only colors change per round
@@ -206,7 +208,8 @@ def refine_2fwl(graphs: list[Graph], ctx: InterningContext | None = None) -> lis
     for g in graphs:
         if g.n > TWO_FWL_MAX_NODES:
             raise ValueError(f"2-FWL capped at {TWO_FWL_MAX_NODES} nodes")
-    ctx = ctx or InterningContext()
+    if ctx is None:
+        ctx = InterningContext()
     initial = []
     for g in graphs:
         mat = [
@@ -338,7 +341,8 @@ def refine_dsswl(
     for g in graphs:
         if g.n > DSS_WL_MAX_NODES:
             raise ValueError(f"DSS-WL capped at {DSS_WL_MAX_NODES} nodes")
-    ctx = ctx or InterningContext()
+    if ctx is None:
+        ctx = InterningContext()
     c0 = ctx.intern(("init",))
     c1 = ctx.intern(("mark",))
     bags = [_policy_bag(g, policy) for g in graphs]
@@ -409,7 +413,8 @@ def refine_dswl(
     The output color of node v is the whole-graph representation of its
     own subgraph G_v.
     """
-    ctx = ctx or InterningContext()
+    if ctx is None:
+        ctx = InterningContext()
     c0 = ctx.intern(("init",))
     c1 = ctx.intern(("mark",))
     bags = [_policy_bag(g, policy) for g in graphs]
@@ -494,7 +499,7 @@ class Substructure:
 def make_substructure(name: str, h: Graph) -> Substructure:
     if h.n > SUBSTRUCTURE_MAX_NODES:
         raise ValueError(f"substructures capped at {SUBSTRUCTURE_MAX_NODES} nodes")
-    if h.n > 1 and len(connected_components(h).classes) != 1:
+    if not is_connected(h):
         raise ValueError("substructures must be connected")
     orbits = compute_orbits(h)
     return Substructure(
@@ -579,7 +584,8 @@ def refine_scwl(
     ctx: InterningContext | None = None,
 ) -> list[Coloring]:
     """1-WL augmented with per-node, per-orbit induced substructure counts."""
-    ctx = ctx or InterningContext()
+    if ctx is None:
+        ctx = InterningContext()
     c0 = ctx.intern(("init",))
     xs = [substructure_counts(g, substructures) for g in graphs]
     initial = [[c0] * g.n for g in graphs]
@@ -631,14 +637,16 @@ class AlgoResult:
 
     node_colors holds the node-level color mapping (2-FWL: the diagonal);
     representations are the sorted graph-level color multisets (2-FWL: all
-    pair colors).
+    pair colors). ctx is the caller's context the colors were interned in,
+    or None when the run used a private one: its ids compare with no other
+    run, and keeping it would hold every key the run interned.
     """
 
     spec: str
     node_colors: tuple[tuple[int, ...], ...]
     representations: tuple[tuple[int, ...], ...]
     rounds: int
-    ctx: InterningContext = field(compare=False, repr=False)
+    ctx: InterningContext | None = field(compare=False, repr=False)
 
 
 def _named_substructure(token: str) -> Substructure:
@@ -684,7 +692,9 @@ def run_algorithm(
     scwl:NAME[,NAME...] where POLICY is nm | nd | ego:K | egom:K and NAME
     is like c3 (triangle), c4, p3, k4, s3.
     """
-    ctx = ctx or InterningContext()
+    shared = ctx
+    if ctx is None:
+        ctx = InterningContext()
     if spec == "1wl":
         results = refine_1wl(graphs, ctx)
     elif spec == "spdwl":
@@ -700,7 +710,7 @@ def run_algorithm(
             node_colors=tuple(r.vertex_view for r in results),
             representations=tuple(r.representation for r in results),
             rounds=results[0].rounds if results else 0,
-            ctx=ctx,
+            ctx=shared,
         )
     elif spec.startswith("dsswl:"):
         results = refine_dsswl(graphs, parse_policy(spec[len("dsswl:"):]), ctx)
@@ -716,7 +726,7 @@ def run_algorithm(
         node_colors=tuple(r.colors for r in results),
         representations=tuple(r.representation for r in results),
         rounds=results[0].rounds if results else 0,
-        ctx=ctx,
+        ctx=shared,
     )
 
 

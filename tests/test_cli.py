@@ -3,7 +3,8 @@ import json
 import pytest
 
 from wlcheck.cli import main
-from wlcheck.graphs import parse_edge_list, parse_graph6
+from wlcheck.generators import cycle
+from wlcheck.graphs import encode_edge_list, parse_edge_list, parse_graph6
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +80,22 @@ def test_distances_unreachable_is_null(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "distances", str(path), "--kind", "spd", "--json")
     assert code == 0
     assert json.loads(out)["matrix"][0][1] is None
+
+
+def test_distances_rd_over_component_cap_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "c200.el"
+    path.write_text(encode_edge_list(cycle(200)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "distances", str(path), "--kind", "rd")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "128" in err
+
+
+def test_repeated_calls_parse_independently(capsys):
+    code, out, _ = run_cli(capsys, "gen", "cycle", "5", "--format", "graph6")
+    assert code == 0 and parse_graph6(out.strip()).m == 5
+    code, out, _ = run_cli(capsys, "gen", "path", "3")
+    assert code == 0 and parse_edge_list(out).edges == ((0, 1), (1, 2))
 
 
 def test_distinguish_counterexample_pair(tmp_path, capsys):

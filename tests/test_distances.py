@@ -231,3 +231,66 @@ def test_token_sort_key_orders_unreachable_last():
     tokens = [UNREACHABLE, 3, Fraction(1, 2), (2, Fraction(5, 4)), 0]
     ordered = sorted(tokens, key=token_sort_key)
     assert ordered[0] == 0 and ordered[-1] is UNREACHABLE
+
+
+# Closed forms and independent implementations for the exact solver.
+
+
+def test_hitting_time_end_to_end_of_a_path():
+    for n in range(2, 13):
+        assert hitting_time_matrix(gen.path(n))[0][n - 1] == (n - 1) ** 2
+
+
+def test_hitting_times_around_a_cycle():
+    for n in range(3, 13):
+        h = hitting_time_matrix(gen.cycle(n))
+        for k in range(n):
+            assert h[0][k] == k * (n - k)
+
+
+def test_rd_around_a_cycle():
+    for n in range(3, 20):
+        rd = rd_matrix(gen.cycle(n))
+        for k in range(n):
+            assert rd[0, k] == Fraction(k * (n - k), n)
+
+
+def test_rd_on_complete_graphs():
+    for n in range(2, 12):
+        rd = rd_matrix(gen.complete(n))
+        for u in range(n):
+            for v in range(n):
+                assert rd[u, v] == (0 if u == v else Fraction(2, n))
+
+
+def test_foster_theorem_per_component():
+    # the edge resistances of a connected graph on s nodes sum to s - 1
+    for seed in range(20):
+        g = gen.random_gnp(6 + seed, Fraction(3, 6 + seed), seed)
+        rd = rd_matrix(g)
+        comp = connected_components(g)
+        totals = [Fraction(0)] * len(comp.classes)
+        for u, v in g.edges:
+            totals[comp.class_of[u]] += rd[u, v]
+        assert totals == [len(cls) - 1 for cls in comp.classes]
+
+
+def test_rd_matches_networkx_resistance_distance():
+    nx = pytest.importorskip("networkx")
+    pytest.importorskip("scipy")
+    for seed in range(6):
+        g = gen.random_gnp(14 + seed, Fraction(1, 4), 100 + seed)
+        rd = rd_matrix(g)
+        comp = connected_components(g)
+        for cls in comp.classes:
+            if len(cls) < 2:
+                continue
+            h = nx.Graph()
+            h.add_nodes_from(cls)
+            h.add_edges_from((u, v) for u, v in g.edges if comp.class_of[u] == comp.class_of[cls[0]])
+            expected = nx.resistance_distance(h)
+            for u in cls:
+                for v in cls:
+                    if u != v:
+                        exact = float(rd[u, v])
+                        assert abs(exact - expected[u][v]) <= 1e-9 * exact

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -260,3 +261,25 @@ def test_shared_context_keeps_ids_comparable():
     a = refine_1wl([gen.cycle(5)], ctx)[0]
     b = refine_1wl([gen.cycle(5)], ctx)[0]
     assert a.colors == b.colors
+
+
+def test_run_algorithm_interns_into_a_fresh_caller_context():
+    # an empty context is falsy (len 0); it must still be the one used
+    ctx = InterningContext()
+    graphs = [gen.random_gnp(6, Fraction(2, 5), seed) for seed in range(20)]
+    separate = []
+    for g in graphs:
+        result = run_algorithm("1wl", [g], ctx)
+        assert result.ctx is ctx
+        separate.append(result.representations[0])
+    assert len(ctx) > 0
+    joint_result = run_algorithm("1wl", graphs)
+    assert joint_result.ctx is None  # a private context is not kept
+    joint = joint_result.representations
+    separated_pairs = 0
+    for i in range(len(graphs)):
+        for j in range(i + 1, len(graphs)):
+            if joint[i] != joint[j]:
+                separated_pairs += 1
+                assert separate[i] != separate[j], (i, j)
+    assert separated_pairs > 0
