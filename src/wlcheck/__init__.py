@@ -42,7 +42,6 @@ from .refine import (
     SubgraphPolicy,
     compute_orbits,
     distinguishable,
-    graph_representation,
     refine_1wl,
     refine_2fwl,
     refine_dsswl,

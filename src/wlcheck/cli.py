@@ -75,7 +75,11 @@ def _generate(family: str, params: list[str]):
         if family == "gnp":
             if len(params) != 3:
                 raise UsageError("gnp expects: n p seed")
-            return gen.random_gnp(int(params[0]), _parse_probability(params[1]), int(params[2]))
+            try:
+                n, seed = int(params[0]), int(params[2])
+            except ValueError:
+                raise UsageError("gnp: n and seed must be integers") from None
+            return gen.random_gnp(n, _parse_probability(params[1]), seed)
         if family == "example1":
             return gen.example1(*ints(2))
         if family == "example2":
@@ -233,7 +237,10 @@ def cmd_distinguish(args) -> int:
 
 
 def cmd_check(args) -> int:
-    reports, table = run_suite(args.suite, args.seeds)
+    try:
+        reports, table = run_suite(args.suite, args.seeds)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     ok = all(r.passed for r in reports)
     if args.json:
         payload = {

@@ -112,6 +112,8 @@ def random_gnp(n: int, p, seed: int) -> Graph:
     give identical edge sets on every platform."""
     if n < 1:
         raise GenerationError("random_gnp requires n >= 1")
+    if not 0 <= p <= 1:
+        raise GenerationError(f"random_gnp requires 0 <= p <= 1, got {p}")
     rng = random.Random(seed)
     edges = [
         (u, v)

@@ -24,7 +24,7 @@ from .distances import (
     rd_matrix,
     spd_matrix,
 )
-from .graphs import Graph, connected_components, is_connected
+from .graphs import Graph, Partition, connected_components, is_connected
 from .refine import run_algorithm
 
 
@@ -211,6 +211,24 @@ ALGO_COLUMNS = {
 ALL_COLUMNS = ("cut_vertex", "cut_edge", "bcv_tree", "bce_tree")
 
 
+def _conflicts(entries) -> list[tuple]:
+    """Counterexamples to "the key functionally determines the value".
+
+    entries yields (key, value, witness) triples. For each key seen with
+    two different values, returns (first witness, first witness whose
+    value differs from the first's), in order of the key's first appearance.
+    """
+    first: dict = {}
+    found: dict = {}
+    for key, value, witness in entries:
+        seen = first.get(key)
+        if seen is None:
+            first[key] = (value, witness)
+        elif key not in found and seen[0] != value:
+            found[key] = (seen[1], witness)
+    return [found[key] for key in first if key in found]
+
+
 def _expressivity_violations(algo: str, corpus: Corpus, columns) -> list:
     """Implication violations of one algorithm over all corpus pairs.
 
@@ -221,76 +239,65 @@ def _expressivity_violations(algo: str, corpus: Corpus, columns) -> list:
     violations = []
     reports = [biconnectivity_report(g) for g in corpus.graphs]
 
-    if "cut_vertex" in columns:
-        by_color: dict[int, list] = {}
-        for idx, (gid, g) in enumerate(corpus.members):
-            cuts = set(reports[idx].cut_vertices)
-            for v in range(g.n):
-                by_color.setdefault(result.node_colors[idx][v], []).append(
-                    (gid, v, v in cuts)
-                )
-        for color, entries in sorted(by_color.items()):
-            statuses = {e[2] for e in entries}
-            if len(statuses) > 1:
-                a = next(e for e in entries if e[2])
-                b = next(e for e in entries if not e[2])
-                violations.append(
-                    {
-                        "column": "cut_vertex",
-                        "graphs": [a[0], b[0]],
-                        "items": [a[1], b[1]],
-                        "expected": "equal colors imply equal cut-vertex status",
-                        "observed": "same color, one cut vertex and one not",
-                    }
-                )
+    # key: a node color, or the sorted color pair of an edge; value and
+    # witness carry its cut status, so a reported pair can list the cut one first
+    cut_entries: dict[str, list] = {"cut_vertex": [], "cut_edge": []}
+    for idx, (gid, g) in enumerate(corpus.members):
+        colors = result.node_colors[idx]
+        cuts = set(reports[idx].cut_vertices)
+        bridges = set(reports[idx].cut_edges)
+        for v in range(g.n):
+            cut_entries["cut_vertex"].append((colors[v], v in cuts, (gid, v, v in cuts)))
+        for u, v in g.edges:
+            cut = (u, v) in bridges
+            key = tuple(sorted((colors[u], colors[v])))
+            cut_entries["cut_edge"].append((key, cut, (gid, [u, v], cut)))
+    for column, expected, observed in (
+        (
+            "cut_vertex",
+            "equal colors imply equal cut-vertex status",
+            "same color, one cut vertex and one not",
+        ),
+        (
+            "cut_edge",
+            "equal edge colors imply equal cut-edge status",
+            "same edge color, one bridge and one not",
+        ),
+    ):
+        if column not in columns:
+            continue
+        for pair in _conflicts(cut_entries[column]):
+            a, b = pair if pair[0][2] else pair[::-1]
+            violations.append(
+                {
+                    "column": column,
+                    "graphs": [a[0], b[0]],
+                    "items": [a[1], b[1]],
+                    "expected": expected,
+                    "observed": observed,
+                }
+            )
 
-    if "cut_edge" in columns:
-        by_pair: dict[tuple[int, int], list] = {}
-        for idx, (gid, g) in enumerate(corpus.members):
-            cut_edges = set(reports[idx].cut_edges)
-            colors = result.node_colors[idx]
-            for u, v in g.edges:
-                key = (colors[u], colors[v])
-                if key[0] > key[1]:
-                    key = (key[1], key[0])
-                by_pair.setdefault(key, []).append((gid, (u, v), (u, v) in cut_edges))
-        for key, entries in sorted(by_pair.items()):
-            statuses = {e[2] for e in entries}
-            if len(statuses) > 1:
-                a = next(e for e in entries if e[2])
-                b = next(e for e in entries if not e[2])
-                violations.append(
-                    {
-                        "column": "cut_edge",
-                        "graphs": [a[0], b[0]],
-                        "items": [list(a[1]), list(b[1])],
-                        "expected": "equal edge colors imply equal cut-edge status",
-                        "observed": "same edge color, one bridge and one not",
-                    }
-                )
-
+    # tree forms are only needed where a representation is shared
+    shared = Counter(result.representations)
     for column, which in (("bcv_tree", "bcv"), ("bce_tree", "bce")):
         if column not in columns:
             continue
-        by_rep: dict[tuple, list] = {}
-        for idx, (gid, g) in enumerate(corpus.members):
-            by_rep.setdefault(result.representations[idx], []).append((gid, g))
-        for rep, entries in by_rep.items():
-            if len(entries) < 2:
-                continue
-            forms = [(gid, per_component_forms(g, which)) for gid, g in entries]
-            first_gid, first_form = forms[0]
-            for gid, form in forms[1:]:
-                if form != first_form:
-                    violations.append(
-                        {
-                            "column": column,
-                            "graphs": [first_gid, gid],
-                            "items": [],
-                            "expected": "equal representations imply isomorphic trees",
-                            "observed": [list(first_form), list(form)],
-                        }
-                    )
+        entries = []
+        for (gid, g), rep in zip(corpus.members, result.representations):
+            if shared[rep] > 1:
+                form = per_component_forms(g, which)
+                entries.append((rep, form, (gid, form)))
+        for (gid_a, form_a), (gid_b, form_b) in _conflicts(entries):
+            violations.append(
+                {
+                    "column": column,
+                    "graphs": [gid_a, gid_b],
+                    "items": [],
+                    "expected": "equal representations imply isomorphic trees",
+                    "observed": [list(form_a), list(form_b)],
+                }
+            )
     return violations
 
 
@@ -378,20 +385,16 @@ def check_negative_suite() -> CheckReport:
     # reduction premise behind the lifting/overlap-subgraph negatives: every
     # cycle in the counterexample families has length >= m, so clique- and
     # short-cycle-based refinements collapse to plain 1-WL on them
-    for m, k in ((2, 2), (4, 1), (6, 1)):
-        label, g1, g2 = _pair(gen.example1, m, k)
-        for tag, g in ((f"{label}.g1", g1), (f"{label}.g2", g2)):
-            gi = _girth(g)
-            if gi is not None and gi < m:
-                violations.append(
-                    {
-                        "graphs": [tag],
-                        "expected": f"girth >= {m}",
-                        "observed": str(gi),
-                    }
-                )
-    for m in (4, 5, 6):
-        label, g1, g2 = _pair(gen.example2, m)
+    for builder, args in (
+        (gen.example1, (2, 2)),
+        (gen.example1, (4, 1)),
+        (gen.example1, (6, 1)),
+        (gen.example2, (4,)),
+        (gen.example2, (5,)),
+        (gen.example2, (6,)),
+    ):
+        m = args[0]
+        label, g1, g2 = _pair(builder, *args)
         for tag, g in ((f"{label}.g1", g1), (f"{label}.g2", g2)):
             gi = _girth(g)
             if gi is not None and gi < m:
@@ -583,6 +586,26 @@ def check_distance_regular_suite() -> CheckReport:
 # refinement hierarchy and the WL-condition
 
 
+def _refines_violations(corpus: Corpus, fine, coarse, fine_name, coarse_name) -> list:
+    """Nodes (in any graphs) that share the finer result's color but not
+    the coarser one's: one witness pair per such finer color."""
+    entries = (
+        (fine.node_colors[idx][v], coarse.node_colors[idx][v], (gid, v))
+        for idx, (gid, g) in enumerate(corpus.members)
+        for v in range(g.n)
+    )
+    return [
+        {
+            "pair": f"{fine_name} should refine {coarse_name}",
+            "graphs": [gid_a, gid_b],
+            "items": [a, b],
+            "expected": f"equal {coarse_name} colors",
+            "observed": "split",
+        }
+        for (gid_a, a), (gid_b, b) in _conflicts(entries)
+    ]
+
+
 def check_refinement_hierarchy(corpus: Corpus | None = None) -> CheckReport:
     """2-FWL vertex view refines SPD-WL and RD-WL; SPD-WL refines 1-WL.
 
@@ -596,36 +619,14 @@ def check_refinement_hierarchy(corpus: Corpus | None = None) -> CheckReport:
     spd = run_algorithm("spdwl", graphs)
     rd = run_algorithm("rdwl", graphs)
     fwl = run_algorithm("2fwl", graphs)
-    violations = []
-
-    def check_refines(fine, coarse, fine_name, coarse_name):
-        mapping: dict[int, tuple] = {}
-        for idx, (gid, g) in enumerate(corpus.members):
-            for v in range(g.n):
-                fc = fine.node_colors[idx][v]
-                cc = coarse.node_colors[idx][v]
-                prev = mapping.get(fc)
-                if prev is None:
-                    mapping[fc] = (cc, gid, v)
-                elif prev[0] != cc:
-                    violations.append(
-                        {
-                            "pair": f"{fine_name} should refine {coarse_name}",
-                            "graphs": [prev[1], gid],
-                            "items": [prev[2], v],
-                            "expected": f"equal {coarse_name} colors",
-                            "observed": "split",
-                        }
-                    )
-
-    check_refines(fwl, spd, "2fwl", "spdwl")
-    check_refines(fwl, rd, "2fwl", "rdwl")
-    check_refines(spd, one, "spdwl", "1wl")
+    violations = (
+        _refines_violations(corpus, fwl, spd, "2fwl", "spdwl")
+        + _refines_violations(corpus, fwl, rd, "2fwl", "rdwl")
+        + _refines_violations(corpus, spd, one, "spdwl", "1wl")
+    )
 
     # whether RD-WL strictly exceeds SPD-WL in general is open; record the
     # observed per-graph relation without asserting anything about it
-    from .graphs import Partition
-
     tally = Counter()
     for idx in range(len(graphs)):
         ps = Partition.from_labels(spd.node_colors[idx])
@@ -659,24 +660,22 @@ def check_wl_condition(corpus: Corpus) -> CheckReport:
     violations = []
     for algo in WL_CONDITION_ALGOS:
         result = run_algorithm(algo, corpus.graphs)
-        profile_by_color: dict[int, tuple] = {}
+        entries = []
         for idx, (gid, g) in enumerate(corpus.members):
             colors = result.node_colors[idx]
             for v in range(g.n):
                 profile = tuple(sorted(Counter(colors[w] for w in g.adjacency[v]).items()))
-                prev = profile_by_color.get(colors[v])
-                if prev is None:
-                    profile_by_color[colors[v]] = (profile, gid, v)
-                elif prev[0] != profile:
-                    violations.append(
-                        {
-                            "algo": algo,
-                            "graphs": [prev[1], gid],
-                            "items": [prev[2], v],
-                            "expected": "equal neighbor color histograms",
-                            "observed": "different",
-                        }
-                    )
+                entries.append((colors[v], profile, (gid, v)))
+        for (gid_a, a), (gid_b, b) in _conflicts(entries):
+            violations.append(
+                {
+                    "algo": algo,
+                    "graphs": [gid_a, gid_b],
+                    "items": [a, b],
+                    "expected": "equal neighbor color histograms",
+                    "observed": "different",
+                }
+            )
     return _finish(
         "wl_condition",
         f"{corpus.provenance}; algos={','.join(WL_CONDITION_ALGOS)}",
@@ -922,6 +921,8 @@ def run_suite(suite: str, seeds: int = 200) -> tuple[list[CheckReport], dict | N
     """Run one named suite; returns (reports, expressivity table or None)."""
     if suite not in ("all", "positive", "negative", "drg", "hierarchy"):
         raise ValueError(f"unknown suite {suite!r}")
+    if seeds < 0:
+        raise ValueError(f"seeds must be >= 0, got {seeds}")
     reports: list[CheckReport] = []
     table = None
     corpus: Corpus | None = None

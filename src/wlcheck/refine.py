@@ -2,8 +2,11 @@
 
 Every run interns canonical structure encodings in one shared context, so
 equal colors mean equal hashed structures across all the graphs refined
-together. All graphs advance in lockstep and iterate until the joint
-partition survives a full round unchanged; exceeding the theoretical
+together. Every algorithm runs through the one loop in `_iterate`: each
+graph's state is a single flat color list (nodes; 2-FWL: pairs in row-major
+order; DS-WL: subgraph-major node colors, which DSS-WL follows with its
+global node colors). All graphs advance in lockstep and iterate until the
+joint partition survives a full round unchanged; exceeding the theoretical
 stabilization bound indicates an interning bug and raises.
 """
 
@@ -83,9 +86,12 @@ class StabilizationError(RuntimeError):
 def _iterate(update, initial, total_elements):
     """Run lockstep rounds until the joint partition stabilizes.
 
-    update(state) -> state; a state is a list (per graph) of color lists.
-    Returns (state, rounds). The partition can strictly refine at most
-    total_elements - 1 times, so the round cap is total_elements + 1.
+    This is the stabilization loop of every refine_* function.
+    update(state) -> state; a state holds one flat color list per graph,
+    and the partition compared between rounds is that of all entries of
+    all lists together. Returns (state, rounds). The partition can
+    strictly refine at most total_elements - 1 times, so the round cap is
+    total_elements + 1.
     """
     state = initial
     sig = _partition_sig(c for graph_colors in state for c in graph_colors)
@@ -199,62 +205,50 @@ def refine_gdwl(
 TWO_FWL_MAX_NODES = 40
 
 
+def _rows(flat, n):
+    """The first n length-n rows of a flat row-major color list."""
+    return [flat[i * n : (i + 1) * n] for i in range(n)]
+
+
 def refine_2fwl(graphs: list[Graph], ctx: InterningContext | None = None) -> list[PairColoring]:
     """Folklore 2-WL on ordered pairs; Theta(n^3) per round per graph.
 
     Initial pair colors separate the diagonal, edges, and non-edges; the
     round update hashes the multiset of (color(u,w), color(w,v)) over all w.
+    A graph's state is its pair colors in row-major order.
     """
     for g in graphs:
         if g.n > TWO_FWL_MAX_NODES:
             raise ValueError(f"2-FWL capped at {TWO_FWL_MAX_NODES} nodes")
     if ctx is None:
         ctx = InterningContext()
-    initial = []
-    for g in graphs:
-        mat = [
-            [
-                ctx.intern(("2fwl0", u == v, g.has_edge(u, v)))
-                for v in range(g.n)
-            ]
+    initial = [
+        [
+            ctx.intern(("2fwl0", u == v, g.has_edge(u, v)))
             for u in range(g.n)
+            for v in range(g.n)
         ]
-        initial.append(mat)
+        for g in graphs
+    ]
 
     def update(state):
         out = []
-        for g, mat in zip(graphs, state):
-            n = g.n
-            rng = range(n)
-            new_mat = []
+        for g, flat in zip(graphs, state):
+            rng = range(g.n)
+            mat = _rows(flat, g.n)
+            new_flat = []
             for u in rng:
                 row_u = mat[u]
-                new_row = []
                 for v in rng:
                     items = sorted((row_u[w], mat[w][v]) for w in rng)
-                    new_row.append(ctx.intern(("2fwl", row_u[v], tuple(items))))
-                new_mat.append(new_row)
-            out.append(new_mat)
+                    new_flat.append(ctx.intern(("2fwl", row_u[v], tuple(items))))
+            out.append(new_flat)
         return out
 
-    def flatten(state):
-        return [[c for row in mat for c in row] for mat in state]
-
-    state = initial
-    sig = _partition_sig(c for mat in flatten(state) for c in mat)
-    total = sum(g.n * g.n for g in graphs)
-    rounds = 0
-    while True:
-        state = update(state)
-        rounds += 1
-        new_sig = _partition_sig(c for mat in flatten(state) for c in mat)
-        if new_sig == sig:
-            break
-        sig = new_sig
-        if rounds > total + 1:
-            raise StabilizationError("2-FWL failed to stabilize within its bound")
+    state, rounds = _iterate(update, initial, sum(g.n * g.n for g in graphs))
     return [
-        PairColoring(tuple(tuple(row) for row in mat), rounds, ctx) for mat in state
+        PairColoring(tuple(map(tuple, _rows(flat, g.n))), rounds, ctx)
+        for g, flat in zip(graphs, state)
     ]
 
 
@@ -264,6 +258,10 @@ class SubgraphPolicy:
 
     tag: str  # node_marking | node_deletion | ego | ego_marking
     k: int = 0
+
+    def __post_init__(self):
+        if self.k < 0:
+            raise ValueError(f"{self.tag} radius must be >= 0, got {self.k}")
 
     @staticmethod
     def node_marking() -> "SubgraphPolicy":
@@ -324,6 +322,21 @@ def _policy_bag(g: Graph, policy: SubgraphPolicy):
     raise ValueError(f"unknown policy {policy.tag!r}")
 
 
+def _initial_subgraph_colors(graphs: list[Graph], policy: SubgraphPolicy, ctx):
+    """Subgraph-major colors (entry i*n + u is node u in G_i): all init,
+    except that a marking policy marks node i in its own subgraph G_i."""
+    c0 = ctx.intern(("init",))
+    c1 = ctx.intern(("mark",))
+    out = []
+    for g in graphs:
+        flat = [c0] * (g.n * g.n)
+        if policy.marks:
+            for i in range(g.n):
+                flat[i * g.n + i] = c1
+        out.append(flat)
+    return out
+
+
 DSS_WL_MAX_NODES = 64
 
 
@@ -336,71 +349,54 @@ def refine_dsswl(
 
     Each subgraph color update hashes (own subgraph color, subgraph
     neighborhood, global node color, global neighborhood); the global node
-    color is the hashed bag of that node's subgraph colors.
+    color is the hashed bag of that node's subgraph colors. A graph's state
+    is its subgraph colors followed by its n node colors; the node colors
+    are a function of the subgraph colors, so they never delay stabilization.
     """
     for g in graphs:
         if g.n > DSS_WL_MAX_NODES:
             raise ValueError(f"DSS-WL capped at {DSS_WL_MAX_NODES} nodes")
     if ctx is None:
         ctx = InterningContext()
-    c0 = ctx.intern(("init",))
-    c1 = ctx.intern(("mark",))
+    subs = _initial_subgraph_colors(graphs, policy, ctx)
     bags = [_policy_bag(g, policy) for g in graphs]
-    sub_state = []
-    for g in graphs:
-        if policy.marks:
-            sub_state.append(
-                [[c1 if u == v else c0 for u in range(g.n)] for v in range(g.n)]
-            )
-        else:
-            sub_state.append([[c0] * g.n for v in range(g.n)])
 
-    def node_colors_of(sub_colors, g: Graph):
+    def node_colors(flat, n):
+        # column v of the subgraph-major block: node v in every subgraph
         return [
-            ctx.intern(
-                ("dssbag", tuple(sorted(sub_colors[i][v] for i in range(g.n))))
-            )
-            for v in range(g.n)
+            ctx.intern(("dssbag", tuple(sorted(flat[v : n * n : n]))))
+            for v in range(n)
         ]
 
-    node_state = [node_colors_of(sc, g) for sc, g in zip(sub_state, graphs)]
-    total = sum(g.n * g.n for g in graphs)
-    sig = _partition_sig(c for sc in sub_state for row in sc for c in row)
-    rounds = 0
-    while True:
-        new_sub_state = []
-        new_node_state = []
-        for g, bag, sub, node in zip(graphs, bags, sub_state, node_state):
+    def update(state):
+        out = []
+        for g, bag, flat in zip(graphs, bags, state):
             n = g.n
-            new_sub = []
-            for i in range(n):
-                sub_i = sub[i]
-                adj_i = bag[i]
-                new_sub.append(
-                    [
-                        ctx.intern(
-                            (
-                                "dss",
-                                sub_i[v],
-                                tuple(sorted(sub_i[w] for w in adj_i[v])),
-                                node[v],
-                                tuple(sorted(node[w] for w in g.adjacency[v])),
-                            )
+            node = flat[n * n :]
+            new_flat = []
+            for sub_i, adj_i in zip(_rows(flat, n), bag):
+                new_flat.extend(
+                    ctx.intern(
+                        (
+                            "dss",
+                            sub_i[v],
+                            tuple(sorted(sub_i[w] for w in adj_i[v])),
+                            node[v],
+                            tuple(sorted(node[w] for w in g.adjacency[v])),
                         )
-                        for v in range(n)
-                    ]
+                    )
+                    for v in range(n)
                 )
-            new_sub_state.append(new_sub)
-            new_node_state.append(node_colors_of(new_sub, g))
-        sub_state, node_state = new_sub_state, new_node_state
-        rounds += 1
-        new_sig = _partition_sig(c for sc in sub_state for row in sc for c in row)
-        if new_sig == sig:
-            break
-        sig = new_sig
-        if rounds > total + 1:
-            raise StabilizationError("DSS-WL failed to stabilize within its bound")
-    return [Coloring(tuple(nc), rounds, ctx) for nc in node_state]
+            new_flat.extend(node_colors(new_flat, n))
+            out.append(new_flat)
+        return out
+
+    initial = [flat + node_colors(flat, g.n) for g, flat in zip(graphs, subs)]
+    state, rounds = _iterate(update, initial, sum(g.n * g.n for g in graphs))
+    return [
+        Coloring(tuple(flat[g.n * g.n :]), rounds, ctx)
+        for g, flat in zip(graphs, state)
+    ]
 
 
 def refine_dswl(
@@ -415,53 +411,32 @@ def refine_dswl(
     """
     if ctx is None:
         ctx = InterningContext()
-    c0 = ctx.intern(("init",))
-    c1 = ctx.intern(("mark",))
+    initial = _initial_subgraph_colors(graphs, policy, ctx)
     bags = [_policy_bag(g, policy) for g in graphs]
-    sub_state = []
-    for g in graphs:
-        if policy.marks:
-            sub_state.append(
-                [[c1 if u == v else c0 for u in range(g.n)] for v in range(g.n)]
-            )
-        else:
-            sub_state.append([[c0] * g.n for v in range(g.n)])
-    total = sum(g.n * g.n for g in graphs)
-    sig = _partition_sig(c for sc in sub_state for row in sc for c in row)
-    rounds = 0
-    while True:
-        new_sub_state = []
-        for g, bag, sub in zip(graphs, bags, sub_state):
-            new_sub_state.append(
+
+    def update(state):
+        out = []
+        for g, bag, flat in zip(graphs, bags, state):
+            out.append(
                 [
-                    [
-                        ctx.intern(
-                            (
-                                "1wl",
-                                sub[i][v],
-                                tuple(sorted(sub[i][w] for w in bag[i][v])),
-                            )
-                        )
-                        for v in range(g.n)
-                    ]
-                    for i in range(g.n)
+                    ctx.intern(
+                        ("1wl", sub_i[v], tuple(sorted(sub_i[w] for w in adj_i[v])))
+                    )
+                    for sub_i, adj_i in zip(_rows(flat, g.n), bag)
+                    for v in range(g.n)
                 ]
             )
-        sub_state = new_sub_state
-        rounds += 1
-        new_sig = _partition_sig(c for sc in sub_state for row in sc for c in row)
-        if new_sig == sig:
-            break
-        sig = new_sig
-        if rounds > total + 1:
-            raise StabilizationError("DS-WL failed to stabilize within its bound")
-    colorings = []
-    for g, sub in zip(graphs, sub_state):
-        node_colors = tuple(
-            ctx.intern(("dsrep", tuple(sorted(sub[v])))) for v in range(g.n)
+        return out
+
+    state, rounds = _iterate(update, initial, sum(g.n * g.n for g in graphs))
+    return [
+        Coloring(
+            tuple(ctx.intern(("dsrep", tuple(sorted(row)))) for row in _rows(flat, g.n)),
+            rounds,
+            ctx,
         )
-        colorings.append(Coloring(node_colors, rounds, ctx))
-    return colorings
+        for g, flat in zip(graphs, state)
+    ]
 
 
 SUBSTRUCTURE_MAX_NODES = 8
@@ -612,16 +587,6 @@ def refine_scwl(
 
     state, rounds = _iterate(update, initial, sum(g.n for g in graphs))
     return [Coloring(tuple(c), rounds, ctx) for c in state]
-
-
-def graph_representation(coloring) -> tuple[int, ...]:
-    """Sorted multiset of colors; 2-FWL uses all pair colors."""
-    return coloring.representation
-
-
-def edge_color(colors, u: int, v: int) -> tuple[int, int]:
-    a, b = colors[u], colors[v]
-    return (a, b) if a <= b else (b, a)
 
 
 def node_partition(coloring) -> Partition:

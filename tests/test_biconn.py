@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,7 @@ from wlcheck.graphs import (
     connected_components,
     relabel,
 )
+from wlcheck.harness import family_corpus
 
 
 def test_cycle_is_biconnected():
@@ -288,3 +290,27 @@ def test_representations_equal_requires_shared_context():
         representations_equal(a, b)
     c, d = refine_1wl([gen.cycle(5), gen.cycle(5)])
     assert representations_equal(c, d)
+
+
+def _networkx_cut_sets(nx, g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    cut_vertices = tuple(sorted(nx.articulation_points(h)))
+    cut_edges = tuple(sorted(tuple(sorted(e)) for e in nx.bridges(h)))
+    return cut_vertices, cut_edges
+
+
+def _differential_graphs():
+    for seed in range(100):
+        n = 1 + seed % 16
+        p = Fraction(1 + seed % 5, n + 5)
+        yield f"gnp({n},{p},{seed})", gen.random_gnp(n, p, seed)
+    yield from family_corpus().members
+
+
+def test_cut_sets_match_networkx():
+    nx = pytest.importorskip("networkx")
+    for gid, g in _differential_graphs():
+        rep = biconnectivity_report(g)
+        assert (rep.cut_vertices, rep.cut_edges) == _networkx_cut_sets(nx, g), gid

@@ -166,3 +166,27 @@ def test_graph6_file_roundtrip(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "biconnect", str(path), "--json")
     assert code == 0
     assert json.loads(out)["n"] == 16
+
+
+def assert_one_line_usage_error(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_gen_gnp_rejects_probability_above_one(capsys):
+    assert_one_line_usage_error(*run_cli(capsys, "gen", "gnp", "5", "3/2", "1"))
+
+
+def test_gen_gnp_rejects_non_integer_size(capsys):
+    assert_one_line_usage_error(*run_cli(capsys, "gen", "gnp", "five", "1/2", "1"))
+
+
+def test_check_rejects_negative_seeds(capsys):
+    assert_one_line_usage_error(*run_cli(capsys, "check", "--seeds", "-5"))
+
+
+@pytest.mark.parametrize("algo", ["dsswl:ego:-1", "dsswl:egom:-1"])
+def test_refine_rejects_negative_ego_radius(tmp_path, capsys, algo):
+    path = tmp_path / "c6.el"
+    path.write_text(encode_edge_list(cycle(6)), encoding="utf-8")
+    assert_one_line_usage_error(*run_cli(capsys, "refine", "--algo", algo, str(path)))

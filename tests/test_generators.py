@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from wlcheck import generators as gen
@@ -184,3 +186,9 @@ def test_generalized_petersen_sizes():
     assert all(petersen.degree(v) == 3 for v in range(10))
     desargues = gen.named_graph("desargues")
     assert desargues.n == 20 and desargues.m == 30
+
+
+def test_random_gnp_rejects_probability_outside_unit_interval():
+    for p in (Fraction(3, 2), -0.1):
+        with pytest.raises(gen.GenerationError):
+            gen.random_gnp(5, p, 1)

@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
+from wlcheck import generators as gen
 from wlcheck import harness
+from wlcheck.refine import run_algorithm
 
 
 def small_corpus():
@@ -111,3 +115,48 @@ def test_run_suite_rejects_unknown_name():
         pass
     else:
         raise AssertionError("expected ValueError")
+
+
+def test_run_suite_rejects_negative_seeds():
+    with pytest.raises(ValueError):
+        harness.run_suite("negative", seeds=-1)
+
+
+def test_conflicts_empty_when_key_determines_value():
+    entries = [("a", 1, "w1"), ("b", 2, "w2"), ("a", 1, "w3"), ("b", 2, "w4")]
+    assert harness._conflicts(entries) == []
+    assert harness._conflicts([]) == []
+
+
+def test_conflicts_one_pair_per_key_in_first_appearance_order():
+    entries = [
+        ("b", 0, "b1"),
+        ("a", 0, "a1"),
+        ("c", 5, "c1"),
+        ("a", 0, "a2"),
+        ("a", 1, "a3"),
+        ("b", 1, "b2"),
+        ("a", 2, "a4"),
+        ("b", 2, "b3"),
+    ]
+    # first witness of the key, then the first witness whose value differs
+    assert harness._conflicts(entries) == [("b1", "b2"), ("a1", "a3")]
+
+
+def test_planted_refinement_violation_is_reported():
+    # 1-WL cannot tell example2(4) apart, SPD-WL can: 1-WL does not refine it
+    g1, g2 = gen.example2(4)
+    corpus = harness.Corpus("planted", [("g1", g1), ("g2", g2)], "example2(4)")
+    one = run_algorithm("1wl", corpus.graphs)
+    spd = run_algorithm("spdwl", corpus.graphs)
+    violations = harness._refines_violations(corpus, one, spd, "1wl", "spdwl")
+    assert violations
+    index = {"g1": 0, "g2": 1}
+    split_colors = []
+    for v in violations:
+        (ga, gb), (a, b) = v["graphs"], v["items"]
+        assert one.node_colors[index[ga]][a] == one.node_colors[index[gb]][b]
+        assert spd.node_colors[index[ga]][a] != spd.node_colors[index[gb]][b]
+        split_colors.append(one.node_colors[index[ga]][a])
+    assert len(set(split_colors)) == len(split_colors)  # one pair per 1-WL color
+    assert harness._refines_violations(corpus, spd, one, "spdwl", "1wl") == []

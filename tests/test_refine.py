@@ -6,6 +6,7 @@ import pytest
 from wlcheck import generators as gen
 from wlcheck.graphs import Graph, Partition, relabel
 from wlcheck.refine import (
+    ALGORITHM_SPECS,
     InterningContext,
     SubgraphPolicy,
     compute_orbits,
@@ -283,3 +284,52 @@ def test_run_algorithm_interns_into_a_fresh_caller_context():
                 separated_pairs += 1
                 assert separate[i] != separate[j], (i, j)
     assert separated_pairs > 0
+
+
+def test_ego_policies_reject_negative_radius():
+    for make in (SubgraphPolicy.ego, SubgraphPolicy.ego_marking):
+        with pytest.raises(ValueError):
+            make(-1)
+    with pytest.raises(ValueError):
+        parse_policy("egom:-1")
+
+
+# every concrete form of ALGORITHM_SPECS: ego radii 1 and 2, the triangle count
+SPEC_FORMS = [
+    form
+    for spec in ALGORITHM_SPECS
+    for form in (
+        [spec.replace(":K", f":{k}") for k in (1, 2)]
+        if spec.endswith(":K")
+        else [spec.replace("NAMES", "tri")]
+    )
+]
+
+
+@pytest.mark.parametrize("spec", SPEC_FORMS)
+def test_refinement_properties_on_random_relabelings(spec):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def graph_and_perm(draw):
+        n = draw(st.integers(1, 9))
+        p = Fraction(draw(st.integers(0, 10)), 10)
+        g = gen.random_gnp(n, p, draw(st.integers(0, 10**6)))
+        return g, draw(st.permutations(range(n)))
+
+    @hypothesis.settings(max_examples=30, derandomize=True, deadline=None)
+    @hypothesis.given(graph_and_perm())
+    def check(case):
+        g, perm = case
+        h = relabel(g, perm)
+        result = run_algorithm(spec, [g, h])
+        assert result.representations[0] == result.representations[1]
+        for v in range(g.n):
+            assert result.node_colors[0][v] == result.node_colors[1][perm[v]]
+        # jointly over both graphs, equal colors imply equal 1-WL colors
+        one = run_algorithm("1wl", [g, h])
+        fine = Partition.from_labels(result.node_colors[0] + result.node_colors[1])
+        assert fine.refines(Partition.from_labels(one.node_colors[0] + one.node_colors[1]))
+
+    check()
