@@ -77,6 +77,10 @@ class Corpus:
         return [gid for gid, _ in self.members]
 
 
+def _seed_range(count: int) -> str:
+    return f"seeds 0..{count - 1}" if count else "no seeds"
+
+
 def random_corpus(seeds: int = 200) -> Corpus:
     """Seeded G(n,p) samples: n cycles through 4..12, p through {1/5, 2/5}."""
     members = []
@@ -87,7 +91,7 @@ def random_corpus(seeds: int = 200) -> Corpus:
     return Corpus(
         name="random",
         members=members,
-        provenance=f"{seeds} seeded G(n,p): n=4+(i%9), p in {{1/5,2/5}}, seeds 0..{seeds - 1}",
+        provenance=f"{seeds} seeded G(n,p): n=4+(i%9), p in {{1/5,2/5}}, {_seed_range(seeds)}",
     )
 
 
@@ -147,7 +151,7 @@ def tree_corpus(count: int = 50) -> Corpus:
     return Corpus(
         name="trees",
         members=members,
-        provenance=f"{count} Pruefer trees, n=4+(i%10), seeds 0..{count - 1}",
+        provenance=f"{count} Pruefer trees, n=4+(i%10), {_seed_range(count)}",
     )
 
 

@@ -8,11 +8,22 @@ order; DS-WL: subgraph-major node colors, which DSS-WL follows with its
 global node colors). All graphs advance in lockstep and iterate until the
 joint partition survives a full round unchanged; exceeding the theoretical
 stabilization bound indicates an interning bug and raises.
+
+Each round's inner loop runs in C builtins (`map`, `zip`, `sorted` over
+ints). The multisets of 2-FWL and GD-WL pack each (high id, color) pair into
+one int, `high << 32 | color`, so sorting the ints sorts the pairs: a packed
+key is in one-to-one correspondence with the sorted tuple of pairs, and
+gives the same color ids. The packing is the same for every context, so ids
+of separate calls sharing a context stay comparable. It needs every color id
+below 2^32 (`PACKED_ID_LIMIT`); a run whose context outgrows that raises
+`OverflowError` rather than let two keys collide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, count
+from operator import add
 
 from .distances import UNREACHABLE, rd_matrix, spd_matrix, token_sort_key
 from .graphs import Graph, Partition, automorphisms, is_connected
@@ -66,17 +77,25 @@ class PairColoring:
         return tuple(sorted(c for row in self.pair_colors for c in row))
 
 
-def _partition_sig(colors_iter) -> tuple[int, ...]:
-    """Canonical partition fingerprint, invariant under color renaming."""
-    rename: dict[int, int] = {}
-    out = []
-    for c in colors_iter:
-        r = rename.get(c)
-        if r is None:
-            r = len(rename)
-            rename[c] = r
-        out.append(r)
-    return tuple(out)
+def _partition_sig(state) -> tuple[int, ...]:
+    """Canonical fingerprint of the joint partition of all lists in state.
+
+    Each entry maps to the position where its color first appears, which
+    is invariant under color renaming.
+    """
+    return tuple(map({}.setdefault, chain.from_iterable(state), count()))
+
+
+_PACK_BITS = 32
+PACKED_ID_LIMIT = 1 << _PACK_BITS
+
+
+def _check_packable(ctx: InterningContext) -> None:
+    """Raise unless every id of ctx fits the low half of a packed pair."""
+    if len(ctx) > PACKED_ID_LIMIT:
+        raise OverflowError(
+            f"{len(ctx)} interned keys: packed multiset keys need ids below {PACKED_ID_LIMIT}"
+        )
 
 
 class StabilizationError(RuntimeError):
@@ -94,13 +113,13 @@ def _iterate(update, initial, total_elements):
     total_elements + 1.
     """
     state = initial
-    sig = _partition_sig(c for graph_colors in state for c in graph_colors)
+    sig = _partition_sig(state)
     rounds = 0
     cap = total_elements + 1
     while True:
         state = update(state)
         rounds += 1
-        new_sig = _partition_sig(c for graph_colors in state for c in graph_colors)
+        new_sig = _partition_sig(state)
         if new_sig == sig:
             return state, rounds
         sig = new_sig
@@ -118,18 +137,14 @@ def refine_1wl(graphs: list[Graph], ctx: InterningContext | None = None) -> list
     initial = [[c0] * g.n for g in graphs]
 
     def update(state):
+        intern = ctx.intern
         out = []
         for g, colors in zip(graphs, state):
+            color_of = colors.__getitem__
             out.append(
                 [
-                    ctx.intern(
-                        (
-                            "1wl",
-                            colors[v],
-                            tuple(sorted(colors[w] for w in g.adjacency[v])),
-                        )
-                    )
-                    for v in range(g.n)
+                    intern(("1wl", c, tuple(sorted(map(color_of, nbrs)))))
+                    for c, nbrs in zip(colors, g.adjacency)
                 ]
             )
         return out
@@ -167,36 +182,36 @@ def refine_gdwl(
         ctx = InterningContext()
     c0 = ctx.intern(("init",))
     initial = [[c0] * g.n for g in graphs]
-    # bucket nodes by distance token once; only colors change per round
-    buckets_per_graph = []
+    # per node v, the high half of each packed (id of token d(v,u), color of
+    # u) pair, with v's tokens interned in token order; only colors change
+    # per round
+    highs_per_graph = []
     for g in graphs:
         rows = _distance_rows(g, distance_kind)
-        node_buckets = []
-        for v in range(g.n):
-            by_token: dict[object, list[int]] = {}
-            for u in range(g.n):
-                by_token.setdefault(rows[v][u], []).append(u)
-            ordered = sorted(by_token.items(), key=lambda kv: token_sort_key(kv[0]))
-            node_buckets.append(
-                [(ctx.intern(("dtok", tok)), nodes) for tok, nodes in ordered]
-            )
-        buckets_per_graph.append(node_buckets)
+        # number the distinct tokens once, then rank them in token order, so
+        # that the per-row work hashes small ints and not Fractions
+        number: dict[object, int] = {}
+        numbers = count()
+        numbered = [list(map(number.setdefault, row, numbers)) for row in rows]
+        ordered = sorted(number.items(), key=lambda item: token_sort_key(item[0]))
+        rank_of = {num: rank for rank, (_, num) in enumerate(ordered)}
+        highs = []
+        for row in numbered:
+            ranks = list(map(rank_of.__getitem__, row))
+            high_of = {
+                rank: ctx.intern(("dtok", ordered[rank][0])) << _PACK_BITS
+                for rank in sorted(set(ranks))
+            }
+            highs.append(list(map(high_of.__getitem__, ranks)))
+        highs_per_graph.append(highs)
 
     def update(state):
-        out = []
-        for node_buckets, colors in zip(buckets_per_graph, state):
-            new_colors = []
-            for buckets in node_buckets:
-                key = (
-                    "gd",
-                    tuple(
-                        (tok_id, tuple(sorted(colors[u] for u in nodes)))
-                        for tok_id, nodes in buckets
-                    ),
-                )
-                new_colors.append(ctx.intern(key))
-            out.append(new_colors)
-        return out
+        _check_packable(ctx)
+        intern = ctx.intern
+        return [
+            [intern(("gd", tuple(sorted(map(add, high, colors))))) for high in highs]
+            for highs, colors in zip(highs_per_graph, state)
+        ]
 
     state, rounds = _iterate(update, initial, sum(g.n for g in graphs))
     return [Coloring(tuple(c), rounds, ctx) for c in state]
@@ -232,16 +247,20 @@ def refine_2fwl(graphs: list[Graph], ctx: InterningContext | None = None) -> lis
     ]
 
     def update(state):
+        _check_packable(ctx)
+        intern = ctx.intern
         out = []
         for g, flat in zip(graphs, state):
-            rng = range(g.n)
             mat = _rows(flat, g.n)
+            cols = list(zip(*mat))
             new_flat = []
-            for u in rng:
-                row_u = mat[u]
-                for v in rng:
-                    items = sorted((row_u[w], mat[w][v]) for w in rng)
-                    new_flat.append(ctx.intern(("2fwl", row_u[v], tuple(items))))
+            for row_u in mat:
+                # the multiset of (c(u,w), c(w,v)) over w, one packed int each
+                high = [c << _PACK_BITS for c in row_u]
+                new_flat += [
+                    intern(("2fwl", c_uv, tuple(sorted(map(add, high, col_v)))))
+                    for c_uv, col_v in zip(row_u, cols)
+                ]
             out.append(new_flat)
         return out
 
@@ -252,14 +271,19 @@ def refine_2fwl(graphs: list[Graph], ctx: InterningContext | None = None) -> lis
     ]
 
 
+POLICY_TAGS = ("node_marking", "node_deletion", "ego", "ego_marking")
+
+
 @dataclass(frozen=True)
 class SubgraphPolicy:
     """Node-based subgraph generation policy for DSS-WL / DS-WL."""
 
-    tag: str  # node_marking | node_deletion | ego | ego_marking
+    tag: str  # one of POLICY_TAGS
     k: int = 0
 
     def __post_init__(self):
+        if self.tag not in POLICY_TAGS:
+            raise ValueError(f"unknown policy {self.tag!r}")
         if self.k < 0:
             raise ValueError(f"{self.tag} radius must be >= 0, got {self.k}")
 
@@ -300,26 +324,25 @@ def _policy_bag(g: Graph, policy: SubgraphPolicy):
                 )
             )
         return bags
-    if policy.tag in ("ego", "ego_marking"):
-        spd = spd_matrix(g)
-        bags = []
-        for v in range(g.n):
-            inside = [
-                u
+    # ego and ego_marking: the radius-k ball around v
+    spd = spd_matrix(g)
+    bags = []
+    for v in range(g.n):
+        inside = [
+            u
+            for u in range(g.n)
+            if spd[v, u] is not UNREACHABLE and spd[v, u] <= policy.k
+        ]
+        inside_set = set(inside)
+        bags.append(
+            tuple(
+                tuple(w for w in g.adjacency[u] if w in inside_set)
+                if u in inside_set
+                else ()
                 for u in range(g.n)
-                if spd[v, u] is not UNREACHABLE and spd[v, u] <= policy.k
-            ]
-            inside_set = set(inside)
-            bags.append(
-                tuple(
-                    tuple(w for w in g.adjacency[u] if w in inside_set)
-                    if u in inside_set
-                    else ()
-                    for u in range(g.n)
-                )
             )
-        return bags
-    raise ValueError(f"unknown policy {policy.tag!r}")
+        )
+    return bags
 
 
 def _initial_subgraph_colors(graphs: list[Graph], policy: SubgraphPolicy, ctx):
@@ -369,24 +392,22 @@ def refine_dsswl(
         ]
 
     def update(state):
+        intern = ctx.intern
         out = []
         for g, bag, flat in zip(graphs, bags, state):
             n = g.n
             node = flat[n * n :]
+            # the global neighborhood depends on v only, not on the subgraph
+            global_nbrs = [
+                tuple(sorted(map(node.__getitem__, nbrs))) for nbrs in g.adjacency
+            ]
             new_flat = []
             for sub_i, adj_i in zip(_rows(flat, n), bag):
-                new_flat.extend(
-                    ctx.intern(
-                        (
-                            "dss",
-                            sub_i[v],
-                            tuple(sorted(sub_i[w] for w in adj_i[v])),
-                            node[v],
-                            tuple(sorted(node[w] for w in g.adjacency[v])),
-                        )
-                    )
-                    for v in range(n)
-                )
+                color_of = sub_i.__getitem__
+                new_flat += [
+                    intern(("dss", c, tuple(sorted(map(color_of, nbrs))), c_node, g_nbrs))
+                    for c, nbrs, c_node, g_nbrs in zip(sub_i, adj_i, node, global_nbrs)
+                ]
             new_flat.extend(node_colors(new_flat, n))
             out.append(new_flat)
         return out
@@ -415,17 +436,17 @@ def refine_dswl(
     bags = [_policy_bag(g, policy) for g in graphs]
 
     def update(state):
+        intern = ctx.intern
         out = []
         for g, bag, flat in zip(graphs, bags, state):
-            out.append(
-                [
-                    ctx.intern(
-                        ("1wl", sub_i[v], tuple(sorted(sub_i[w] for w in adj_i[v])))
-                    )
-                    for sub_i, adj_i in zip(_rows(flat, g.n), bag)
-                    for v in range(g.n)
+            new_flat = []
+            for sub_i, adj_i in zip(_rows(flat, g.n), bag):
+                color_of = sub_i.__getitem__
+                new_flat += [
+                    intern(("1wl", c, tuple(sorted(map(color_of, nbrs)))))
+                    for c, nbrs in zip(sub_i, adj_i)
                 ]
-            )
+            out.append(new_flat)
         return out
 
     state, rounds = _iterate(update, initial, sum(g.n * g.n for g in graphs))

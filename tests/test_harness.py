@@ -18,6 +18,19 @@ def test_random_corpus_is_reproducible():
     assert a.graphs == b.graphs
 
 
+def test_seed_range_provenance_for_empty_and_full_corpora():
+    assert harness.random_corpus(200).provenance == (
+        "200 seeded G(n,p): n=4+(i%9), p in {1/5,2/5}, seeds 0..199"
+    )
+    assert harness.tree_corpus().provenance.endswith("seeds 0..49")
+    for corpus in (harness.random_corpus(0), harness.tree_corpus(0)):
+        assert corpus.members == []
+        assert corpus.provenance.endswith(", no seeds")
+    # every report on the standard corpus carries its provenance
+    report = harness.check_oracle_equivalence(harness.standard_corpus(0))
+    assert "no seeds" in report.population and "0..-1" not in report.population
+
+
 def test_oracle_equivalence_passes():
     report = harness.check_oracle_equivalence(small_corpus())
     assert report.passed and report.violations == []

@@ -4,9 +4,12 @@ from fractions import Fraction
 import pytest
 
 from wlcheck import generators as gen
+from wlcheck import harness, refine
+from wlcheck.distances import rd_matrix, spd_matrix, token_sort_key
 from wlcheck.graphs import Graph, Partition, relabel
 from wlcheck.refine import (
     ALGORITHM_SPECS,
+    POLICY_TAGS,
     InterningContext,
     SubgraphPolicy,
     compute_orbits,
@@ -333,3 +336,163 @@ def test_refinement_properties_on_random_relabelings(spec):
         assert fine.refines(Partition.from_labels(one.node_colors[0] + one.node_colors[1]))
 
     check()
+
+
+def test_subgraph_policy_rejects_unknown_tag():
+    with pytest.raises(ValueError, match="unknown policy"):
+        SubgraphPolicy("bogus")
+    with pytest.raises(ValueError, match="unknown policy"):
+        SubgraphPolicy("bogus", 1)
+    for tag in POLICY_TAGS:
+        assert SubgraphPolicy(tag, 1).tag == tag
+
+
+def _reference_run(state, step, entries):
+    """Apply step until the joint partition of all colors survives a round."""
+
+    def joint(colors):
+        return Partition.from_labels([c for graph_colors in colors for c in entries(graph_colors)])
+
+    rounds = 0
+    while True:
+        new = step(state)
+        rounds += 1
+        if joint(new) == joint(state):
+            return new, rounds
+        state = new
+
+
+def _reference_2fwl(graphs):
+    """2-FWL with the plain tuple key: sorted (c(u,w), c(w,v)) pairs."""
+    ctx = InterningContext()
+    initial = [
+        [[ctx.intern(("2fwl0", u == v, g.has_edge(u, v))) for v in range(g.n)] for u in range(g.n)]
+        for g in graphs
+    ]
+
+    def step(state):
+        out = []
+        for mat in state:
+            rng = range(len(mat))
+            out.append(
+                [
+                    [
+                        ctx.intern(
+                            ("2fwl", mat[u][v], tuple(sorted((mat[u][w], mat[w][v]) for w in rng)))
+                        )
+                        for v in rng
+                    ]
+                    for u in rng
+                ]
+            )
+        return out
+
+    mats, rounds = _reference_run(initial, step, lambda mat: [c for row in mat for c in row])
+    node_colors = tuple(tuple(mat[v][v] for v in range(len(mat))) for mat in mats)
+    reps = tuple(tuple(sorted(c for row in mat for c in row)) for mat in mats)
+    return node_colors, reps, rounds
+
+
+def _reference_gdwl(graphs, kind):
+    """GD-WL with the plain tuple key: per distance token in token order,
+    its interned id and the sorted colors of the nodes at that distance."""
+    ctx = InterningContext()
+    c0 = ctx.intern(("init",))
+    node_buckets = []
+    for g in graphs:
+        if kind == "spd":
+            rows = spd_matrix(g).rows
+        elif kind == "rd":
+            rows = rd_matrix(g).rows
+        else:
+            spd, rd = spd_matrix(g).rows, rd_matrix(g).rows
+            rows = [[(spd[u][v], rd[u][v]) for v in range(g.n)] for u in range(g.n)]
+        buckets = []
+        for v in range(g.n):
+            by_token = {}
+            for u in range(g.n):
+                by_token.setdefault(rows[v][u], []).append(u)
+            ordered = sorted(by_token.items(), key=lambda kv: token_sort_key(kv[0]))
+            buckets.append([(ctx.intern(("dtok", tok)), nodes) for tok, nodes in ordered])
+        node_buckets.append(buckets)
+
+    def step(state):
+        return [
+            [
+                ctx.intern(
+                    (
+                        "gd",
+                        tuple(
+                            (tok_id, tuple(sorted(colors[u] for u in nodes)))
+                            for tok_id, nodes in v_buckets
+                        ),
+                    )
+                )
+                for v_buckets in buckets
+            ]
+            for buckets, colors in zip(node_buckets, state)
+        ]
+
+    state, rounds = _reference_run([[c0] * g.n for g in graphs], step, list)
+    return tuple(map(tuple, state)), tuple(tuple(sorted(c)) for c in state), rounds
+
+
+def _reference_inputs():
+    gnp = [gen.random_gnp(4 + i % 9, Fraction(1 + i % 4, 8), 1000 + i) for i in range(24)]
+    return [("gnp", gnp), ("hierarchy", harness.hierarchy_corpus().graphs)]
+
+
+@pytest.mark.parametrize("spec", ["2fwl", "spdwl", "rdwl", "gdwl"])
+def test_packed_keys_match_the_tuple_key_formulas(spec):
+    kinds = {"spdwl": "spd", "rdwl": "rd", "gdwl": "spdrd"}
+    for name, graphs in _reference_inputs():
+        if spec == "2fwl":
+            expected = _reference_2fwl(graphs)
+        else:
+            expected = _reference_gdwl(graphs, kinds[spec])
+        result = run_algorithm(spec, graphs)
+        got = (result.node_colors, result.representations, result.rounds)
+        assert got == expected, name
+
+
+def test_shared_context_keeps_ids_comparable_across_calls():
+    # 2fwl and gdwl take turns on one context, so each second call packs
+    # keys while the context holds the other algorithm's keys too; its ids
+    # must still match the first call's wherever one joint call's match
+    rng = random.Random(5)
+    first = [gen.random_gnp(7, Fraction(2, 5), seed) for seed in range(8)]
+    first += list(gen.example1(1, 4)) + list(gen.example2(4))
+    second = []
+    for g in rng.sample(first, len(first)):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        second.append(relabel(g, perm))
+    ctx = InterningContext()
+    calls = {spec: [] for spec in ("2fwl", "gdwl")}
+    for graphs in (first, second):
+        for spec, results in calls.items():
+            results.append(run_algorithm(spec, graphs, ctx))
+    for spec, (a, b) in calls.items():
+        # relabeled copies of the same graphs stabilize in the same round
+        assert a.rounds == b.rounds
+        separate = a.representations + b.representations
+        joint = run_algorithm(spec, first + second).representations
+        for i in range(len(joint)):
+            for j in range(i + 1, len(joint)):
+                assert (separate[i] == separate[j]) == (joint[i] == joint[j]), (spec, i, j)
+        assert set(a.representations) == set(b.representations)
+
+
+@pytest.mark.parametrize("spec", ["2fwl", "spdwl", "rdwl", "gdwl"])
+def test_packing_overflow_raises_instead_of_colliding(spec, monkeypatch):
+    graphs = [gen.random_gnp(9, Fraction(1, 3), 2), gen.path(5)]
+    ctx = InterningContext()
+    expected = run_algorithm(spec, graphs, ctx)
+    # every round starts with fewer ids than the run ends with, so a limit
+    # of the final context size still fits ...
+    monkeypatch.setattr(refine, "PACKED_ID_LIMIT", len(ctx))
+    assert run_algorithm(spec, graphs) == expected
+    # ... and one far below it stops the run before it returns colors
+    monkeypatch.setattr(refine, "PACKED_ID_LIMIT", 2)
+    with pytest.raises(OverflowError):
+        run_algorithm(spec, graphs)
