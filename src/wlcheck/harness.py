@@ -8,13 +8,20 @@ observed on the corpus, never as proofs.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import generators as gen
-from .biconn import biconnectivity_report, brute_force_cut_sets, per_component_forms
+from .biconn import (
+    BiconnectivityReport,
+    biconnectivity_report,
+    brute_force_cut_sets,
+    per_component_forms,
+)
 from .distances import (
     HITTING_TIME_MAX_NODES,
     UNREACHABLE,
@@ -25,7 +32,7 @@ from .distances import (
     spd_matrix,
 )
 from .graphs import Graph, Partition, connected_components, is_connected
-from .refine import run_algorithm
+from .refine import AlgoResult, run_algorithm
 
 
 @dataclass
@@ -64,9 +71,20 @@ def _finish(check_id: str, population: str, violations: list, started: float) ->
 
 @dataclass
 class Corpus:
+    """Named graphs plus the per-corpus results the checks share.
+
+    Joint refinements and biconnectivity reports are computed on first use
+    and kept as long as the corpus object, so checks over one corpus in a
+    suite run compute each of them once. Members must not change after
+    either is read.
+    """
+
     name: str
     members: list[tuple[str, Graph]]
     provenance: str
+    _refined: dict[str, AlgoResult] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def graphs(self) -> list[Graph]:
@@ -75,6 +93,18 @@ class Corpus:
     @property
     def ids(self) -> list[str]:
         return [gid for gid, _ in self.members]
+
+    def refined(self, spec: str) -> AlgoResult:
+        """The joint refinement of all members under spec, run once."""
+        result = self._refined.get(spec)
+        if result is None:
+            result = self._refined[spec] = run_algorithm(spec, self.graphs)
+        return result
+
+    @cached_property
+    def reports(self) -> list[BiconnectivityReport]:
+        """One biconnectivity report per member, in member order."""
+        return [biconnectivity_report(g) for g in self.graphs]
 
 
 def _seed_range(count: int) -> str:
@@ -176,8 +206,7 @@ def check_oracle_equivalence(corpus: Corpus) -> CheckReport:
     """Lowpoint DFS must agree exactly with the deletion-based oracle."""
     started = time.monotonic()
     violations = []
-    for gid, g in corpus.members:
-        rep = biconnectivity_report(g)
+    for (gid, g), rep in zip(corpus.members, corpus.reports):
         cut_v, cut_e = brute_force_cut_sets(g)
         if rep.cut_vertices != cut_v:
             violations.append(
@@ -239,9 +268,9 @@ def _expressivity_violations(algo: str, corpus: Corpus, columns) -> list:
     The whole corpus is refined jointly in one context, which covers every
     ordered pair of member graphs (including each graph against itself).
     """
-    result = run_algorithm(algo, corpus.graphs)
+    result = corpus.refined(algo)
+    reports = corpus.reports
     violations = []
-    reports = [biconnectivity_report(g) for g in corpus.graphs]
 
     # key: a node color, or the sorted color pair of an edge; value and
     # witness carry its cut status, so a reported pair can list the cut one first
@@ -618,11 +647,7 @@ def check_refinement_hierarchy(corpus: Corpus | None = None) -> CheckReport:
     """
     started = time.monotonic()
     corpus = corpus or hierarchy_corpus()
-    graphs = corpus.graphs
-    one = run_algorithm("1wl", graphs)
-    spd = run_algorithm("spdwl", graphs)
-    rd = run_algorithm("rdwl", graphs)
-    fwl = run_algorithm("2fwl", graphs)
+    one, spd, rd, fwl = map(corpus.refined, ("1wl", "spdwl", "rdwl", "2fwl"))
     violations = (
         _refines_violations(corpus, fwl, spd, "2fwl", "spdwl")
         + _refines_violations(corpus, fwl, rd, "2fwl", "rdwl")
@@ -632,7 +657,7 @@ def check_refinement_hierarchy(corpus: Corpus | None = None) -> CheckReport:
     # whether RD-WL strictly exceeds SPD-WL in general is open; record the
     # observed per-graph relation without asserting anything about it
     tally = Counter()
-    for idx in range(len(graphs)):
+    for idx in range(len(corpus.members)):
         ps = Partition.from_labels(spd.node_colors[idx])
         pr = Partition.from_labels(rd.node_colors[idx])
         rd_finer = pr.refines(ps)
@@ -663,7 +688,7 @@ def check_wl_condition(corpus: Corpus) -> CheckReport:
     started = time.monotonic()
     violations = []
     for algo in WL_CONDITION_ALGOS:
-        result = run_algorithm(algo, corpus.graphs)
+        result = corpus.refined(algo)
         entries = []
         for idx, (gid, g) in enumerate(corpus.members):
             colors = result.node_colors[idx]
@@ -692,9 +717,27 @@ def check_wl_condition(corpus: Corpus) -> CheckReport:
 # resistance-distance properties
 
 
+def _scaled_rows(rows, scale: int) -> list[list]:
+    """Each finite entry times scale, as an int (scale must be a multiple of
+    every finite entry's denominator); UNREACHABLE stays as it is."""
+    return [
+        [x if x is UNREACHABLE else x.numerator * (scale // x.denominator) for x in row]
+        for row in rows
+    ]
+
+
+def _lcm_of_denominators(rows) -> int:
+    return math.lcm(*{x.denominator for row in rows for x in row if x is not UNREACHABLE})
+
+
 def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
     """Exact RD laws: metric axioms, rd <= spd with tree equality, the
-    additive-triple cut-vertex characterization, commute times, and range."""
+    additive-triple cut-vertex characterization, commute times, and range.
+
+    Each graph's laws are checked on integers: its resistances, distances
+    and bounds all multiplied by the lcm of the resistances' denominators.
+    Scaling by a common positive integer keeps every comparison exact.
+    """
     started = time.monotonic()
     violations = []
 
@@ -703,87 +746,92 @@ def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
             {"graphs": [gid], "items": list(items), "expected": what, "observed": "violated"}
         )
 
-    for gid, g in trees.members + corpus.members:
+    # per member: scaled rd rows, scaled spd rows, and the scale
+    scaled = []
+    for (gid, g), rep in zip(trees.members + corpus.members, trees.reports + corpus.reports):
         n = g.n
-        spd = spd_matrix(g)
-        rd = rd_matrix(g)
+        rd_rows = rd_matrix(g).rows
+        scale = _lcm_of_denominators(rd_rows)
+        r = _scaled_rows(rd_rows, scale)
+        d = _scaled_rows(spd_matrix(g).rows, scale)
+        scaled.append((r, d, scale))
         comp = connected_components(g)
         comp_sizes = [len(comp.classes[comp.class_of[v]]) for v in range(n)]
         for u in range(n):
-            if rd[u, u] != 0:
+            ru, du = r[u], d[u]
+            if ru[u] != 0:
                 bad(gid, "zero diagonal", [u])
+            top = (comp_sizes[u] - 1) * scale
             for v in range(n):
-                ruv = rd[u, v]
-                if (ruv is UNREACHABLE) != (spd[u, v] is UNREACHABLE):
+                ruv = ru[v]
+                if (ruv is UNREACHABLE) != (du[v] is UNREACHABLE):
                     bad(gid, "UNREACHABLE exactly across components", [u, v])
                     continue
                 if ruv is UNREACHABLE:
                     continue
-                if rd[v, u] != ruv:
+                if r[v][u] != ruv:
                     bad(gid, "symmetry", [u, v])
-                if u != v and not 0 < ruv <= comp_sizes[u] - 1:
+                if u != v and not 0 < ruv <= top:
                     bad(gid, "0 < rd <= |component|-1 off-diagonal", [u, v])
-                if ruv > spd[u, v]:
+                if ruv > du[v]:
                     bad(gid, "rd <= spd", [u, v])
         # triangle inequality on reachable triples
         for u in range(n):
+            ru = r[u]
             for v in range(u + 1, n):
-                if rd[u, v] is UNREACHABLE:
+                ruv = ru[v]
+                if ruv is UNREACHABLE:
                     continue
-                for w in range(n):
-                    if rd[u, w] is UNREACHABLE or w in (u, v):
+                for w, (rvw, ruw) in enumerate(zip(r[v], ru)):
+                    if ruw is UNREACHABLE or w == u or w == v:
                         continue
-                    if rd[u, v] + rd[v, w] < rd[u, w]:
+                    if ruv + rvw < ruw:
                         bad(gid, "triangle inequality", [u, v, w])
         # per component: rd == spd everywhere iff the component is a tree
         for cls in comp.classes:
             inside = set(cls)
             edges_inside = sum(1 for a, b in g.edges if a in inside)
             is_tree = edges_inside == len(cls) - 1
-            all_equal = all(
-                rd[u, v] == spd[u, v] for u in cls for v in cls
-            )
+            all_equal = all(r[u][v] == d[u][v] for u in cls for v in cls)
             if is_tree != all_equal:
                 bad(gid, "rd == spd on all pairs iff component is a tree", sorted(cls)[:1])
         # cut vertex <=> additive RD triple, against the DFS oracle
-        cuts = set(biconnectivity_report(g).cut_vertices)
+        cuts = set(rep.cut_vertices)
         for v in range(n):
             comp_members = comp.classes[comp.class_of[v]]
             if len(comp_members) < 3:
                 if v in cuts:
                     bad(gid, "cut vertex in a <3 component", [v])
                 continue
-            additive = False
+            rv = r[v]
             others = [u for u in comp_members if u != v]
-            for i, u in enumerate(others):
-                if additive:
-                    break
-                for w in others[i + 1 :]:
-                    if rd[u, v] + rd[v, w] == rd[u, w]:
-                        additive = True
-                        break
+            additive = any(
+                r[u][v] + rv[w] == r[u][w]
+                for i, u in enumerate(others)
+                for w in others[i + 1 :]
+            )
             if additive != (v in cuts):
                 bad(gid, "cut vertex iff additive RD triple", [v])
 
-    # commute-time identity on connected graphs small enough for the oracle
-    for gid, g in corpus.members:
+    # commute-time identity on connected graphs small enough for the oracle;
+    # both sides times the scale and the lcm of the hitting times' denominators
+    for (gid, g), (r, _, scale) in zip(corpus.members, scaled[len(trees.members) :]):
         if g.n > HITTING_TIME_MAX_NODES or g.n < 2 or not is_connected(g):
             continue
-        rd = rd_matrix(g)
-        h = hitting_time_matrix(g)
-        two_m = 2 * g.m
+        h_rows = hitting_time_matrix(g)
+        h_scale = _lcm_of_denominators(h_rows)
+        h = _scaled_rows(h_rows, h_scale)
+        two_m = 2 * g.m * h_scale
         for u in range(g.n):
             for v in range(g.n):
-                if h[u][v] + h[v][u] != two_m * rd[u, v]:
+                if (h[u][v] + h[v][u]) * scale != two_m * r[u][v]:
                     bad(gid, "commute time == 2m * rd", [u, v])
 
     # trees: rd equals spd entrywise, exactly
-    for gid, g in trees.members:
-        spd = spd_matrix(g)
-        rd = rd_matrix(g)
+    for (gid, g), (r, d, _) in zip(trees.members, scaled):
         for u in range(g.n):
             for v in range(g.n):
-                if rd[u, v] != spd[u, v]:
+                if r[u][v] != d[u][v]:
                     bad(gid, "tree rd == spd", [u, v])
 
     return _finish(

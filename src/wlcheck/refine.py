@@ -739,7 +739,17 @@ def distinguishable(g: Graph, h: Graph, algo: str) -> bool:
 
 
 def representations_equal(a, b) -> bool:
-    """Compare two colorings' representations; they must share a context."""
+    """Compare two colorings' representations.
+
+    They must share a context and have stopped in the same round: ids
+    interned at different rounds of a shared context name colorings of
+    different depth, so they are not comparable. Raises ValueError
+    otherwise; refine both graphs in one call to compare them.
+    """
     if a.ctx is not b.ctx:
         raise ValueError("colorings come from different interning contexts")
+    if a.rounds != b.rounds:
+        raise ValueError(
+            f"colorings stopped in different rounds ({a.rounds} and {b.rounds})"
+        )
     return a.representation == b.representation

@@ -6,12 +6,15 @@ suite, and wall-clock budgets where stated.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import wlcheck
 from wlcheck import generators as gen
 from wlcheck import harness
 from wlcheck.biconn import biconnectivity_report, brute_force_cut_sets
@@ -131,10 +134,14 @@ def test_criterion_10_wl_condition(corpus):
 
 def test_criterion_11_end_to_end_cli():
     argv = [sys.executable, "-m", "wlcheck.cli", "check", "--suite", "all", "--seeds", "200", "--json"]
+    # the CLI runs the same wlcheck these tests imported, installed or not
+    source = str(Path(wlcheck.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (source, env.get("PYTHONPATH"))))
     started = time.monotonic()
-    first = subprocess.run(argv, capture_output=True, timeout=300)
+    first = subprocess.run(argv, capture_output=True, timeout=300, env=env)
     first_elapsed = time.monotonic() - started
-    second = subprocess.run(argv, capture_output=True, timeout=300)
+    second = subprocess.run(argv, capture_output=True, timeout=300, env=env)
     identical = first.stdout == second.stdout
     ok = first.returncode == 0 and first_elapsed < 120.0 and identical
     announce(

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from wlcheck.graphs import (
     Graph,
     brute_force_isomorphic,
     connected_components,
+    induced_subgraph,
     relabel,
 )
 from wlcheck.harness import family_corpus
@@ -314,3 +316,35 @@ def test_cut_sets_match_networkx():
     for gid, g in _differential_graphs():
         rep = biconnectivity_report(g)
         assert (rep.cut_vertices, rep.cut_edges) == _networkx_cut_sets(nx, g), gid
+
+
+def _networkx_forest(nx, g, builder):
+    """The block cut trees of g's components as one labelled networkx forest:
+    a node is labelled by its kind and, for a block, its size."""
+    forest = nx.Graph()
+    for comp in connected_components(g).classes:
+        tree = builder(induced_subgraph(g, comp)[0])
+        base = forest.number_of_nodes()
+        for i, (kind, payload) in enumerate(zip(tree.node_kind, tree.node_payload)):
+            forest.add_node(base + i, label=(kind, len(payload) if kind == COMPONENT else 0))
+        forest.add_edges_from((base + a, base + b) for a, b in tree.tree_edges)
+    return forest
+
+
+@pytest.mark.parametrize("which, builder", [("bcv", bcv_tree), ("bce", bce_tree)])
+def test_tree_forms_match_networkx_isomorphism(which, builder):
+    nx = pytest.importorskip("networkx")
+    same_label = nx.algorithms.isomorphism.categorical_node_match("label", None)
+    graphs = [
+        gen.random_gnp(3 + seed % 6, Fraction(1 + seed % 3, 4), seed) for seed in range(48)
+    ]
+    forms = [per_component_forms(g, which) for g in graphs]
+    forests = [_networkx_forest(nx, g, builder) for g in graphs]
+    verdicts = Counter()
+    for i in range(len(graphs)):
+        for j in range(i + 1, len(graphs)):
+            iso = nx.is_isomorphic(forests[i], forests[j], node_match=same_label)
+            assert (forms[i] == forms[j]) == iso, (graphs[i].edges, graphs[j].edges)
+            verdicts[iso] += 1
+    # both verdicts occur, so neither direction holds vacuously
+    assert verdicts[True] and verdicts[False]

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from wlcheck import generators as gen
+from wlcheck.biconn import biconnectivity_report
 from wlcheck.distances import (
     UNREACHABLE,
     distance_regular_profile,
@@ -294,3 +295,52 @@ def test_rd_matches_networkx_resistance_distance():
                     if u != v:
                         exact = float(rd[u, v])
                         assert abs(exact - expected[u][v]) <= 1e-9 * exact
+
+
+def test_rd_laws_on_random_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def graphs(draw):
+        n = draw(st.integers(1, 10))
+        p = Fraction(draw(st.integers(0, 10)), 10)
+        return gen.random_gnp(n, p, draw(st.integers(0, 10**6)))
+
+    @hypothesis.settings(max_examples=60, derandomize=True, deadline=None)
+    @hypothesis.given(graphs())
+    def check(g):
+        n = g.n
+        spd, rd = spd_matrix(g), rd_matrix(g)
+        comp = connected_components(g)
+        same = [[comp.class_of[u] == comp.class_of[v] for v in range(n)] for u in range(n)]
+        for u in range(n):
+            assert rd[u, u] == 0
+            for v in range(n):
+                assert (rd[u, v] is UNREACHABLE) == (not same[u][v])
+                if same[u][v]:
+                    assert rd[u, v] == rd[v, u]
+                    assert rd[u, v] <= spd[u, v]
+                    for w in range(n):
+                        if same[u][w]:
+                            assert rd[u, v] + rd[v, w] >= rd[u, w]
+        cuts = set(biconnectivity_report(g).cut_vertices)
+        for cls in comp.classes:
+            inside = set(cls)
+            edges = [(u, v) for u, v in g.edges if u in inside]
+            # rd == spd on every pair iff the component is a tree
+            is_tree = len(edges) == len(cls) - 1
+            assert is_tree == all(rd[u, v] == spd[u, v] for u in cls for v in cls)
+            # Foster: the edge resistances sum to the component's size - 1
+            assert sum((rd[u, v] for u, v in edges), Fraction(0)) == len(cls) - 1
+            # v is a cut vertex iff some triple through it is additive
+            for v in cls:
+                additive = any(
+                    rd[u, v] + rd[v, w] == rd[u, w]
+                    for u in cls
+                    for w in cls
+                    if len({u, v, w}) == 3
+                )
+                assert additive == (v in cuts), (g.edges, v)
+
+    check()

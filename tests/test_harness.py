@@ -1,9 +1,13 @@
 import json
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from wlcheck import generators as gen
 from wlcheck import harness
+from wlcheck.distances import RdMatrix, rd_matrix
+from wlcheck.graphs import Graph
 from wlcheck.refine import run_algorithm
 
 
@@ -173,3 +177,141 @@ def test_planted_refinement_violation_is_reported():
         split_colors.append(one.node_colors[index[ga]][a])
     assert len(set(split_colors)) == len(split_colors)  # one pair per 1-WL color
     assert harness._refines_violations(corpus, spd, one, "spdwl", "1wl") == []
+
+
+def test_corpus_refines_and_reports_once():
+    corpus = harness.standard_corpus(seeds=6)
+    first = corpus.refined("spdwl")
+    assert corpus.refined("spdwl") is first
+    assert first == run_algorithm("spdwl", corpus.graphs)
+    assert corpus.reports is corpus.reports
+    assert len(corpus.reports) == len(corpus.members)
+    # a corpus built again starts with nothing computed
+    assert harness.standard_corpus(seeds=6).refined("spdwl") is not first
+
+
+def test_run_suite_refines_each_corpus_once_per_spec(monkeypatch):
+    calls = Counter()
+    alive = []  # keeps every refined graph alive, so no id is reused
+    real = harness.run_algorithm
+
+    def counted(spec, graphs, *args, **kwargs):
+        alive.append(graphs)
+        calls[spec, tuple(map(id, graphs))] += 1
+        return real(spec, graphs, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_algorithm", counted)
+    reports, _ = harness.run_suite("all", seeds=20)
+    assert all(r.passed for r in reports)
+    assert calls and max(calls.values()) == 1
+    # the positive checks and the WL condition share the standard corpus
+    size = len(harness.standard_corpus(seeds=20).members)
+    standard = sorted(spec for spec, graphs in calls if len(graphs) == size)
+    assert standard == sorted(set(harness.POSITIVE_ALGOS + harness.WL_CONDITION_ALGOS))
+
+
+# A paw (triangle 0-1-2 with pendant 3 at cut vertex 2), the same paw next
+# to a separate triangle, and the path 0-1-2-3, each with one planted entry.
+PAW_EDGES = [(0, 1), (0, 2), (1, 2), (2, 3)]
+RD_GRAPHS = {
+    "paw": Graph.from_edges(4, PAW_EDGES),
+    "split": Graph.from_edges(7, PAW_EDGES + [(4, 5), (4, 6), (5, 6)]),
+    "tree": gen.path(4),
+}
+# entry (u, v) of the matrix moved by delta: rd[0, 1] breaks symmetry,
+# rd[0, 3] grows past rd[0, 2] + rd[2, 3], and rd[2, 3] shrinks so that no
+# triple through the cut vertex 2 adds up
+RD_PLANTS = {
+    "symmetry": (0, 1, Fraction(1, 3)),
+    "triangle": (0, 3, Fraction(1)),
+    "additive": (2, 3, Fraction(-1, 2)),
+}
+TREE_EQ = "rd == spd on all pairs iff component is a tree"
+RD_EXPECTED = {
+    ("paw", "symmetry"): [
+        ("symmetry", [0, 1]),
+        ("symmetry", [1, 0]),
+        ("commute time == 2m * rd", [0, 1]),
+    ],
+    ("paw", "triangle"): [
+        ("symmetry", [0, 3]),
+        ("rd <= spd", [0, 3]),
+        ("symmetry", [3, 0]),
+        ("triangle inequality", [0, 1, 3]),
+        ("triangle inequality", [0, 2, 3]),
+        ("commute time == 2m * rd", [0, 3]),
+    ],
+    ("paw", "additive"): [
+        ("symmetry", [2, 3]),
+        ("symmetry", [3, 2]),
+        ("triangle inequality", [0, 2, 3]),
+        ("triangle inequality", [1, 2, 3]),
+        ("cut vertex iff additive RD triple", [2]),
+        ("commute time == 2m * rd", [2, 3]),
+    ],
+    # disconnected: the same as the paw, without the commute-time check
+    ("split", "symmetry"): [("symmetry", [0, 1]), ("symmetry", [1, 0])],
+    ("split", "triangle"): [
+        ("symmetry", [0, 3]),
+        ("rd <= spd", [0, 3]),
+        ("symmetry", [3, 0]),
+        ("triangle inequality", [0, 1, 3]),
+        ("triangle inequality", [0, 2, 3]),
+    ],
+    ("split", "additive"): [
+        ("symmetry", [2, 3]),
+        ("symmetry", [3, 2]),
+        ("triangle inequality", [0, 2, 3]),
+        ("triangle inequality", [1, 2, 3]),
+        ("cut vertex iff additive RD triple", [2]),
+    ],
+    # checked as a member of the tree corpus, so the tree laws apply too
+    ("tree", "symmetry"): [
+        ("symmetry", [0, 1]),
+        ("rd <= spd", [0, 1]),
+        ("symmetry", [1, 0]),
+        (TREE_EQ, [0]),
+        ("cut vertex iff additive RD triple", [1]),
+        ("tree rd == spd", [0, 1]),
+    ],
+    ("tree", "triangle"): [
+        ("symmetry", [0, 3]),
+        ("0 < rd <= |component|-1 off-diagonal", [0, 3]),
+        ("rd <= spd", [0, 3]),
+        ("symmetry", [3, 0]),
+        ("triangle inequality", [0, 1, 3]),
+        ("triangle inequality", [0, 2, 3]),
+        (TREE_EQ, [0]),
+        ("tree rd == spd", [0, 3]),
+    ],
+    ("tree", "additive"): [
+        ("symmetry", [2, 3]),
+        ("symmetry", [3, 2]),
+        ("triangle inequality", [0, 2, 3]),
+        ("triangle inequality", [1, 2, 3]),
+        (TREE_EQ, [0]),
+        ("cut vertex iff additive RD triple", [2]),
+        ("tree rd == spd", [2, 3]),
+    ],
+}
+
+
+@pytest.mark.parametrize("gid, plant", sorted(RD_EXPECTED))
+def test_rd_properties_report_a_planted_entry(gid, plant, monkeypatch):
+    g = RD_GRAPHS[gid]
+    u, v, delta = RD_PLANTS[plant]
+    rows = [list(row) for row in rd_matrix(g).rows]
+    rows[u][v] += delta
+    planted = RdMatrix(g.n, tuple(map(tuple, rows)))
+    monkeypatch.setattr(harness, "rd_matrix", lambda h: planted if h is g else rd_matrix(h))
+    one = harness.Corpus(gid, [(gid, g)], gid)
+    none = harness.Corpus("none", [], "none")
+    corpus, trees = (none, one) if gid == "tree" else (one, none)
+    report = harness.check_rd_properties(corpus, trees)
+    assert report.violations == [
+        {"graphs": [gid], "items": items, "expected": what, "observed": "violated"}
+        for what, items in RD_EXPECTED[gid, plant]
+    ]
+    # unplanted, the same graph passes
+    monkeypatch.setattr(harness, "rd_matrix", rd_matrix)
+    assert harness.check_rd_properties(corpus, trees).violations == []

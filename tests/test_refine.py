@@ -23,6 +23,7 @@ from wlcheck.refine import (
     refine_dswl,
     refine_gdwl,
     refine_scwl,
+    representations_equal,
     run_algorithm,
     substructure_counts,
 )
@@ -481,6 +482,18 @@ def test_shared_context_keeps_ids_comparable_across_calls():
             for j in range(i + 1, len(joint)):
                 assert (separate[i] == separate[j]) == (joint[i] == joint[j]), (spec, i, j)
         assert set(a.representations) == set(b.representations)
+
+
+def test_representations_equal_rejects_colorings_of_different_rounds():
+    # on one context, cycle(6) alone stops after 1 round and next to
+    # path(6) after 4: the ids differ although the graph is the same
+    ctx = InterningContext()
+    (alone,) = refine_1wl([gen.cycle(6)], ctx)
+    jointly, _ = refine_1wl([gen.cycle(6), gen.path(6)], ctx)
+    assert (alone.rounds, jointly.rounds) == (1, 4)
+    with pytest.raises(ValueError, match="different rounds"):
+        representations_equal(alone, jointly)
+    assert representations_equal(*refine_1wl([gen.cycle(6), gen.cycle(6)], ctx))
 
 
 @pytest.mark.parametrize("spec", ["2fwl", "spdwl", "rdwl", "gdwl"])
