@@ -172,27 +172,28 @@ class BlockCutTree:
         return len(self.node_kind)
 
 
+def _bcv_tree(blocks, cut_vertices) -> BlockCutTree:
+    cut_index = {v: len(blocks) + i for i, v in enumerate(cut_vertices)}
+    edges = [(i, cut_index[v]) for i, block in enumerate(blocks) for v in block if v in cut_index]
+    return BlockCutTree(
+        (COMPONENT,) * len(blocks) + (CUT_VERTEX,) * len(cut_vertices),
+        tuple(blocks) + tuple(cut_vertices),
+        tuple(sorted(edges)),
+    )
+
+
+def _bce_tree(classes, cut_edges) -> BlockCutTree:
+    index = {v: i for i, cls in enumerate(classes) for v in cls}
+    edges = [tuple(sorted((index[u], index[v]))) for u, v in cut_edges]
+    return BlockCutTree((COMPONENT,) * len(classes), tuple(classes), tuple(sorted(edges)))
+
+
 def bcv_tree(g: Graph, report: BiconnectivityReport | None = None) -> BlockCutTree:
     """Block cut-vertex tree: vertex-BCCs linked through their cut vertices."""
     if not is_connected(g):
         raise ValueError("bcv_tree requires a connected graph")
     rep = report or biconnectivity_report(g)
-    kinds: list[str] = []
-    payloads: list[object] = []
-    edges: list[tuple[int, int]] = []
-    cut_index = {}
-    for i, block in enumerate(rep.vertex_bccs):
-        kinds.append(COMPONENT)
-        payloads.append(block)
-    for v in rep.cut_vertices:
-        cut_index[v] = len(kinds)
-        kinds.append(CUT_VERTEX)
-        payloads.append(v)
-    for i, block in enumerate(rep.vertex_bccs):
-        for v in block:
-            if v in cut_index:
-                edges.append((i, cut_index[v]))
-    return BlockCutTree(tuple(kinds), tuple(payloads), tuple(sorted(edges)))
+    return _bcv_tree(rep.vertex_bccs, rep.cut_vertices)
 
 
 def bce_tree(g: Graph, report: BiconnectivityReport | None = None) -> BlockCutTree:
@@ -200,12 +201,7 @@ def bce_tree(g: Graph, report: BiconnectivityReport | None = None) -> BlockCutTr
     if not is_connected(g):
         raise ValueError("bce_tree requires a connected graph")
     rep = report or biconnectivity_report(g)
-    kinds = [COMPONENT] * len(rep.edge_bccs.classes)
-    payloads: list[object] = list(rep.edge_bccs.classes)
-    edges = []
-    for u, v in rep.cut_edges:
-        edges.append(tuple(sorted((rep.edge_bccs.class_of[u], rep.edge_bccs.class_of[v]))))
-    return BlockCutTree(tuple(kinds), tuple(payloads), tuple(sorted(edges)))
+    return _bce_tree(rep.edge_bccs.classes, rep.cut_edges)
 
 
 @dataclass(frozen=True)
@@ -290,16 +286,31 @@ def tree_canonical_form(tree: BlockCutTree) -> TreeCanonicalForm:
     return TreeCanonicalForm(canonical_string=code)
 
 
-def per_component_forms(g: Graph, which: str) -> tuple[str, ...]:
+def per_component_forms(
+    g: Graph, which: str, report: BiconnectivityReport | None = None
+) -> tuple[str, ...]:
     """Sorted per-component canonical forms; `which` is 'bcv' or 'bce'.
 
     Disconnected graphs are handled component by component, so two graphs
     compare equal exactly when the multisets of component tree shapes
-    match.
+    match. Each component's tree is cut out of the whole graph's report,
+    whose blocks, edge classes and cut sets each lie inside one component.
     """
-    builder = bcv_tree if which == "bcv" else bce_tree
-    forms = []
-    for comp in connected_components(g).classes:
-        sub, _ = induced_subgraph(g, comp)
-        forms.append(tree_canonical_form(builder(sub)).canonical_string)
-    return tuple(sorted(forms))
+    if which not in ("bcv", "bce"):
+        raise ValueError(f"unknown block cut tree {which!r}, expected 'bcv' or 'bce'")
+    rep = report or biconnectivity_report(g)
+    component_of = connected_components(g).class_of
+    if which == "bcv":
+        groups, cuts, build = rep.vertex_bccs, rep.cut_vertices, _bcv_tree
+    else:
+        groups, cuts, build = rep.edge_bccs.classes, rep.cut_edges, _bce_tree
+    # per component: its blocks and cut vertices, or its edge classes and bridges
+    parts: dict[int, tuple[list, list]] = {}
+    for group in groups:
+        parts.setdefault(component_of[group[0]], ([], []))[0].append(group)
+    for cut in cuts:
+        v = cut if which == "bcv" else cut[0]
+        parts[component_of[v]][1].append(cut)
+    return tuple(
+        sorted(tree_canonical_form(build(*part)).canonical_string for part in parts.values())
+    )

@@ -1,13 +1,17 @@
 """Pairwise distance preprocessing: integer SPD and exact-rational RD.
 
-All resistance values are exact `fractions.Fraction`s so that refinement
-can hash them; a single rounding anywhere would silently merge or split
-color classes. Cross-component entries use the UNREACHABLE sentinel, which
-orders after every finite value and hashes as its own token.
+Resistance values are exact rationals; a single rounding anywhere would
+silently merge or split color classes. Inside the library they stay
+integers: `RdMatrix` holds each node's component tau (its spanning-tree
+count) and integer numerators, R(u, v) = nums[u][v] / taus[u], so
+refinement and the harness compare and hash ints. `fractions.Fraction`s are
+built only at the public edge (`rd[u, v]`, `RdMatrix.rows`). Cross-component
+entries use the UNREACHABLE sentinel, which orders after every finite value
+and hashes as its own token.
 
 Resistance distances and hitting times both come from one fraction-free
 integer solver, `_fraction_free_solve`, which returns a determinant and an
-adjugate product; each output entry is a single Fraction of two integers.
+adjugate product; each hitting time is returned as one Fraction of the two.
 """
 
 from __future__ import annotations
@@ -63,14 +67,34 @@ class SpdMatrix:
 
 @dataclass(frozen=True)
 class RdMatrix:
-    """Resistance distances; entries are Fractions or UNREACHABLE."""
+    """Exact resistance distances in integer form.
+
+    taus[u] is the spanning-tree count of u's component and nums[u][v] an
+    integer with R(u, v) = nums[u][v] / taus[u], or UNREACHABLE across
+    components; nums[u][v] and nums[v][u] are one object. Indexing and
+    `rows` give Fractions (or UNREACHABLE), built on each access.
+    """
 
     n: int
-    rows: tuple[tuple[object, ...], ...]
+    taus: tuple[int, ...]
+    nums: tuple[tuple[object, ...], ...]
 
     def __getitem__(self, uv):
         u, v = uv
-        return self.rows[u][v]
+        x = self.nums[u][v]
+        return x if x is UNREACHABLE else Fraction(x, self.taus[u])
+
+    @property
+    def rows(self) -> tuple[tuple[object, ...], ...]:
+        """All entries as Fractions, one object per unordered pair; not cached."""
+        rows: list[list[object]] = [[UNREACHABLE] * self.n for _ in range(self.n)]
+        for u, (tau, nums_u) in enumerate(zip(self.taus, self.nums)):
+            row = rows[u]
+            for v in range(u, self.n):
+                x = nums_u[v]
+                if x is not UNREACHABLE:
+                    row[v] = rows[v][u] = Fraction(x, tau)
+        return tuple(map(tuple, rows))
 
 
 @lru_cache(maxsize=None)
@@ -138,10 +162,11 @@ def rd_matrix(g: Graph) -> RdMatrix:
     column removed) and solved exactly for its integer adjugate and its
     determinant tau, the spanning-tree count. With the grounded node's row
     and column of the adjugate taken as 0, the resistance between i and j is
-    (adj[i][i] + adj[j][j] - 2*adj[i][j]) / tau. Cross-component entries are
-    UNREACHABLE.
+    (adj[i][i] + adj[j][j] - 2*adj[i][j]) / tau, kept as that numerator and
+    tau. Cross-component entries are UNREACHABLE.
     """
-    rows: list[list[object]] = [[UNREACHABLE] * g.n for _ in range(g.n)]
+    taus = [1] * g.n
+    nums: list[list[object]] = [[UNREACHABLE] * g.n for _ in range(g.n)]
     for comp in connected_components(g).classes:
         s = len(comp)
         if s > RD_MAX_COMPONENT_NODES:
@@ -158,10 +183,11 @@ def rd_matrix(g: Graph) -> RdMatrix:
         tau, adj = _fraction_free_solve(grounded)
         adj = [row + [0] for row in adj] + [[0] * s]
         for i in range(s):
+            taus[names[i]] = tau
             for j in range(i, s):
-                r = Fraction(adj[i][i] + adj[j][j] - 2 * adj[i][j], tau)
-                rows[names[i]][names[j]] = rows[names[j]][names[i]] = r
-    return RdMatrix(n=g.n, rows=tuple(tuple(r) for r in rows))
+                x = adj[i][i] + adj[j][j] - 2 * adj[i][j]
+                nums[names[i]][names[j]] = nums[names[j]][names[i]] = x
+    return RdMatrix(n=g.n, taus=tuple(taus), nums=tuple(map(tuple, nums)))
 
 
 HITTING_TIME_MAX_NODES = 30

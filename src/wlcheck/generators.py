@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from fractions import Fraction
 
 from .biconn import biconnectivity_report
 from .graphs import Graph, is_connected
@@ -107,6 +108,10 @@ def tree_random(n: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+_RANDOM_BITS = 53  # random.random() returns a multiple of 2**-53
+_RANDOM_SCALE = 1 << _RANDOM_BITS
+
+
 def random_gnp(n: int, p, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) from a seeded generator; identical parameters
     give identical edge sets on every platform."""
@@ -114,12 +119,16 @@ def random_gnp(n: int, p, seed: int) -> Graph:
         raise GenerationError("random_gnp requires n >= 1")
     if not 0 <= p <= 1:
         raise GenerationError(f"random_gnp requires 0 <= p <= 1, got {p}")
+    # random() is k / 2**53 for an integer k, so x < p compares exactly
+    # as k * den < num * 2**53, without a Fraction per draw
+    p = Fraction(p)
+    num, den = p.numerator << _RANDOM_BITS, p.denominator
     rng = random.Random(seed)
     edges = [
         (u, v)
         for u in range(n)
         for v in range(u + 1, n)
-        if rng.random() < p
+        if int(rng.random() * _RANDOM_SCALE) * den < num
     ]
     return Graph.from_edges(n, edges)
 

@@ -73,16 +73,19 @@ def _finish(check_id: str, population: str, violations: list, started: float) ->
 class Corpus:
     """Named graphs plus the per-corpus results the checks share.
 
-    Joint refinements and biconnectivity reports are computed on first use
-    and kept as long as the corpus object, so checks over one corpus in a
-    suite run compute each of them once. Members must not change after
-    either is read.
+    Joint refinements, biconnectivity reports and block cut tree forms are
+    computed on first use and kept as long as the corpus object, so checks
+    over one corpus in a suite run compute each of them once. Members must
+    not change after any of them is read.
     """
 
     name: str
     members: list[tuple[str, Graph]]
     provenance: str
     _refined: dict[str, AlgoResult] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+    _forms: dict[tuple[str, int], tuple[str, ...]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
 
@@ -105,6 +108,15 @@ class Corpus:
     def reports(self) -> list[BiconnectivityReport]:
         """One biconnectivity report per member, in member order."""
         return [biconnectivity_report(g) for g in self.graphs]
+
+    def forms(self, which: str, idx: int) -> tuple[str, ...]:
+        """Member idx's per-component 'bcv' or 'bce' tree forms, built once
+        from its report."""
+        form = self._forms.get((which, idx))
+        if form is None:
+            g = self.members[idx][1]
+            form = self._forms[which, idx] = per_component_forms(g, which, self.reports[idx])
+        return form
 
 
 def _seed_range(count: int) -> str:
@@ -317,9 +329,9 @@ def _expressivity_violations(algo: str, corpus: Corpus, columns) -> list:
         if column not in columns:
             continue
         entries = []
-        for (gid, g), rep in zip(corpus.members, result.representations):
+        for idx, (gid, rep) in enumerate(zip(corpus.ids, result.representations)):
             if shared[rep] > 1:
-                form = per_component_forms(g, which)
+                form = corpus.forms(which, idx)
                 entries.append((rep, form, (gid, form)))
         for (gid_a, form_a), (gid_b, form_b) in _conflicts(entries):
             violations.append(
@@ -735,8 +747,9 @@ def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
     additive-triple cut-vertex characterization, commute times, and range.
 
     Each graph's laws are checked on integers: its resistances, distances
-    and bounds all multiplied by the lcm of the resistances' denominators.
-    Scaling by a common positive integer keeps every comparison exact.
+    and bounds all multiplied by the lcm of its components' taus, which
+    turns each RD numerator over tau into an int. Scaling by a common
+    positive integer keeps every comparison exact.
     """
     started = time.monotonic()
     violations = []
@@ -750,9 +763,12 @@ def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
     scaled = []
     for (gid, g), rep in zip(trees.members + corpus.members, trees.reports + corpus.reports):
         n = g.n
-        rd_rows = rd_matrix(g).rows
-        scale = _lcm_of_denominators(rd_rows)
-        r = _scaled_rows(rd_rows, scale)
+        rd = rd_matrix(g)
+        scale = math.lcm(*set(rd.taus))
+        r = [
+            [x if x is UNREACHABLE else x * k for x in row]
+            for k, row in zip([scale // tau for tau in rd.taus], rd.nums)
+        ]
         d = _scaled_rows(spd_matrix(g).rows, scale)
         scaled.append((r, d, scale))
         comp = connected_components(g)

@@ -22,10 +22,11 @@ below 2^32 (`PACKED_ID_LIMIT`); a run whose context outgrows that raises
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import chain, count
 from operator import add
 
-from .distances import UNREACHABLE, rd_matrix, spd_matrix, token_sort_key
+from .distances import UNREACHABLE, rd_matrix, spd_matrix
 from .graphs import Graph, Partition, automorphisms, is_connected
 
 
@@ -153,18 +154,32 @@ def refine_1wl(graphs: list[Graph], ctx: InterningContext | None = None) -> list
     return [Coloring(tuple(c), rounds, ctx) for c in state]
 
 
-def _distance_rows(g: Graph, kind: str):
+def _distance_values(g: Graph, kind: str):
+    """Per node: (tau, row of sortable distance values), plus the value that
+    stands for UNREACHABLE.
+
+    Values are ints (spd), RD numerators over the row's tau (rd), or
+    (spd, numerator) pairs (spdrd). A row holds one tau, so sorting its
+    values sorts its tokens; spd rows have tau None.
+    """
     if kind == "spd":
-        return spd_matrix(g).rows
+        return zip([None] * g.n, spd_matrix(g).rows), UNREACHABLE
+    if kind not in ("rd", "spdrd"):
+        raise ValueError(f"unknown distance kind {kind!r}")
+    rd = rd_matrix(g)
     if kind == "rd":
-        return rd_matrix(g).rows
-    if kind == "spdrd":
-        spd = spd_matrix(g).rows
-        rd = rd_matrix(g).rows
-        return tuple(
-            tuple((spd[u][v], rd[u][v]) for v in range(g.n)) for u in range(g.n)
-        )
-    raise ValueError(f"unknown distance kind {kind!r}")
+        return zip(rd.taus, rd.nums), UNREACHABLE
+    rows = [list(zip(s, x)) for s, x in zip(spd_matrix(g).rows, rd.nums)]
+    return zip(rd.taus, rows), (UNREACHABLE, UNREACHABLE)
+
+
+def _distance_token(tau: int | None, value):
+    """The public token a finite value of `_distance_values` stands for."""
+    if tau is None:
+        return value
+    if isinstance(value, tuple):
+        return (value[0], Fraction(value[1], tau))
+    return Fraction(value, tau)
 
 
 def refine_gdwl(
@@ -187,22 +202,25 @@ def refine_gdwl(
     # per round
     highs_per_graph = []
     for g in graphs:
-        rows = _distance_rows(g, distance_kind)
-        # number the distinct tokens once, then rank them in token order, so
-        # that the per-row work hashes small ints and not Fractions
-        number: dict[object, int] = {}
-        numbers = count()
-        numbered = [list(map(number.setdefault, row, numbers)) for row in rows]
-        ordered = sorted(number.items(), key=lambda item: token_sort_key(item[0]))
-        rank_of = {num: rank for rank, (_, num) in enumerate(ordered)}
+        rows, far = _distance_values(g, distance_kind)
+        # each distinct (tau, value) of the graph is interned once, so the
+        # per-row work sorts and hashes ints, not Fractions
+        high_of_value: dict[tuple, int] = {}
         highs = []
-        for row in numbered:
-            ranks = list(map(rank_of.__getitem__, row))
-            high_of = {
-                rank: ctx.intern(("dtok", ordered[rank][0])) << _PACK_BITS
-                for rank in sorted(set(ranks))
-            }
-            highs.append(list(map(high_of.__getitem__, ranks)))
+        for tau, row in rows:
+            distinct = set(row)
+            order = sorted(distinct - {far})
+            if far in distinct:
+                order.append(far)
+            high_of = {}
+            for value in order:
+                high = high_of_value.get((tau, value))
+                if high is None:
+                    token = far if value is far else _distance_token(tau, value)
+                    high = ctx.intern(("dtok", token)) << _PACK_BITS
+                    high_of_value[tau, value] = high
+                high_of[value] = high
+            highs.append(list(map(high_of.__getitem__, row)))
         highs_per_graph.append(highs)
 
     def update(state):

@@ -23,7 +23,7 @@ from wlcheck.graphs import (
     induced_subgraph,
     relabel,
 )
-from wlcheck.harness import family_corpus
+from wlcheck.harness import family_corpus, hierarchy_corpus, standard_corpus, tree_corpus
 
 
 def test_cycle_is_biconnected():
@@ -244,6 +244,34 @@ def test_per_component_forms_on_disconnected_graph():
     two_c3 = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     assert per_component_forms(two_c3, "bcv") == ("(C3)", "(C3)")
     assert per_component_forms(two_c3, "bce") == ("(C3)", "(C3)")
+
+
+def _induced_subgraph_forms(g, which):
+    """Forms built the literal way: one tree per induced component subgraph."""
+    builder = bcv_tree if which == "bcv" else bce_tree
+    return tuple(
+        sorted(
+            tree_canonical_form(builder(induced_subgraph(g, comp)[0])).canonical_string
+            for comp in connected_components(g).classes
+        )
+    )
+
+
+def test_per_component_forms_match_the_induced_subgraph_forms():
+    graphs = standard_corpus(200).graphs + hierarchy_corpus().graphs + tree_corpus().graphs
+    graphs += [gen.random_gnp(n, Fraction(1, 8), seed) for n in range(1, 25) for seed in range(4)]
+    graphs.append(Graph.from_edges(0, []))
+    disconnected = 0
+    for g in graphs:
+        disconnected += len(connected_components(g).classes) > 1
+        report = biconnectivity_report(g)
+        for which in ("bcv", "bce"):
+            expected = _induced_subgraph_forms(g, which)
+            assert per_component_forms(g, which) == expected, (g.edges, which)
+            assert per_component_forms(g, which, report) == expected, (g.edges, which)
+    assert disconnected > 50
+    with pytest.raises(ValueError, match="unknown block cut tree"):
+        per_component_forms(gen.path(3), "bcc")
 
 
 def test_isolated_vertices_are_singleton_blocks():

@@ -50,6 +50,32 @@ def test_rd_equals_spd_on_trees():
                 assert rd[u, v] == spd[u, v]
 
 
+def test_rd_matrix_integer_form_and_its_fractions():
+    # a paw, a triangle, an edge and an isolated node: taus 3, 3, 1 and 1
+    paw_and_more = Graph.from_edges(
+        10, [(0, 1), (0, 2), (1, 2), (2, 3), (4, 5), (4, 6), (5, 6), (7, 8)]
+    )
+    assert rd_matrix(paw_and_more).taus == (3,) * 7 + (1,) * 3
+    graphs = [paw_and_more, two_triangles()]
+    graphs += [gen.random_gnp(12, Fraction(1, 6), seed) for seed in range(12)]
+    assert sum(len(connected_components(g).classes) > 2 for g in graphs) >= 3
+    for g in graphs:
+        rd, comp = rd_matrix(g), connected_components(g).class_of
+        rows = rd.rows
+        assert rows is not rd.rows
+        for u in range(g.n):
+            for v in range(g.n):
+                x = rd.nums[u][v]
+                assert x is rd.nums[v][u] and rows[u][v] is rows[v][u]
+                if comp[u] != comp[v]:
+                    assert x is UNREACHABLE and rd[u, v] is UNREACHABLE
+                    assert rows[u][v] is UNREACHABLE
+                    continue
+                assert rd.taus[u] == rd.taus[v]
+                assert type(x) is int and type(rd[u, v]) is Fraction
+                assert rd[u, v] == Fraction(x, rd.taus[u]) == rows[u][v]
+
+
 def test_rd_c4_and_k4():
     assert rd_matrix(gen.cycle(4))[0, 1] == Fraction(3, 4)
     k4 = rd_matrix(gen.complete(4))

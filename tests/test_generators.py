@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -146,6 +147,29 @@ def test_random_gnp_extremes_and_determinism():
     b = gen.random_gnp(10, 0.5, 7)
     assert a == b
     assert a != gen.random_gnp(10, 0.5, 8)
+
+
+def _float_gnp_edges(n, p, seed):
+    """The plain form: one edge per draw with random() < p."""
+    rng = random.Random(seed)
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p)
+
+
+def test_random_gnp_picks_the_edges_of_the_float_comparison():
+    ps = [0, 1, 0.0, 1.0, 0.5, 0.3, 1e-17, 1 - 2**-53, Fraction(1, 5), Fraction(2, 5)]
+    ps += [Fraction(3, 10), Fraction(1, 7), Fraction(1, 2**53), Fraction(2**53 - 1, 2**53)]
+    for n in (1, 2, 5, 9, 16):
+        for p in ps:
+            for seed in range(6):
+                assert gen.random_gnp(n, p, seed).edges == _float_gnp_edges(n, p, seed), (n, p)
+    # p exactly at a draw, and a hair on either side of it (finer than 2**-53)
+    hair = Fraction(1, 2**70)
+    for seed in range(20):
+        x = random.Random(seed).random()
+        for p in (x, Fraction(x), Fraction(x) - hair, Fraction(x) + hair):
+            assert gen.random_gnp(2, p, seed).edges == _float_gnp_edges(2, p, seed), (x, p)
+        assert gen.random_gnp(2, Fraction(x) + hair, seed).m == 1
+        assert gen.random_gnp(2, x, seed).m == 0
 
 
 def test_regular_with_cuts_bridge_chain():

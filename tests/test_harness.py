@@ -6,7 +6,7 @@ import pytest
 
 from wlcheck import generators as gen
 from wlcheck import harness
-from wlcheck.distances import RdMatrix, rd_matrix
+from wlcheck.distances import UNREACHABLE, RdMatrix, rd_matrix
 from wlcheck.graphs import Graph
 from wlcheck.refine import run_algorithm
 
@@ -300,9 +300,14 @@ RD_EXPECTED = {
 def test_rd_properties_report_a_planted_entry(gid, plant, monkeypatch):
     g = RD_GRAPHS[gid]
     u, v, delta = RD_PLANTS[plant]
-    rows = [list(row) for row in rd_matrix(g).rows]
-    rows[u][v] += delta
-    planted = RdMatrix(g.n, tuple(map(tuple, rows)))
+    # the same matrix over taus times delta's denominator q, then
+    # delta = p/q added to entry (u, v) alone as p * tau_u
+    rd = rd_matrix(g)
+    q = delta.denominator
+    nums = [[x if x is UNREACHABLE else x * q for x in row] for row in rd.nums]
+    nums[u][v] += delta.numerator * rd.taus[u]
+    planted = RdMatrix(g.n, tuple(tau * q for tau in rd.taus), tuple(map(tuple, nums)))
+    assert planted[u, v] == rd[u, v] + delta
     monkeypatch.setattr(harness, "rd_matrix", lambda h: planted if h is g else rd_matrix(h))
     one = harness.Corpus(gid, [(gid, g)], gid)
     none = harness.Corpus("none", [], "none")

@@ -394,10 +394,12 @@ def _reference_2fwl(graphs):
     return node_colors, reps, rounds
 
 
-def _reference_gdwl(graphs, kind):
+def _reference_gdwl(graphs, kind, ctx=None):
     """GD-WL with the plain tuple key: per distance token in token order,
-    its interned id and the sorted colors of the nodes at that distance."""
-    ctx = InterningContext()
+    its interned id and the sorted colors of the nodes at that distance.
+    Tokens are the public values: ints and Fractions."""
+    if ctx is None:
+        ctx = InterningContext()
     c0 = ctx.intern(("init",))
     node_buckets = []
     for g in graphs:
@@ -454,6 +456,29 @@ def test_packed_keys_match_the_tuple_key_formulas(spec):
         result = run_algorithm(spec, graphs)
         got = (result.node_colors, result.representations, result.rounds)
         assert got == expected, name
+
+
+def _token_ids(ctx):
+    return [(key, cid) for key, cid in ctx._ids.items() if key[0] == "dtok"]
+
+
+def test_gdwl_kinds_in_one_shared_context_match_the_tuple_key_formulas():
+    # rd and spd tokens of equal value (0, 1, ...) are equal keys, so the
+    # kinds share ids on one context exactly as the public values do
+    kinds = {"spdwl": "spd", "rdwl": "rd", "gdwl": "spdrd"}
+    # a triangle beside a path: numerator 2 stands for 2/3 in one component
+    # (tau 3) and for 2 in the other (tau 1)
+    mixed = [Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)]), gen.path(3)]
+    for name, graphs in _reference_inputs() + [("mixed taus", mixed)]:
+        ctx, reference_ctx = InterningContext(), InterningContext()
+        for spec in ("rdwl", "spdwl", "gdwl", "rdwl"):
+            expected = _reference_gdwl(graphs, kinds[spec], reference_ctx)
+            result = run_algorithm(spec, graphs, ctx)
+            got = (result.node_colors, result.representations, result.rounds)
+            assert got == expected, (name, spec)
+            # the same distance tokens under the same ids, and as many keys
+            assert _token_ids(ctx) == _token_ids(reference_ctx), (name, spec)
+            assert len(ctx) == len(reference_ctx), (name, spec)
 
 
 def test_shared_context_keeps_ids_comparable_across_calls():
