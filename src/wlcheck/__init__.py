@@ -38,7 +38,6 @@ from .refine import (
     AlgoResult,
     Coloring,
     InterningContext,
-    PairColoring,
     SubgraphPolicy,
     compute_orbits,
     distinguishable,

@@ -16,8 +16,8 @@ from . import generators as gen
 from .biconn import biconnectivity_report, per_component_forms
 from .distances import UNREACHABLE, rd_matrix, spd_matrix
 from .graphs import Graph, GraphFormatError, encode_edge_list, encode_graph6, parse_edge_list, parse_graph6
-from .harness import run_suite
-from .refine import run_algorithm
+from .harness import SUITES, run_suite
+from .refine import distinguishable, run_algorithm
 
 
 class UsageError(Exception):
@@ -225,14 +225,10 @@ def cmd_distinguish(args) -> int:
     g = read_graph_file(args.file1)
     h = read_graph_file(args.file2)
     try:
-        result = run_algorithm(args.algo, [g, h])
+        separated = distinguishable(g, h, args.algo)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    print(
-        "distinguishable"
-        if result.representations[0] != result.representations[1]
-        else "indistinguishable"
-    )
+    print("distinguishable" if separated else "indistinguishable")
     return 0
 
 
@@ -314,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_distinguish)
 
     p = sub.add_parser("check", help="run the theorem-checking suites")
-    p.add_argument("--suite", choices=("all", "positive", "negative", "drg", "hierarchy"), default="all")
+    p.add_argument("--suite", choices=SUITES, default="all")
     p.add_argument("--seeds", type=int, default=200)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)

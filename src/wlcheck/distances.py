@@ -41,18 +41,6 @@ def _unreachable_instance():
 UNREACHABLE = _Unreachable()
 
 
-def token_sort_key(token):
-    """Total order over distance tokens: finite values, then UNREACHABLE.
-
-    Handles ints, Fractions, the sentinel, and (spd, rd) pairs.
-    """
-    if token is UNREACHABLE:
-        return (2,)
-    if isinstance(token, tuple):
-        return (1, tuple(token_sort_key(t) for t in token))
-    return (0, Fraction(token))
-
-
 @dataclass(frozen=True)
 class SpdMatrix:
     """Shortest path distances; entries are ints or UNREACHABLE."""

@@ -50,32 +50,22 @@ class InterningContext:
 
 @dataclass(frozen=True)
 class Coloring:
-    """Stable node coloring of one graph within a shared context."""
+    """Stable coloring of one graph within a shared context.
+
+    colors are the node colors (2-FWL: the diagonal pair colors);
+    representation is the sorted graph-level color multiset (2-FWL: all
+    n^2 pair colors).
+    """
 
     colors: tuple[int, ...]
+    representation: tuple[int, ...]
     rounds: int
     ctx: InterningContext = field(compare=False, repr=False)
 
-    @property
-    def representation(self) -> tuple[int, ...]:
-        return tuple(sorted(self.colors))
 
-
-@dataclass(frozen=True)
-class PairColoring:
-    """Stable 2-FWL coloring over ordered node pairs."""
-
-    pair_colors: tuple[tuple[int, ...], ...]
-    rounds: int
-    ctx: InterningContext = field(compare=False, repr=False)
-
-    @property
-    def vertex_view(self) -> tuple[int, ...]:
-        return tuple(self.pair_colors[v][v] for v in range(len(self.pair_colors)))
-
-    @property
-    def representation(self) -> tuple[int, ...]:
-        return tuple(sorted(c for row in self.pair_colors for c in row))
+def _node_colorings(state, rounds, ctx) -> list[Coloring]:
+    """One Coloring per node color list, represented by its sorted colors."""
+    return [Coloring(tuple(c), tuple(sorted(c)), rounds, ctx) for c in state]
 
 
 def _partition_sig(state) -> tuple[int, ...]:
@@ -151,7 +141,7 @@ def refine_1wl(graphs: list[Graph], ctx: InterningContext | None = None) -> list
         return out
 
     state, rounds = _iterate(update, initial, sum(g.n for g in graphs))
-    return [Coloring(tuple(c), rounds, ctx) for c in state]
+    return _node_colorings(state, rounds, ctx)
 
 
 def _distance_values(g: Graph, kind: str):
@@ -232,7 +222,7 @@ def refine_gdwl(
         ]
 
     state, rounds = _iterate(update, initial, sum(g.n for g in graphs))
-    return [Coloring(tuple(c), rounds, ctx) for c in state]
+    return _node_colorings(state, rounds, ctx)
 
 
 TWO_FWL_MAX_NODES = 40
@@ -243,7 +233,7 @@ def _rows(flat, n):
     return [flat[i * n : (i + 1) * n] for i in range(n)]
 
 
-def refine_2fwl(graphs: list[Graph], ctx: InterningContext | None = None) -> list[PairColoring]:
+def refine_2fwl(graphs: list[Graph], ctx: InterningContext | None = None) -> list[Coloring]:
     """Folklore 2-WL on ordered pairs; Theta(n^3) per round per graph.
 
     Initial pair colors separate the diagonal, edges, and non-edges; the
@@ -283,8 +273,9 @@ def refine_2fwl(graphs: list[Graph], ctx: InterningContext | None = None) -> lis
         return out
 
     state, rounds = _iterate(update, initial, sum(g.n * g.n for g in graphs))
+    # entry u * (n + 1) of the row-major flat list is the diagonal pair (u, u)
     return [
-        PairColoring(tuple(map(tuple, _rows(flat, g.n))), rounds, ctx)
+        Coloring(tuple(flat[:: g.n + 1]), tuple(sorted(flat)), rounds, ctx)
         for g, flat in zip(graphs, state)
     ]
 
@@ -432,10 +423,7 @@ def refine_dsswl(
 
     initial = [flat + node_colors(flat, g.n) for g, flat in zip(graphs, subs)]
     state, rounds = _iterate(update, initial, sum(g.n * g.n for g in graphs))
-    return [
-        Coloring(tuple(flat[g.n * g.n :]), rounds, ctx)
-        for g, flat in zip(graphs, state)
-    ]
+    return _node_colorings([flat[g.n * g.n :] for g, flat in zip(graphs, state)], rounds, ctx)
 
 
 def refine_dswl(
@@ -468,14 +456,12 @@ def refine_dswl(
         return out
 
     state, rounds = _iterate(update, initial, sum(g.n * g.n for g in graphs))
-    return [
-        Coloring(
-            tuple(ctx.intern(("dsrep", tuple(sorted(row)))) for row in _rows(flat, g.n)),
-            rounds,
-            ctx,
-        )
+    # node v's color is the representation of its own subgraph G_v
+    reps = [
+        [ctx.intern(("dsrep", tuple(sorted(row)))) for row in _rows(flat, g.n)]
         for g, flat in zip(graphs, state)
     ]
+    return _node_colorings(reps, rounds, ctx)
 
 
 SUBSTRUCTURE_MAX_NODES = 8
@@ -625,14 +611,7 @@ def refine_scwl(
         return out
 
     state, rounds = _iterate(update, initial, sum(g.n for g in graphs))
-    return [Coloring(tuple(c), rounds, ctx) for c in state]
-
-
-def node_partition(coloring) -> Partition:
-    colors = (
-        coloring.vertex_view if isinstance(coloring, PairColoring) else coloring.colors
-    )
-    return Partition.from_labels(colors)
+    return _node_colorings(state, rounds, ctx)
 
 
 @dataclass(frozen=True)
@@ -659,7 +638,7 @@ def _named_substructure(token: str) -> Substructure:
     name = token.strip().lower()
     aliases = {"triangle": "c3", "tri": "c3", "square": "c4", "edge": "p2"}
     name = aliases.get(name, name)
-    kind, num = name[0], name[1:]
+    kind, num = name[:1], name[1:]
     if not num.isdigit():
         raise ValueError(f"unknown substructure {token!r}")
     n = int(num)
@@ -675,15 +654,17 @@ def _named_substructure(token: str) -> Substructure:
 
 
 def parse_policy(token: str) -> SubgraphPolicy:
+    """nm | nd | ego:K | egom:K, with K an integer radius."""
     parts = token.split(":")
-    if parts[0] == "nm":
+    if parts == ["nm"]:
         return SubgraphPolicy.node_marking()
-    if parts[0] == "nd":
+    if parts == ["nd"]:
         return SubgraphPolicy.node_deletion()
-    if parts[0] == "ego" and len(parts) == 2:
-        return SubgraphPolicy.ego(int(parts[1]))
-    if parts[0] == "egom" and len(parts) == 2:
-        return SubgraphPolicy.ego_marking(int(parts[1]))
+    if len(parts) == 2 and parts[1].removeprefix("-").isdecimal():
+        if parts[0] == "ego":
+            return SubgraphPolicy.ego(int(parts[1]))
+        if parts[0] == "egom":
+            return SubgraphPolicy.ego_marking(int(parts[1]))
     raise ValueError(f"unknown subgraph policy {token!r}")
 
 
@@ -709,19 +690,13 @@ def run_algorithm(
         results = refine_gdwl(graphs, "spdrd", ctx)
     elif spec == "2fwl":
         results = refine_2fwl(graphs, ctx)
-        return AlgoResult(
-            spec=spec,
-            node_colors=tuple(r.vertex_view for r in results),
-            representations=tuple(r.representation for r in results),
-            rounds=results[0].rounds if results else 0,
-            ctx=shared,
-        )
     elif spec.startswith("dsswl:"):
         results = refine_dsswl(graphs, parse_policy(spec[len("dsswl:"):]), ctx)
     elif spec.startswith("dswl:"):
         results = refine_dswl(graphs, parse_policy(spec[len("dswl:"):]), ctx)
     elif spec.startswith("scwl:"):
-        subs = [_named_substructure(tok) for tok in spec[len("scwl:"):].split(",") if tok]
+        # an empty name, as in "scwl:" or "scwl:c3,", is an unknown substructure
+        subs = [_named_substructure(tok) for tok in spec[len("scwl:"):].split(",")]
         results = refine_scwl(graphs, subs, ctx)
     else:
         raise ValueError(f"unknown algorithm spec {spec!r}")

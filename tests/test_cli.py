@@ -185,7 +185,18 @@ def test_check_rejects_negative_seeds(capsys):
     assert_one_line_usage_error(*run_cli(capsys, "check", "--seeds", "-5"))
 
 
-@pytest.mark.parametrize("algo", ["dsswl:ego:-1", "dsswl:egom:-1"])
+@pytest.mark.parametrize(
+    "algo",
+    [
+        "dsswl:ego:-1",
+        "dsswl:egom:-1",
+        "dsswl:nm:junk",
+        "dswl:nd:7",
+        "dsswl:ego:x",
+        "scwl:",
+        "scwl:,",
+    ],
+)
 def test_refine_rejects_negative_ego_radius(tmp_path, capsys, algo):
     path = tmp_path / "c6.el"
     path.write_text(encode_edge_list(cycle(6)), encoding="utf-8")

@@ -11,7 +11,6 @@ from wlcheck.distances import (
     rd_from_intersection_array,
     rd_matrix,
     spd_matrix,
-    token_sort_key,
 )
 from wlcheck.graphs import Graph, connected_components
 
@@ -252,12 +251,6 @@ def test_rd_recursion_rejects_non_drg():
 def test_rd_component_guard():
     with pytest.raises(ValueError):
         rd_matrix(gen.cycle(200))
-
-
-def test_token_sort_key_orders_unreachable_last():
-    tokens = [UNREACHABLE, 3, Fraction(1, 2), (2, Fraction(5, 4)), 0]
-    ordered = sorted(tokens, key=token_sort_key)
-    assert ordered[0] == 0 and ordered[-1] is UNREACHABLE
 
 
 # Closed forms and independent implementations for the exact solver.

@@ -41,10 +41,30 @@ def test_oracle_equivalence_passes():
 
 
 def test_positive_checks_pass_on_corpus():
-    corpus = small_corpus()
-    for algo in harness.POSITIVE_ALGOS:
-        report = harness.check_positive_expressivity(algo, corpus)
+    # the positive suite is the table's rows with an expressive cell, each
+    # checked on exactly those columns
+    reports, table = harness.run_suite("positive", seeds=24)
+    assert table is None
+    assert [r.check_id for r in reports] == [
+        "positive[dsswl:nm]",
+        "positive[spdwl]",
+        "positive[rdwl]",
+        "positive[gdwl]",
+        "positive[2fwl]",
+    ]
+    for algo, report in zip(harness.POSITIVE_SUITE, reports):
+        expressive = [
+            col for col, cell in harness.EXPECTED_TABLE[algo].items() if cell == "expressive"
+        ]
+        assert report.population.endswith("; columns=" + ",".join(expressive)), algo
         assert report.passed, (algo, report.violations[:3])
+
+
+def test_every_table_row_is_a_runnable_spec_with_known_cells():
+    for row, cells in harness.EXPECTED_TABLE.items():
+        assert run_algorithm(row, [gen.path(3)]).node_colors, row
+        assert set(cells) == set(harness.ALL_COLUMNS), row
+        assert set(cells.values()) <= {"expressive", "not_expressive", None}, row
 
 
 def test_positive_check_detects_planted_violation():
@@ -207,7 +227,7 @@ def test_run_suite_refines_each_corpus_once_per_spec(monkeypatch):
     # the positive checks and the WL condition share the standard corpus
     size = len(harness.standard_corpus(seeds=20).members)
     standard = sorted(spec for spec, graphs in calls if len(graphs) == size)
-    assert standard == sorted(set(harness.POSITIVE_ALGOS + harness.WL_CONDITION_ALGOS))
+    assert standard == sorted(set(harness.POSITIVE_SUITE) | set(harness.WL_CONDITION_ALGOS))
 
 
 # A paw (triangle 0-1-2 with pendant 3 at cut vertex 2), the same paw next

@@ -1,11 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from wlcheck import generators as gen
 from wlcheck import harness, refine
-from wlcheck.distances import rd_matrix, spd_matrix, token_sort_key
+from wlcheck.distances import UNREACHABLE, rd_matrix, spd_matrix
 from wlcheck.graphs import Graph, Partition, relabel
 from wlcheck.refine import (
     ALGORITHM_SPECS,
@@ -15,7 +16,6 @@ from wlcheck.refine import (
     compute_orbits,
     distinguishable,
     make_substructure,
-    node_partition,
     parse_policy,
     refine_1wl,
     refine_2fwl,
@@ -100,9 +100,12 @@ def test_2fwl_small_cases():
 
 def test_2fwl_initial_classes():
     (pc,) = refine_2fwl([gen.path(3)])
-    # diagonal, edge and non-edge pairs never merge
-    assert pc.pair_colors[0][0] != pc.pair_colors[0][1]
-    assert pc.pair_colors[0][1] != pc.pair_colors[0][2]
+    # diagonal, edge and non-edge pairs never merge: the representation
+    # holds all 9 pair colors, the node colors are the 3 diagonal ones
+    off_diagonal = Counter(pc.representation) - Counter(pc.colors)
+    assert sum(off_diagonal.values()) == 6
+    assert not set(off_diagonal) & set(pc.colors)
+    assert len(off_diagonal) >= 2
 
 
 def test_2fwl_guard():
@@ -150,7 +153,7 @@ def test_scwl_empty_substructures_match_1wl_partition():
     g = gen.random_gnp(9, 0.35, 5)
     (sc,) = refine_scwl([g], [])
     (wl,) = refine_1wl([g])
-    assert node_partition(sc) == node_partition(wl)
+    assert Partition.from_labels(sc.colors) == Partition.from_labels(wl.colors)
 
 
 def test_scwl_triangle_counts():
@@ -232,7 +235,7 @@ def test_stable_coloring_survives_one_more_round():
         ctx.intern(("1wl", coloring.colors[v], tuple(sorted(coloring.colors[w] for w in g.adjacency[v]))))
         for v in range(g.n)
     ]
-    assert node_partition(coloring) == Partition.from_labels(again)
+    assert Partition.from_labels(coloring.colors) == Partition.from_labels(again)
 
 
 def test_partition_hierarchy_on_one_graph():
@@ -308,6 +311,36 @@ SPEC_FORMS = [
         else [spec.replace("NAMES", "tri")]
     )
 ]
+
+
+def _refine_directly(spec, graphs):
+    """The refine_* call that run_algorithm makes for spec, on a fresh context."""
+    name, _, arg = spec.partition(":")
+    if name == "1wl":
+        return refine_1wl(graphs)
+    if name in ("spdwl", "rdwl", "gdwl"):
+        return refine_gdwl(graphs, {"spdwl": "spd", "rdwl": "rd", "gdwl": "spdrd"}[name])
+    if name == "2fwl":
+        return refine_2fwl(graphs)
+    if name == "dsswl":
+        return refine_dsswl(graphs, parse_policy(arg))
+    if name == "dswl":
+        return refine_dswl(graphs, parse_policy(arg))
+    assert spec == "scwl:tri"
+    return refine_scwl(graphs, [make_substructure("c3", gen.cycle(3))])
+
+
+@pytest.mark.parametrize("spec", SPEC_FORMS)
+def test_run_algorithm_reports_the_colorings_of_its_refine_call(spec):
+    graphs = [gen.path(4), gen.cycle(5), two_triangles(), gen.complete(1)]
+    colorings = _refine_directly(spec, graphs)
+    result = run_algorithm(spec, graphs)
+    assert result.node_colors == tuple(c.colors for c in colorings)
+    assert result.representations == tuple(c.representation for c in colorings)
+    # what a span around a refine_* call reads: rounds and the context size
+    for c in colorings:
+        assert c.rounds == result.rounds
+        assert c.ctx is not None and len(c.ctx) > 0
 
 
 @pytest.mark.parametrize("spec", SPEC_FORMS)
@@ -394,6 +427,14 @@ def _reference_2fwl(graphs):
     return node_colors, reps, rounds
 
 
+def _token_key(token):
+    """Finite distance tokens in numeric order, UNREACHABLE after them;
+    an (spd, rd) token orders by spd, then rd."""
+    if isinstance(token, tuple):
+        return tuple(map(_token_key, token))
+    return (True, 0) if token is UNREACHABLE else (False, token)
+
+
 def _reference_gdwl(graphs, kind, ctx=None):
     """GD-WL with the plain tuple key: per distance token in token order,
     its interned id and the sorted colors of the nodes at that distance.
@@ -415,7 +456,7 @@ def _reference_gdwl(graphs, kind, ctx=None):
             by_token = {}
             for u in range(g.n):
                 by_token.setdefault(rows[v][u], []).append(u)
-            ordered = sorted(by_token.items(), key=lambda kv: token_sort_key(kv[0]))
+            ordered = sorted(by_token.items(), key=lambda kv: _token_key(kv[0]))
             buckets.append([(ctx.intern(("dtok", tok)), nodes) for tok, nodes in ordered])
         node_buckets.append(buckets)
 
