@@ -12,16 +12,23 @@ and hashes as its own token.
 Resistance distances and hitting times both come from one fraction-free
 integer solver, `_fraction_free_solve`, which returns a determinant and an
 adjugate product; each hitting time is returned as one Fraction of the two.
+RD is solved once per vertex-biconnected block, not per component: a cut
+vertex joins its blocks in series, so resistances add along the path in the
+block cut tree, and a component's tau is the product of its blocks' taus.
+Hitting times never read the blocks, so the commute-time identity checks
+RD independently.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .graphs import Graph, connected_components, induced_subgraph, is_connected
+from .biconn import biconnectivity_report
+from .graphs import Graph, connected_components, is_connected
 
 
 class _Unreachable:
@@ -142,39 +149,111 @@ def _fraction_free_solve(
 RD_MAX_COMPONENT_NODES = 128
 
 
+def _block_numerators(g: Graph, block: tuple[int, ...]) -> tuple[int, list[list[int]]]:
+    """(tau_B, N) for one vertex-biconnected block of g, with the resistance
+    inside the block R_B(block[i], block[j]) = N[i][j] / tau_B.
+
+    An isolated node or a bridge has one spanning tree and R = 1 across a
+    bridge. A larger block's Laplacian is grounded at its last node (that row
+    and column removed) and solved exactly for its integer adjugate and its
+    determinant tau_B, the block's spanning-tree count. With the grounded
+    node's row and column of the adjugate taken as 0, the numerator is
+    adj[i][i] + adj[j][j] - 2*adj[i][j]. Every edge between two nodes of a
+    block lies in that block, so the block's Laplacian is read off g.
+    """
+    s = len(block)
+    if s <= 2:
+        return 1, [[int(i != j) for j in range(s)] for i in range(s)]
+    index = {v: i for i, v in enumerate(block)}
+    grounded = [[0] * (s - 1) for _ in range(s - 1)]
+    for i, row in enumerate(grounded):
+        for w in g.adjacency[block[i]]:
+            j = index.get(w)
+            if j is not None:
+                row[i] += 1
+                if j < s - 1:
+                    row[j] = -1
+    tau, adj = _fraction_free_solve(grounded)
+    adj = [row + [0] for row in adj] + [[0] * s]
+    diag = [row[i] for i, row in enumerate(adj)]
+    return tau, [[di + dj - 2 * x for dj, x in zip(diag, row)] for di, row in zip(diag, adj)]
+
+
+def _fill_pairs(
+    nums: list[list[object]], block: tuple[int, ...], block_nums: list[list[int]]
+) -> None:
+    """nums[u][v] = nums[v][u] = block_nums[i][j] for u = block[i], v = block[j]."""
+    for i, u in enumerate(block):
+        nums_u = nums[u]
+        for v, x in zip(block[i:], block_nums[i][i:]):
+            nums_u[v] = nums[v][u] = x
+
+
 @lru_cache(maxsize=None)
 def rd_matrix(g: Graph) -> RdMatrix:
-    """Exact resistance distance per connected component.
+    """Exact resistance distance, solved block by block.
 
-    Each component's Laplacian is grounded at its last node (that row and
-    column removed) and solved exactly for its integer adjugate and its
-    determinant tau, the spanning-tree count. With the grounded node's row
-    and column of the adjugate taken as 0, the resistance between i and j is
-    (adj[i][i] + adj[j][j] - 2*adj[i][j]) / tau, kept as that numerator and
-    tau. Cross-component entries are UNREACHABLE.
+    Each vertex-biconnected block is solved on its own (`_block_numerators`),
+    at a cost of the sum of the block sizes cubed. Spanning trees factor
+    over blocks, so a component's tau is the product of its blocks' taus,
+    and each block's numerators are scaled by tau / tau_B to share that
+    denominator. Blocks meet at cut vertices in series (Klein & Randic
+    1993), so R(u, v) is the sum of the block terms along the path from u
+    to v in the block cut tree. The blocks of a component are placed one at
+    a time along that tree: a block entered at cut vertex c fills its own
+    pairs from its solve, and each of its other nodes w is at
+    R(x, c) + R_B(c, w) from every node x placed before it. So a component
+    that is one block is filled straight from its solve. The integers equal
+    those of one solve of the whole component. Entries across components
+    are UNREACHABLE. A component over RD_MAX_COMPONENT_NODES nodes is
+    refused, whatever its blocks, since its output alone is quadratic in
+    its size.
     """
     taus = [1] * g.n
     nums: list[list[object]] = [[UNREACHABLE] * g.n for _ in range(g.n)]
-    for comp in connected_components(g).classes:
-        s = len(comp)
-        if s > RD_MAX_COMPONENT_NODES:
-            raise ValueError(
-                f"exact RD capped at components of {RD_MAX_COMPONENT_NODES} nodes"
-            )
-        sub, names = induced_subgraph(g, comp)
-        grounded = [[0] * (s - 1) for _ in range(s - 1)]
-        for i in range(s - 1):
-            grounded[i][i] = sub.degree(i)
-        for u, v in sub.edges:
-            if v < s - 1:
-                grounded[u][v] = grounded[v][u] = -1
-        tau, adj = _fraction_free_solve(grounded)
-        adj = [row + [0] for row in adj] + [[0] * s]
-        for i in range(s):
-            taus[names[i]] = tau
-            for j in range(i, s):
-                x = adj[i][i] + adj[j][j] - 2 * adj[i][j]
-                nums[names[i]][names[j]] = nums[names[j]][names[i]] = x
+    components = connected_components(g)
+    if any(len(comp) > RD_MAX_COMPONENT_NODES for comp in components.classes):
+        raise ValueError(
+            f"exact RD capped at components of {RD_MAX_COMPONENT_NODES} nodes"
+        )
+    report = biconnectivity_report(g)
+    blocks_in: list[list[tuple[int, ...]]] = [[] for _ in components.classes]
+    for block in report.vertex_bccs:
+        blocks_in[components.class_of[block[0]]].append(block)
+    # blocks_at[c] lists the blocks of cut vertex c, by index in its component
+    blocks_at: dict[int, list[int]] = {c: [] for c in report.cut_vertices}
+    for comp, blocks in zip(components.classes, blocks_in):
+        solved = [_block_numerators(g, block) for block in blocks]
+        tau = math.prod(tau_b for tau_b, _ in solved)
+        for u in comp:
+            taus[u] = tau
+        for b, ((tau_b, block_nums), block) in enumerate(zip(solved, blocks)):
+            if tau_b != tau:
+                # over the component's tau, row by row in place
+                for row in block_nums:
+                    row[:] = [x * (tau // tau_b) for x in row]
+            for v in block:
+                if v in blocks_at:
+                    blocks_at[v].append(b)
+        _fill_pairs(nums, blocks[0], solved[0][1])
+        placed = list(blocks[0])
+        # (block, cut vertex it is entered at): every node placed before it
+        # lies beyond that cut vertex, as the blocks follow the tree
+        stack = [(b, c) for c in blocks[0] if c in blocks_at for b in blocks_at[c] if b]
+        while stack:
+            b, c = stack.pop()
+            block, block_nums = blocks[b], solved[b][1]
+            _fill_pairs(nums, block, block_nums)
+            nums_c = nums[c]
+            before = [x for x in placed if x != c]
+            from_c = [nums_c[x] for x in before]
+            for w, k in zip(block, block_nums[block.index(c)]):
+                if w != c:
+                    nums_w = nums[w]
+                    for x, y in zip(before, from_c):
+                        nums_w[x] = nums[x][w] = y + k
+                    placed.append(w)
+                    stack.extend((b2, w) for b2 in blocks_at.get(w, ()) if b2 != b)
     return RdMatrix(n=g.n, taus=tuple(taus), nums=tuple(map(tuple, nums)))
 
 

@@ -31,7 +31,7 @@ from .distances import (
     rd_matrix,
     spd_matrix,
 )
-from .graphs import Graph, Partition, connected_components, is_connected
+from .graphs import Graph, Partition, connected_components, induced_subgraph
 from .refine import AlgoResult, run_algorithm
 
 
@@ -810,6 +810,13 @@ def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
     and bounds all multiplied by the lcm of its components' taus, which
     turns each RD numerator over tau into an int. Scaling by a common
     positive integer keeps every comparison exact.
+
+    rd_matrix sums block resistances across cut vertices, which makes the
+    additive triple at a cut vertex hold by construction. The commute-time
+    identity h(u, v) + h(v, u) = 2m * R(u, v) is the block-free cross-check:
+    the hitting times come from one solve per target on the whole
+    component, which never reads the block structure, so every entry,
+    including those across cut vertices, is tested against it.
     """
     started = time.monotonic()
     violations = []
@@ -819,7 +826,7 @@ def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
             {"graphs": [gid], "items": list(items), "expected": what, "observed": "violated"}
         )
 
-    # per member: scaled rd rows, scaled spd rows, and the scale
+    # per member: scaled rd rows, scaled spd rows, the scale and the components
     scaled = []
     for (gid, g), rep in zip(trees.members + corpus.members, trees.reports + corpus.reports):
         n = g.n
@@ -830,8 +837,8 @@ def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
             for k, row in zip([scale // tau for tau in rd.taus], rd.nums)
         ]
         d = _scaled_rows(spd_matrix(g).rows, scale)
-        scaled.append((r, d, scale))
         comp = connected_components(g)
+        scaled.append((r, d, scale, comp.classes))
         comp_sizes = [len(comp.classes[comp.class_of[v]]) for v in range(n)]
         for u in range(n):
             ru, du = r[u], d[u]
@@ -889,22 +896,25 @@ def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
             if additive != (v in cuts):
                 bad(gid, "cut vertex iff additive RD triple", [v])
 
-    # commute-time identity on connected graphs small enough for the oracle;
-    # both sides times the scale and the lcm of the hitting times' denominators
-    for (gid, g), (r, _, scale) in zip(corpus.members, scaled[len(trees.members) :]):
-        if g.n > HITTING_TIME_MAX_NODES or g.n < 2 or not is_connected(g):
-            continue
-        h_rows = hitting_time_matrix(g)
-        h_scale = _lcm_of_denominators(h_rows)
-        h = _scaled_rows(h_rows, h_scale)
-        two_m = 2 * g.m * h_scale
-        for u in range(g.n):
-            for v in range(g.n):
-                if (h[u][v] + h[v][u]) * scale != two_m * r[u][v]:
-                    bad(gid, "commute time == 2m * rd", [u, v])
+    # commute-time identity on every component small enough for the oracle,
+    # solved on the component alone with its own edge count m; both sides
+    # times the scale and the lcm of the hitting times' denominators
+    for (gid, g), (r, _, scale, classes) in zip(corpus.members, scaled[len(trees.members) :]):
+        for cls in classes:
+            if not 2 <= len(cls) <= HITTING_TIME_MAX_NODES:
+                continue
+            sub, names = induced_subgraph(g, cls)
+            h_rows = hitting_time_matrix(sub)
+            h_scale = _lcm_of_denominators(h_rows)
+            h = _scaled_rows(h_rows, h_scale)
+            two_m = 2 * sub.m * h_scale
+            for i, u in enumerate(names):
+                for j, v in enumerate(names):
+                    if (h[i][j] + h[j][i]) * scale != two_m * r[u][v]:
+                        bad(gid, "commute time == 2m * rd", [u, v])
 
     # trees: rd equals spd entrywise, exactly
-    for (gid, g), (r, d, _) in zip(trees.members, scaled):
+    for (gid, g), (r, d, _, _) in zip(trees.members, scaled):
         for u in range(g.n):
             for v in range(g.n):
                 if r[u][v] != d[u][v]:

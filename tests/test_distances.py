@@ -1,18 +1,21 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from wlcheck import generators as gen
+from wlcheck import harness
 from wlcheck.biconn import biconnectivity_report
 from wlcheck.distances import (
     UNREACHABLE,
+    _fraction_free_solve,
     distance_regular_profile,
     hitting_time_matrix,
     rd_from_intersection_array,
     rd_matrix,
     spd_matrix,
 )
-from wlcheck.graphs import Graph, connected_components
+from wlcheck.graphs import Graph, connected_components, induced_subgraph
 
 
 def two_triangles():
@@ -251,6 +254,123 @@ def test_rd_recursion_rejects_non_drg():
 def test_rd_component_guard():
     with pytest.raises(ValueError):
         rd_matrix(gen.cycle(200))
+
+
+def test_rd_cap_is_on_components_not_blocks():
+    # every block of a path is a 2-node bridge
+    with pytest.raises(ValueError, match="components of 128 nodes"):
+        rd_matrix(gen.path(200))
+
+
+# Reference for the block-by-block rd_matrix: one exact solve of each whole
+# component's grounded Laplacian, which never reads the block structure.
+
+
+def whole_component_rd(g):
+    """(taus, nums) in RdMatrix form, one solve per connected component."""
+    taus = [1] * g.n
+    nums = [[UNREACHABLE] * g.n for _ in range(g.n)]
+    for comp in connected_components(g).classes:
+        s = len(comp)
+        sub, names = induced_subgraph(g, comp)
+        grounded = [[0] * (s - 1) for _ in range(s - 1)]
+        for i in range(s - 1):
+            grounded[i][i] = sub.degree(i)
+        for u, v in sub.edges:
+            if v < s - 1:
+                grounded[u][v] = grounded[v][u] = -1
+        tau, adj = _fraction_free_solve(grounded)
+        adj = [row + [0] for row in adj] + [[0] * s]
+        for i in range(s):
+            taus[names[i]] = tau
+            for j in range(i, s):
+                x = adj[i][i] + adj[j][j] - 2 * adj[i][j]
+                nums[names[i]][names[j]] = nums[names[j]][names[i]] = x
+    return tuple(taus), tuple(map(tuple, nums))
+
+
+def assert_rd_is_whole_component_rd(g):
+    rd = rd_matrix(g)
+    taus, nums = whole_component_rd(g)
+    assert rd.taus == taus
+    assert rd.nums == nums
+    assert all(rd.nums[u][v] is rd.nums[v][u] for u in range(g.n) for v in range(u))
+    # each component's tau is the product of its blocks' spanning-tree counts
+    comp = connected_components(g)
+    block_taus = [1] * len(comp.classes)
+    for block in biconnectivity_report(g).vertex_bccs:
+        block_tau = whole_component_rd(induced_subgraph(g, block)[0])[0][0]
+        block_taus[comp.class_of[block[0]]] *= block_tau
+    assert [taus[cls[0]] for cls in comp.classes] == block_taus
+
+
+@pytest.mark.parametrize(
+    "corpus",
+    [harness.standard_corpus(200), harness.tree_corpus(), harness.hierarchy_corpus()],
+    ids=["standard", "tree", "hierarchy"],
+)
+def test_rd_equals_whole_component_solve_on_corpora(corpus):
+    for g in corpus.graphs:
+        assert_rd_is_whole_component_rd(g)
+
+
+def test_rd_equals_whole_component_solve_on_sparse_and_chain_graphs():
+    rng = random.Random(8)
+    # a random tree plus n/2 random further edges: one big block among bridges
+    for n in range(32, 65, 4):
+        edges = {tuple(sorted(e)) for e in gen.tree_random(n, rng.randrange(2**32)).edges}
+        while len(edges) < n - 1 + n // 2:
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+        assert_rd_is_whole_component_rd(Graph.from_edges(n, edges))
+    # chains of 12-node regular blocks, joined by bridges (d = 3) or at
+    # shared cut vertices (d = 4)
+    for d, blocks, size in ((3, 4, 12), (4, 5, 12)):
+        for seed in range(20):
+            try:
+                g = gen.regular_with_cuts(d, blocks, size, seed)
+            except gen.GenerationError:
+                continue
+            assert_rd_is_whole_component_rd(g)
+            break
+        else:
+            pytest.fail(f"no regular_with_cuts({d},{blocks},{size}) in 20 seeds")
+
+
+def test_rd_equals_whole_component_solve_on_glued_blocks():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def glued_component(draw):
+        # blocks of 2 to 5 nodes, each glued to an earlier node; a block of
+        # 3 or more is a cycle plus chords, so it is biconnected
+        n, edges = 1, set()
+        for _ in range(draw(st.integers(0, 6))):
+            size = draw(st.integers(2, 5))
+            nodes = [draw(st.integers(0, n - 1))] + list(range(n, n + size - 1))
+            n += size - 1
+            pairs = [(i, (i + 1) % size) for i in range(size if size > 2 else 1)]
+            node = st.integers(0, size - 1)
+            pairs += draw(st.lists(st.tuples(node, node), max_size=3))
+            edges |= {tuple(sorted((nodes[a], nodes[b]))) for a, b in pairs if a != b}
+        return n, edges
+
+    @st.composite
+    def graphs(draw):
+        parts = draw(st.lists(glued_component(), min_size=1, max_size=3))
+        n, edges = draw(st.integers(0, 2)), []
+        for size, part in parts:
+            edges += [(u + n, v + n) for u, v in part]
+            n += size
+        perm = draw(st.permutations(range(n)))
+        return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+    @hypothesis.settings(max_examples=80, derandomize=True, deadline=None)
+    @hypothesis.given(graphs())
+    def check(g):
+        assert_rd_is_whole_component_rd(g)
+
+    check()
 
 
 # Closed forms and independent implementations for the exact solver.

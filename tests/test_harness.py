@@ -269,14 +269,19 @@ RD_EXPECTED = {
         ("cut vertex iff additive RD triple", [2]),
         ("commute time == 2m * rd", [2, 3]),
     ],
-    # disconnected: the same as the paw, without the commute-time check
-    ("split", "symmetry"): [("symmetry", [0, 1]), ("symmetry", [1, 0])],
+    # disconnected: the same as the paw, the commute time checked per component
+    ("split", "symmetry"): [
+        ("symmetry", [0, 1]),
+        ("symmetry", [1, 0]),
+        ("commute time == 2m * rd", [0, 1]),
+    ],
     ("split", "triangle"): [
         ("symmetry", [0, 3]),
         ("rd <= spd", [0, 3]),
         ("symmetry", [3, 0]),
         ("triangle inequality", [0, 1, 3]),
         ("triangle inequality", [0, 2, 3]),
+        ("commute time == 2m * rd", [0, 3]),
     ],
     ("split", "additive"): [
         ("symmetry", [2, 3]),
@@ -284,6 +289,7 @@ RD_EXPECTED = {
         ("triangle inequality", [0, 2, 3]),
         ("triangle inequality", [1, 2, 3]),
         ("cut vertex iff additive RD triple", [2]),
+        ("commute time == 2m * rd", [2, 3]),
     ],
     # checked as a member of the tree corpus, so the tree laws apply too
     ("tree", "symmetry"): [
