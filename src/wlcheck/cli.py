@@ -49,29 +49,33 @@ def _parse_probability(token: str) -> Fraction:
         raise UsageError(f"bad probability {token!r}") from None
 
 
+# families built from a fixed number of integer parameters
+_INT_FAMILIES = {
+    "path": (gen.path, 1),
+    "cycle": (gen.cycle, 1),
+    "complete": (gen.complete, 1),
+    "star": (gen.star, 1),
+    "tree": (gen.tree_random, 2),
+    "example1": (gen.example1, 2),
+    "example2": (gen.example2, 1),
+    "regular_with_cuts": (gen.regular_with_cuts, 4),
+}
+
+
 def _generate(family: str, params: list[str]):
     """Returns a single Graph or a (Graph, Graph) pair."""
-    def ints(k):
-        if len(params) != k:
-            raise UsageError(f"{family} expects {k} parameter(s), got {len(params)}")
-        try:
-            return [int(p) for p in params]
-        except ValueError:
-            raise UsageError(f"{family}: non-integer parameter") from None
-
     aliases = {"tree_random": "tree", "random_gnp": "gnp"}
     family = aliases.get(family, family)
     try:
-        if family == "path":
-            return gen.path(*ints(1))
-        if family == "cycle":
-            return gen.cycle(*ints(1))
-        if family == "complete":
-            return gen.complete(*ints(1))
-        if family == "star":
-            return gen.star(*ints(1))
-        if family == "tree":
-            return gen.tree_random(*ints(2))
+        if family in _INT_FAMILIES:
+            builder, arity = _INT_FAMILIES[family]
+            if len(params) != arity:
+                raise UsageError(f"{family} expects {arity} parameter(s), got {len(params)}")
+            try:
+                args = [int(p) for p in params]
+            except ValueError:
+                raise UsageError(f"{family}: non-integer parameter") from None
+            return builder(*args)
         if family == "gnp":
             if len(params) != 3:
                 raise UsageError("gnp expects: n p seed")
@@ -80,12 +84,6 @@ def _generate(family: str, params: list[str]):
             except ValueError:
                 raise UsageError("gnp: n and seed must be integers") from None
             return gen.random_gnp(n, _parse_probability(params[1]), seed)
-        if family == "example1":
-            return gen.example1(*ints(2))
-        if family == "example2":
-            return gen.example2(*ints(1))
-        if family == "regular_with_cuts":
-            return gen.regular_with_cuts(*ints(4))
         if family == "named":
             if len(params) != 1:
                 raise UsageError("named expects one graph name")

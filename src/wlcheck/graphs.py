@@ -56,9 +56,6 @@ class Graph:
     def degree(self, u: int) -> int:
         return len(self.adjacency[u])
 
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        return self.adjacency[u]
-
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self._edge_set
 

@@ -14,6 +14,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 
 from . import generators as gen
 from .biconn import (
@@ -137,24 +138,44 @@ def random_corpus(seeds: int = 200) -> Corpus:
     )
 
 
-EXAMPLE1_PARAMS = ((2, 2), (1, 4), (3, 1), (4, 1), (5, 1), (6, 1))
-EXAMPLE2_PARAMS = (3, 4, 5, 6)
+# Every counterexample pair the checks use, each (builder, args) named once
+# here, in family-corpus order
+COUNTEREXAMPLE_PAIRS = tuple(
+    [(gen.example1, args) for args in ((2, 2), (1, 4), (3, 1), (4, 1), (5, 1), (6, 1))]
+    + [(gen.example2, (m,)) for m in (3, 4, 5, 6)]
+)
 
 
-def _pair_members(builder, *args) -> list[tuple[str, Graph]]:
+def _pair_label(builder, args) -> str:
+    return f"{builder.__name__}({','.join(map(str, args))})"
+
+
+def _pair_members(builder, args) -> list[tuple[str, Graph]]:
     """Both graphs of a counterexample pair, as members 'example1(2,2).g1'
     and 'example1(2,2).g2'."""
-    label = f"{builder.__name__}({','.join(map(str, args))})"
+    label = _pair_label(builder, args)
     return [(f"{label}.{tag}", g) for tag, g in zip(("g1", "g2"), builder(*args))]
+
+
+def _pairs_corpus(pairs) -> Corpus:
+    """Both graphs of each (builder, args) pair: pair i is members 2i and
+    2i + 1."""
+    return Corpus(
+        name="pairs",
+        members=[member for pair in pairs for member in _pair_members(*pair)],
+        provenance=", ".join(_pair_label(*pair) for pair in pairs),
+    )
+
+
+def _pairs(*labels: str) -> tuple:
+    """The counterexample pairs with these labels, in the order given."""
+    by_label = {_pair_label(*pair): pair for pair in COUNTEREXAMPLE_PAIRS}
+    return tuple(by_label[label] for label in labels)
 
 
 def family_corpus() -> Corpus:
     """All generator families at the parameters the checks exercise."""
-    members: list[tuple[str, Graph]] = []
-    for m, k in EXAMPLE1_PARAMS:
-        members += _pair_members(gen.example1, m, k)
-    for m in EXAMPLE2_PARAMS:
-        members += _pair_members(gen.example2, m)
+    members = _pairs_corpus(COUNTEREXAMPLE_PAIRS).members
     for name in gen.NAMED_GRAPHS:
         members.append((name, gen.named_graph(name)))
     for n in (1, 2, 5, 8):
@@ -223,24 +244,19 @@ def check_oracle_equivalence(corpus: Corpus) -> CheckReport:
     violations = []
     for (gid, g), rep in zip(corpus.members, corpus.reports):
         cut_v, cut_e = brute_force_cut_sets(g)
-        if rep.cut_vertices != cut_v:
-            violations.append(
-                {
-                    "graphs": [gid],
-                    "items": sorted(set(rep.cut_vertices) ^ set(cut_v)),
-                    "expected": list(cut_v),
-                    "observed": list(rep.cut_vertices),
-                }
-            )
-        if rep.cut_edges != cut_e:
-            violations.append(
-                {
-                    "graphs": [gid],
-                    "items": [list(e) for e in sorted(set(rep.cut_edges) ^ set(cut_e))],
-                    "expected": [list(e) for e in cut_e],
-                    "observed": [list(e) for e in rep.cut_edges],
-                }
-            )
+        for observed, expected, item in (
+            (rep.cut_vertices, cut_v, int),
+            (rep.cut_edges, cut_e, list),
+        ):
+            if observed != expected:
+                violations.append(
+                    {
+                        "graphs": [gid],
+                        "items": [item(x) for x in sorted(set(observed) ^ set(expected))],
+                        "expected": [item(x) for x in expected],
+                        "observed": [item(x) for x in observed],
+                    }
+                )
     return _finish("oracle_equivalence", corpus.provenance, violations, started)
 
 
@@ -422,90 +438,84 @@ def check_positive_expressivity(algo: str, corpus: Corpus) -> CheckReport:
 # negative expressivity
 
 
-def _pair(name_builder, *args):
-    g1, g2 = name_builder(*args)
-    label = f"{name_builder.__name__}{args}"
-    return label, g1, g2
+# the pairs 1-WL cannot separate; the table observes every row but SC-WL's
+# on them
+_WL_PAIRS = _pairs(
+    "example1(2,2)",
+    "example1(4,1)",
+    "example1(1,4)",
+    "example2(3)",
+    "example2(4)",
+    "example2(5)",
+    "example2(6)",
+)
+# node 8 is the hub, a cut vertex in the second graph only
+_HUB_PAIR = _pairs("example1(1,4)")
+# the substructure-count negative needs families larger than the biggest
+# counted substructure (m > 5 here)
+_SCWL_PAIRS = tuple(pair for pair in COUNTEREXAMPLE_PAIRS if pair[1][0] > 5)
+
+# One row per published failure: the algorithm, the pairs it must not
+# separate, and None (equal graph representations) or the node whose two
+# colors must coincide (the node-level form of the failure).
+NEGATIVE_SUITE = (
+    ("1wl", _WL_PAIRS, None),
+    ("spdwl", _HUB_PAIR, None),
+    ("dsswl:ego:1", _HUB_PAIR, None),
+    ("dsswl:ego:2", _HUB_PAIR, None),
+    ("dswl:nm", _HUB_PAIR, 8),
+    ("dswl:nd", _HUB_PAIR, 8),
+    ("scwl:tri,c4,c5", _pairs("example1(6,1)"), None),
+)
 
 
-def check_negative_expressivity(algo: str, pair, node: int | None = None) -> CheckReport:
-    """Assert one counterexample pair is NOT separated by the algorithm.
-
-    pair is (label, g1, g2). With node=None the graph representations must
-    be equal; otherwise the two colors of that node must coincide (the
-    node-level form of the failure).
-    """
-    started = time.monotonic()
-    label, g1, g2 = pair
+def _negative_violations(algo: str, pairs, node: int | None = None) -> list:
+    """The pairs that algo separates, all refined jointly."""
+    corpus = _pairs_corpus(pairs)
+    result = corpus.refined(algo)
     violations = []
-    result = run_algorithm(algo, [g1, g2])
-    if node is None:
-        if result.representations[0] != result.representations[1]:
+    for i in range(0, len(corpus.members), 2):
+        graphs = corpus.ids[i : i + 2]
+        if node is None:
+            if result.representations[i] != result.representations[i + 1]:
+                violations.append(
+                    {
+                        "algo": algo,
+                        "graphs": graphs,
+                        "expected": "equal graph representations",
+                        "observed": "distinguished",
+                    }
+                )
+        elif result.node_colors[i][node] != result.node_colors[i + 1][node]:
             violations.append(
                 {
                     "algo": algo,
-                    "graphs": [f"{label}.g1", f"{label}.g2"],
-                    "expected": "equal graph representations",
-                    "observed": "distinguished",
+                    "graphs": graphs,
+                    "items": [node, node],
+                    "expected": f"equal colors for node {node}",
+                    "observed": "different colors",
                 }
             )
-    elif result.node_colors[0][node] != result.node_colors[1][node]:
-        violations.append(
-            {
-                "algo": algo,
-                "graphs": [f"{label}.g1", f"{label}.g2"],
-                "items": [node, node],
-                "expected": f"equal colors for node {node}",
-                "observed": "different colors",
-            }
-        )
-    return _finish(f"negative[{algo}]", label, violations, started)
-
-
-NEGATIVE_SUITE = (
-    ("1wl", (gen.example1, (2, 2)), None),
-    ("1wl", (gen.example1, (4, 1)), None),
-    ("1wl", (gen.example1, (1, 4)), None),
-    ("1wl", (gen.example2, (3,)), None),
-    ("1wl", (gen.example2, (4,)), None),
-    ("1wl", (gen.example2, (5,)), None),
-    ("1wl", (gen.example2, (6,)), None),
-    ("spdwl", (gen.example1, (1, 4)), None),
-    ("dsswl:ego:1", (gen.example1, (1, 4)), None),
-    ("dsswl:ego:2", (gen.example1, (1, 4)), None),
-    ("dswl:nm", (gen.example1, (1, 4)), 8),
-    ("dswl:nd", (gen.example1, (1, 4)), 8),
-    ("scwl:tri,c4,c5", (gen.example1, (6, 1)), None),
-)
+    return violations
 
 
 def check_negative_suite() -> CheckReport:
     """Every published counterexample must actually collide."""
     started = time.monotonic()
-    violations = []
-    for algo, (builder, args), node in NEGATIVE_SUITE:
-        sub = check_negative_expressivity(algo, _pair(builder, *args), node)
-        violations.extend(sub.violations)
+    violations = [v for row in NEGATIVE_SUITE for v in _negative_violations(*row)]
 
     # reduction premise behind the lifting/overlap-subgraph negatives: every
     # cycle in the counterexample families has length >= m, so clique- and
-    # short-cycle-based refinements collapse to plain 1-WL on them
-    for builder, args in (
-        (gen.example1, (2, 2)),
-        (gen.example1, (4, 1)),
-        (gen.example1, (6, 1)),
-        (gen.example2, (4,)),
-        (gen.example2, (5,)),
-        (gen.example2, (6,)),
-    ):
+    # short-cycle-based refinements collapse to plain 1-WL on them (vacuous
+    # for m <= 3)
+    for builder, args in COUNTEREXAMPLE_PAIRS:
         m = args[0]
-        label, g1, g2 = _pair(builder, *args)
-        for tag, g in ((f"{label}.g1", g1), (f"{label}.g2", g2)):
+        for gid, g in _pair_members(builder, args):
             gi = _girth(g)
             if gi is not None and gi < m:
                 violations.append(
                     {
-                        "graphs": [tag],
+                        "graphs": [gid],
                         "expected": f"girth >= {m}",
                         "observed": str(gi),
                     }
@@ -545,16 +555,6 @@ def _girth(g: Graph) -> int | None:
 # distance-regular suite
 
 
-DRG_SUITE_NAMES = (
-    "dodecahedron",
-    "desargues",
-    "rook4x4",
-    "shrikhande",
-    "petersen",
-    "cycle(6)",
-    "complete(6)",
-)
-
 PAPER_INTERSECTION_ARRAYS = {
     "dodecahedron": ((3, 2, 1, 1, 1), (1, 1, 1, 2, 3)),
     "desargues": ((3, 2, 2, 1, 1), (1, 1, 2, 2, 3)),
@@ -568,24 +568,17 @@ PAPER_KHOP_ARRAYS = {
 }
 
 
-def _drg_suite_graphs():
-    members = []
-    for name in DRG_SUITE_NAMES:
-        if name == "cycle(6)":
-            members.append((name, gen.cycle(6)))
-        elif name == "complete(6)":
-            members.append((name, gen.complete(6)))
-        else:
-            members.append((name, gen.named_graph(name)))
-    return members
-
-
 def check_distance_regular_suite() -> CheckReport:
     """Distance-regular laws: SPD-WL vs kappa, RD-WL/2-FWL vs iota, and the
     closed-form resistance recursion against the exact matrix."""
     started = time.monotonic()
     violations = []
-    members = _drg_suite_graphs()
+    members = [
+        (name, gen.named_graph(name))
+        for name in ("dodecahedron", "desargues", "rook4x4", "shrikhande", "petersen")
+    ]
+    members += [("cycle(6)", gen.cycle(6)), ("complete(6)", gen.complete(6))]
+    corpus = Corpus("distance_regular", members, ", ".join(gid for gid, _ in members))
     profiles = {gid: distance_regular_profile(g) for gid, g in members}
 
     for gid, prof in profiles.items():
@@ -613,47 +606,32 @@ def check_distance_regular_suite() -> CheckReport:
                 }
             )
 
-    graphs = [g for _, g in members]
-    spd_result = run_algorithm("spdwl", graphs)
-    rd_result = run_algorithm("rdwl", graphs)
-    fwl_result = run_algorithm("2fwl", graphs)
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            gid_i, g_i = members[i]
-            gid_j, g_j = members[j]
-            prof_i, prof_j = profiles[gid_i], profiles[gid_j]
-            spd_verdict = spd_result.representations[i] != spd_result.representations[j]
-            rd_verdict = rd_result.representations[i] != rd_result.representations[j]
-            kappa_differ = prof_i.kappa != prof_j.kappa
-            iota_differ = (prof_i.iota_b, prof_i.iota_c) != (prof_j.iota_b, prof_j.iota_c)
-            if spd_verdict != kappa_differ:
+    invariants = {
+        "kappa": [prof.kappa for prof in profiles.values()],
+        "iota": [(prof.iota_b, prof.iota_c) for prof in profiles.values()],
+    }
+    # a pair's verdict must say whether its invariants differ; 2-FWL's only
+    # between graphs of equal size
+    for spec, name, invariant, equal_n_only in (
+        ("spdwl", "SPD-WL", "kappa", False),
+        ("rdwl", "RD-WL", "iota", False),
+        ("2fwl", "2-FWL", "iota", True),
+    ):
+        reps = corpus.refined(spec).representations
+        values = invariants[invariant]
+        for (i, (gid_i, g_i)), (j, (gid_j, g_j)) in combinations(enumerate(members), 2):
+            if equal_n_only and g_i.n != g_j.n:
+                continue
+            verdict = reps[i] != reps[j]
+            differ = values[i] != values[j]
+            if verdict != differ:
                 violations.append(
                     {
                         "graphs": [gid_i, gid_j],
-                        "expected": f"SPD-WL verdict == kappa differ ({kappa_differ})",
-                        "observed": str(spd_verdict),
+                        "expected": f"{name} verdict == {invariant} differ ({differ})",
+                        "observed": str(verdict),
                     }
                 )
-            if rd_verdict != iota_differ:
-                violations.append(
-                    {
-                        "graphs": [gid_i, gid_j],
-                        "expected": f"RD-WL verdict == iota differ ({iota_differ})",
-                        "observed": str(rd_verdict),
-                    }
-                )
-            if g_i.n == g_j.n:
-                fwl_verdict = (
-                    fwl_result.representations[i] != fwl_result.representations[j]
-                )
-                if fwl_verdict != iota_differ:
-                    violations.append(
-                        {
-                            "graphs": [gid_i, gid_j],
-                            "expected": f"2-FWL verdict == iota differ ({iota_differ})",
-                            "observed": str(fwl_verdict),
-                        }
-                    )
 
     for gid, g in members:
         prof = profiles[gid]
@@ -679,32 +657,34 @@ def check_distance_regular_suite() -> CheckReport:
                             "observed": str(rd[u, v]),
                         }
                     )
-    return _finish(
-        "distance_regular",
-        ", ".join(DRG_SUITE_NAMES),
-        violations,
-        started,
-    )
+    return _finish("distance_regular", corpus.provenance, violations, started)
 
 
 # ---------------------------------------------------------------------------
 # refinement hierarchy and the WL-condition
 
 
-def _refines_violations(corpus: Corpus, fine, coarse, fine_name, coarse_name) -> list:
-    """Nodes (in any graphs) that share the finer result's color but not
-    the coarser one's: one witness pair per such finer color."""
+# (finer, coarser): any two nodes, in any graphs, that share the finer
+# algorithm's color must share the coarser one's
+HIERARCHY = (("2fwl", "spdwl"), ("2fwl", "rdwl"), ("spdwl", "1wl"))
+
+
+def _refines_violations(corpus: Corpus, fine: str, coarse: str) -> list:
+    """Nodes (in any graphs) that share the finer spec's color but not the
+    coarser one's: one witness pair per such finer color."""
+    fine_colors = corpus.refined(fine).node_colors
+    coarse_colors = corpus.refined(coarse).node_colors
     entries = (
-        (fine.node_colors[idx][v], coarse.node_colors[idx][v], (gid, v))
+        (fine_colors[idx][v], coarse_colors[idx][v], (gid, v))
         for idx, (gid, g) in enumerate(corpus.members)
         for v in range(g.n)
     )
     return [
         {
-            "pair": f"{fine_name} should refine {coarse_name}",
+            "pair": f"{fine} should refine {coarse}",
             "graphs": [gid_a, gid_b],
             "items": [a, b],
-            "expected": f"equal {coarse_name} colors",
+            "expected": f"equal {coarse} colors",
             "observed": "split",
         }
         for (gid_a, a), (gid_b, b) in _conflicts(entries)
@@ -712,19 +692,13 @@ def _refines_violations(corpus: Corpus, fine, coarse, fine_name, coarse_name) ->
 
 
 def check_refinement_hierarchy(corpus: Corpus | None = None) -> CheckReport:
-    """2-FWL vertex view refines SPD-WL and RD-WL; SPD-WL refines 1-WL.
-
-    Checked jointly over the corpus: any two nodes (in any graphs) sharing
-    the finer algorithm's color must share the coarser one's.
-    """
+    """Every HIERARCHY relation, checked jointly over the corpus."""
     started = time.monotonic()
     corpus = corpus or hierarchy_corpus()
-    one, spd, rd, fwl = map(corpus.refined, ("1wl", "spdwl", "rdwl", "2fwl"))
-    violations = (
-        _refines_violations(corpus, fwl, spd, "2fwl", "spdwl")
-        + _refines_violations(corpus, fwl, rd, "2fwl", "rdwl")
-        + _refines_violations(corpus, spd, one, "spdwl", "1wl")
-    )
+    violations = [
+        v for fine, coarse in HIERARCHY for v in _refines_violations(corpus, fine, coarse)
+    ]
+    spd, rd = corpus.refined("spdwl"), corpus.refined("rdwl")
 
     # whether RD-WL strictly exceeds SPD-WL in general is open; record the
     # observed per-graph relation without asserting anything about it
@@ -932,21 +906,6 @@ def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
 # expressivity table
 
 
-def _table_corpus(row: str) -> Corpus:
-    if row.startswith("scwl:"):
-        # the substructure-count negative needs families larger than the
-        # biggest counted substructure (m > 5 here)
-        pairs = [(gen.example1, (6, 1)), (gen.example2, (6,))]
-    else:
-        pairs = [(gen.example1, args) for args in ((2, 2), (4, 1), (1, 4))]
-        pairs += [(gen.example2, (m,)) for m in (3, 4, 5, 6)]
-    return Corpus(
-        name=f"table[{row}]",
-        members=[member for builder, args in pairs for member in _pair_members(builder, *args)],
-        provenance="counterexample families",
-    )
-
-
 def build_expressivity_table() -> tuple[CheckReport, dict]:
     """Observed expressive/not_expressive cells vs the expected pattern.
 
@@ -957,8 +916,10 @@ def build_expressivity_table() -> tuple[CheckReport, dict]:
     started = time.monotonic()
     observed: dict[str, dict[str, str]] = {}
     violations = []
+    # rows that share pairs share a corpus, and so its reports and forms
+    corpora = {pairs: _pairs_corpus(pairs) for pairs in (_WL_PAIRS, _SCWL_PAIRS)}
     for row, expected_cells in EXPECTED_TABLE.items():
-        corpus = _table_corpus(row)
+        corpus = corpora[_SCWL_PAIRS if row.startswith("scwl:") else _WL_PAIRS]
         failed = {v["column"] for v in _expressivity_violations(row, corpus, ALL_COLUMNS)}
         cells = observed[row] = {
             col: "not_expressive" if col in failed else "expressive" for col in ALL_COLUMNS
@@ -993,28 +954,21 @@ def run_suite(suite: str, seeds: int = 200) -> tuple[list[CheckReport], dict | N
         raise ValueError(f"seeds must be >= 0, got {seeds}")
     reports: list[CheckReport] = []
     table = None
-    corpus: Corpus | None = None
-
-    def the_corpus() -> Corpus:
-        nonlocal corpus
-        if corpus is None:
-            corpus = standard_corpus(seeds)
-        return corpus
-
+    corpus = standard_corpus(seeds) if suite in ("all", "positive", "hierarchy") else None
     if suite in ("all", "positive"):
         if suite == "all":
-            reports.append(check_oracle_equivalence(the_corpus()))
+            reports.append(check_oracle_equivalence(corpus))
         for algo in POSITIVE_SUITE:
-            reports.append(check_positive_expressivity(algo, the_corpus()))
+            reports.append(check_positive_expressivity(algo, corpus))
         if suite == "all":
-            reports.append(check_rd_properties(the_corpus(), tree_corpus()))
+            reports.append(check_rd_properties(corpus, tree_corpus()))
     if suite in ("all", "negative"):
         reports.append(check_negative_suite())
     if suite in ("all", "drg"):
         reports.append(check_distance_regular_suite())
     if suite in ("all", "hierarchy"):
         reports.append(check_refinement_hierarchy())
-        reports.append(check_wl_condition(the_corpus()))
+        reports.append(check_wl_condition(corpus))
     if suite == "all":
         table_report, table = build_expressivity_table()
         reports.append(table_report)

@@ -296,22 +296,6 @@ class SubgraphPolicy:
         if self.k < 0:
             raise ValueError(f"{self.tag} radius must be >= 0, got {self.k}")
 
-    @staticmethod
-    def node_marking() -> "SubgraphPolicy":
-        return SubgraphPolicy("node_marking")
-
-    @staticmethod
-    def node_deletion() -> "SubgraphPolicy":
-        return SubgraphPolicy("node_deletion")
-
-    @staticmethod
-    def ego(k: int) -> "SubgraphPolicy":
-        return SubgraphPolicy("ego", k)
-
-    @staticmethod
-    def ego_marking(k: int) -> "SubgraphPolicy":
-        return SubgraphPolicy("ego_marking", k)
-
     @property
     def marks(self) -> bool:
         return self.tag in ("node_marking", "ego_marking")
@@ -653,18 +637,22 @@ def _named_substructure(token: str) -> Substructure:
     raise ValueError(f"unknown substructure {token!r}")
 
 
+# CLI token -> (policy tag, number of integer radii after a colon)
+_POLICY_TOKENS = {
+    "nm": ("node_marking", 0),
+    "nd": ("node_deletion", 0),
+    "ego": ("ego", 1),
+    "egom": ("ego_marking", 1),
+}
+
+
 def parse_policy(token: str) -> SubgraphPolicy:
     """nm | nd | ego:K | egom:K, with K an integer radius."""
-    parts = token.split(":")
-    if parts == ["nm"]:
-        return SubgraphPolicy.node_marking()
-    if parts == ["nd"]:
-        return SubgraphPolicy.node_deletion()
-    if len(parts) == 2 and parts[1].removeprefix("-").isdecimal():
-        if parts[0] == "ego":
-            return SubgraphPolicy.ego(int(parts[1]))
-        if parts[0] == "egom":
-            return SubgraphPolicy.ego_marking(int(parts[1]))
+    name, *radius = token.split(":")
+    if name in _POLICY_TOKENS:
+        tag, arity = _POLICY_TOKENS[name]
+        if len(radius) == arity and all(k.removeprefix("-").isdecimal() for k in radius):
+            return SubgraphPolicy(tag, *map(int, radius))
     raise ValueError(f"unknown subgraph policy {token!r}")
 
 

@@ -5,6 +5,7 @@ every rational/integer comparison, zero violations for every implication
 suite, and wall-clock budgets where stated.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -152,6 +153,8 @@ def test_criterion_11_end_to_end_cli():
     assert first.returncode == 0, first.stderr.decode()
     assert first_elapsed < 120.0
     assert identical
+    # the report is pinned byte for byte: a refactor must not change it
+    assert hashlib.md5(first.stdout).hexdigest() == "31783276b57e808ee93ffd538598925e"
     payload = json.loads(first.stdout)
     assert payload["verdict"] == "pass"
     # regression guard: the family generators behind example1(m,1) must

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -70,7 +71,7 @@ def test_every_table_row_is_a_runnable_spec_with_known_cells():
 def test_positive_check_detects_planted_violation():
     # 1-WL is not expressive for cut vertices; the counterexample family
     # must surface as violations when checked under the same machinery
-    corpus = harness._table_corpus("1wl")
+    corpus = harness._pairs_corpus(harness._WL_PAIRS)
     violations = harness._expressivity_violations("1wl", corpus, harness.ALL_COLUMNS)
     assert any(v["column"] == "cut_vertex" for v in violations)
     assert any(v["column"] == "cut_edge" for v in violations)
@@ -84,19 +85,39 @@ def test_negative_suite_passes():
 
 
 def test_negative_check_is_parametrized():
-    from wlcheck import generators as gen
-
-    pair = ("example1(1,4)", *gen.example1(1, 4))
-    assert harness.check_negative_expressivity("spdwl", pair).passed
-    assert harness.check_negative_expressivity("dswl:nm", pair, node=8).passed
+    pair = ((gen.example1, (1, 4)),)
+    assert harness._negative_violations("spdwl", pair) == []
+    assert harness._negative_violations("dswl:nm", pair, node=8) == []
     # a separating algorithm on the same pair must be reported as a failure
-    report = harness.check_negative_expressivity("gdwl", pair)
-    assert not report.passed and report.violations[0]["observed"] == "distinguished"
+    (violation,) = harness._negative_violations("gdwl", pair)
+    assert violation["observed"] == "distinguished"
+    assert violation["graphs"] == ["example1(1,4).g1", "example1(1,4).g2"]
 
 
 def test_distance_regular_suite_passes():
     report = harness.check_distance_regular_suite()
     assert report.passed, report.violations[:3]
+
+
+def test_planted_drg_invariant_mismatch_is_reported(monkeypatch):
+    # SPD-WL cannot tell rook4x4 from shrikhande; give shrikhande a kappa of
+    # its own and the SPD-WL verdict no longer matches the invariant
+    shrikhande = gen.named_graph("shrikhande")
+    real = harness.distance_regular_profile
+
+    def planted(g):
+        prof = real(g)
+        return replace(prof, kappa=prof.kappa + (0,)) if g == shrikhande else prof
+
+    monkeypatch.setattr(harness, "distance_regular_profile", planted)
+    report = harness.check_distance_regular_suite()
+    assert report.violations == [
+        {
+            "graphs": ["rook4x4", "shrikhande"],
+            "expected": "SPD-WL verdict == kappa differ (True)",
+            "observed": "False",
+        }
+    ]
 
 
 def test_wl_condition_passes():
@@ -184,9 +205,9 @@ def test_planted_refinement_violation_is_reported():
     # 1-WL cannot tell example2(4) apart, SPD-WL can: 1-WL does not refine it
     g1, g2 = gen.example2(4)
     corpus = harness.Corpus("planted", [("g1", g1), ("g2", g2)], "example2(4)")
-    one = run_algorithm("1wl", corpus.graphs)
-    spd = run_algorithm("spdwl", corpus.graphs)
-    violations = harness._refines_violations(corpus, one, spd, "1wl", "spdwl")
+    one = corpus.refined("1wl")
+    spd = corpus.refined("spdwl")
+    violations = harness._refines_violations(corpus, "1wl", "spdwl")
     assert violations
     index = {"g1": 0, "g2": 1}
     split_colors = []
@@ -196,7 +217,7 @@ def test_planted_refinement_violation_is_reported():
         assert spd.node_colors[index[ga]][a] != spd.node_colors[index[gb]][b]
         split_colors.append(one.node_colors[index[ga]][a])
     assert len(set(split_colors)) == len(split_colors)  # one pair per 1-WL color
-    assert harness._refines_violations(corpus, spd, one, "spdwl", "1wl") == []
+    assert harness._refines_violations(corpus, "spdwl", "1wl") == []
 
 
 def test_corpus_refines_and_reports_once():

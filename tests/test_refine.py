@@ -133,7 +133,7 @@ def test_dsswl_ego2_marking_reduces_to_node_marking_here():
 
 def test_dsswl_guard():
     with pytest.raises(ValueError):
-        refine_dsswl([gen.cycle(65)], SubgraphPolicy.node_marking())
+        refine_dsswl([gen.cycle(65)], SubgraphPolicy("node_marking"))
 
 
 def test_dswl_misses_the_cut_vertex():
@@ -145,7 +145,7 @@ def test_dswl_misses_the_cut_vertex():
 
 
 def test_dswl_single_node_graph():
-    (c,) = refine_dswl([Graph.from_edges(1, [])], SubgraphPolicy.node_marking())
+    (c,) = refine_dswl([Graph.from_edges(1, [])], SubgraphPolicy("node_marking"))
     assert len(c.colors) == 1
 
 
@@ -254,9 +254,13 @@ def test_partition_hierarchy_on_one_graph():
 
 def test_parse_policy():
     assert parse_policy("nm").tag == "node_marking"
-    assert parse_policy("ego:2") == SubgraphPolicy.ego(2)
-    with pytest.raises(ValueError):
-        parse_policy("both")
+    assert parse_policy("ego:2") == SubgraphPolicy("ego", 2)
+    assert parse_policy("egom:0") == SubgraphPolicy("ego_marking", 0)
+    for token in ("both", "nm:1", "nd:", "ego", "ego:", "ego:x", "ego:1:2", "egom:--1"):
+        with pytest.raises(ValueError, match=f"^unknown subgraph policy '{token}'$"):
+            parse_policy(token)
+    with pytest.raises(ValueError, match="^ego_marking radius must be >= 0, got -1$"):
+        parse_policy("egom:-1")
 
 
 def test_unknown_algorithm_spec():
@@ -294,9 +298,9 @@ def test_run_algorithm_interns_into_a_fresh_caller_context():
 
 
 def test_ego_policies_reject_negative_radius():
-    for make in (SubgraphPolicy.ego, SubgraphPolicy.ego_marking):
+    for tag in ("ego", "ego_marking"):
         with pytest.raises(ValueError):
-            make(-1)
+            SubgraphPolicy(tag, -1)
     with pytest.raises(ValueError):
         parse_policy("egom:-1")
 
