@@ -4,7 +4,6 @@ and a corpus-based expressivity checking harness."""
 from .biconn import (
     BiconnectivityReport,
     BlockCutTree,
-    TreeCanonicalForm,
     bce_tree,
     bcv_tree,
     biconnectivity_report,

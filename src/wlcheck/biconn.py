@@ -14,16 +14,18 @@ from .graphs import Graph, Partition, connected_components, induced_subgraph, is
 
 @dataclass(frozen=True)
 class BiconnectivityReport:
-    """Cut sets plus both component families of one graph.
+    """Cut sets plus the component families of one graph.
 
-    vertex_bccs may overlap only at cut vertices; edge_bccs partitions the
-    vertex set. Isolated vertices appear as singleton vertex-BCCs.
+    vertex_bccs may overlap only at cut vertices; edge_bccs and components
+    partition the vertex set. Isolated vertices appear as singleton
+    vertex-BCCs, edge classes and components.
     """
 
     cut_vertices: tuple[int, ...]
     cut_edges: tuple[tuple[int, int], ...]
     vertex_bccs: tuple[tuple[int, ...], ...]
     edge_bccs: Partition
+    components: Partition
 
 
 def biconnectivity_report(g: Graph) -> BiconnectivityReport:
@@ -32,16 +34,22 @@ def biconnectivity_report(g: Graph) -> BiconnectivityReport:
     disc/low are discovery times and lowpoints; an explicit stack replaces
     recursion so path-like graphs cannot blow the recursion limit. Tree
     edges are pushed on an edge stack and popped per block whenever
-    low[child] >= disc[u].
+    low[child] >= disc[u]. Nodes are pushed on a node stack and popped per
+    edge class: below each bridge, and what is left at the end of each
+    root. A node's component is the root its DFS started from.
     """
     n = g.n
     disc = [-1] * n
     low = [0] * n
     parent = [-1] * n
+    root_of = [0] * n
+    # edge class label: the node heading the class (below a bridge, or a root)
+    head = [0] * n
     cut_vertex = [False] * n
     cut_edges: list[tuple[int, int]] = []
     blocks: list[tuple[int, ...]] = []
     edge_stack: list[tuple[int, int]] = []
+    node_stack: list[int] = []
     timer = 0
 
     for root in range(n):
@@ -49,14 +57,13 @@ def biconnectivity_report(g: Graph) -> BiconnectivityReport:
             continue
         if g.degree(root) == 0:
             blocks.append((root,))
-            disc[root] = timer
-            timer += 1
-            continue
         root_children = 0
         # stack holds (node, index into its adjacency list)
         stack = [(root, 0)]
         disc[root] = low[root] = timer
         timer += 1
+        root_of[root] = root
+        node_stack.append(root)
         while stack:
             u, i = stack[-1]
             if i < len(g.adjacency[u]):
@@ -66,6 +73,8 @@ def biconnectivity_report(g: Graph) -> BiconnectivityReport:
                     parent[w] = u
                     disc[w] = low[w] = timer
                     timer += 1
+                    root_of[w] = root
+                    node_stack.append(w)
                     edge_stack.append((u, w))
                     stack.append((w, 0))
                 elif w != parent[u] and disc[w] < disc[u]:
@@ -82,6 +91,12 @@ def biconnectivity_report(g: Graph) -> BiconnectivityReport:
                     low[p] = low[u]
                 if low[u] > disc[p]:
                     cut_edges.append((p, u) if p < u else (u, p))
+                    # pop u's edge class: the nodes found since u, u last
+                    while True:
+                        v = node_stack.pop()
+                        head[v] = u
+                        if v == u:
+                            break
                 if p == root:
                     root_children += 1
                 if low[u] >= disc[p]:
@@ -98,30 +113,16 @@ def biconnectivity_report(g: Graph) -> BiconnectivityReport:
                         cut_vertex[p] = True
         if root_children >= 2:
             cut_vertex[root] = True
-
-    bridge_set = set(cut_edges)
-    # edge-biconnected classes: components after deleting all bridges
-    label = [-1] * n
-    comp = 0
-    for start in range(n):
-        if label[start] != -1:
-            continue
-        label[start] = comp
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for w in g.adjacency[u]:
-                e = (u, w) if u < w else (w, u)
-                if label[w] == -1 and e not in bridge_set:
-                    label[w] = comp
-                    queue.append(w)
-        comp += 1
+        for v in node_stack:
+            head[v] = root
+        node_stack.clear()
 
     return BiconnectivityReport(
         cut_vertices=tuple(v for v in range(n) if cut_vertex[v]),
         cut_edges=tuple(sorted(cut_edges)),
         vertex_bccs=tuple(sorted(blocks)),
-        edge_bccs=Partition.from_labels(label),
+        edge_bccs=Partition.from_labels(head),
+        components=Partition.from_labels(root_of),
     )
 
 
@@ -188,25 +189,20 @@ def _bce_tree(classes, cut_edges) -> BlockCutTree:
     return BlockCutTree((COMPONENT,) * len(classes), tuple(classes), tuple(sorted(edges)))
 
 
-def bcv_tree(g: Graph, report: BiconnectivityReport | None = None) -> BlockCutTree:
+def bcv_tree(g: Graph) -> BlockCutTree:
     """Block cut-vertex tree: vertex-BCCs linked through their cut vertices."""
-    if not is_connected(g):
+    rep = biconnectivity_report(g)
+    if len(rep.components.classes) > 1:
         raise ValueError("bcv_tree requires a connected graph")
-    rep = report or biconnectivity_report(g)
     return _bcv_tree(rep.vertex_bccs, rep.cut_vertices)
 
 
-def bce_tree(g: Graph, report: BiconnectivityReport | None = None) -> BlockCutTree:
+def bce_tree(g: Graph) -> BlockCutTree:
     """Block cut-edge tree: edge-BCC classes joined by cut edges."""
-    if not is_connected(g):
+    rep = biconnectivity_report(g)
+    if len(rep.components.classes) > 1:
         raise ValueError("bce_tree requires a connected graph")
-    rep = report or biconnectivity_report(g)
     return _bce_tree(rep.edge_bccs.classes, rep.cut_edges)
-
-
-@dataclass(frozen=True)
-class TreeCanonicalForm:
-    canonical_string: str
 
 
 def _node_label(tree: BlockCutTree, i: int) -> str:
@@ -216,7 +212,7 @@ def _node_label(tree: BlockCutTree, i: int) -> str:
     return "V"
 
 
-def _tree_centers(adj: list[list[int]]) -> list[int]:
+def _tree_centers(adj: tuple[tuple[int, ...], ...]) -> list[int]:
     n = len(adj)
     if n <= 2:
         return list(range(n))
@@ -237,7 +233,7 @@ def _tree_centers(adj: list[list[int]]) -> list[int]:
     return layer
 
 
-def _rooted_code(root: int, tree: BlockCutTree, adj: list[list[int]]) -> str:
+def _rooted_code(root: int, tree: BlockCutTree, adj: tuple[tuple[int, ...], ...]) -> str:
     # iterative post-order AHU; children codes sorted before concatenation
     done: dict[tuple[int, int], str] = {}
     stack: list[tuple[int, int, bool]] = [(root, -1, False)]
@@ -254,41 +250,26 @@ def _rooted_code(root: int, tree: BlockCutTree, adj: list[list[int]]) -> str:
     return done[(root, -1)]
 
 
-def tree_canonical_form(tree: BlockCutTree) -> TreeCanonicalForm:
+def tree_canonical_form(tree: BlockCutTree) -> str:
     """AHU canonical encoding; equal strings iff tag-respecting isomorphism.
 
     Rooted at the tree center (min over both codes when there are two
-    centers). Rejects forests.
+    centers). Rejects forests and tree edges that are not node index pairs.
     """
     n = tree.num_nodes
     if n == 0:
         raise ValueError("empty tree")
     if len(tree.tree_edges) != n - 1:
         raise ValueError("not a tree: edge count != node count - 1")
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in tree.tree_edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    # connectivity check (forest with the right edge count but >1 component
-    # would have a cycle elsewhere; still verify reachability explicitly)
-    seen = {0}
-    queue = [0]
-    while queue:
-        u = queue.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if len(seen) != n:
+    # GraphFormatError, a ValueError, on an index outside 0..n-1
+    shape = Graph.from_edges(n, tree.tree_edges)
+    if not is_connected(shape):
         raise ValueError("not a tree: disconnected")
-    centers = _tree_centers(adj)
-    code = min(_rooted_code(c, tree, adj) for c in centers)
-    return TreeCanonicalForm(canonical_string=code)
+    adj = shape.adjacency
+    return min(_rooted_code(c, tree, adj) for c in _tree_centers(adj))
 
 
-def per_component_forms(
-    g: Graph, which: str, report: BiconnectivityReport | None = None
-) -> tuple[str, ...]:
+def per_component_forms(report: BiconnectivityReport, which: str) -> tuple[str, ...]:
     """Sorted per-component canonical forms; `which` is 'bcv' or 'bce'.
 
     Disconnected graphs are handled component by component, so two graphs
@@ -298,12 +279,11 @@ def per_component_forms(
     """
     if which not in ("bcv", "bce"):
         raise ValueError(f"unknown block cut tree {which!r}, expected 'bcv' or 'bce'")
-    rep = report or biconnectivity_report(g)
-    component_of = connected_components(g).class_of
+    component_of = report.components.class_of
     if which == "bcv":
-        groups, cuts, build = rep.vertex_bccs, rep.cut_vertices, _bcv_tree
+        groups, cuts, build = report.vertex_bccs, report.cut_vertices, _bcv_tree
     else:
-        groups, cuts, build = rep.edge_bccs.classes, rep.cut_edges, _bce_tree
+        groups, cuts, build = report.edge_bccs.classes, report.cut_edges, _bce_tree
     # per component: its blocks and cut vertices, or its edge classes and bridges
     parts: dict[int, tuple[list, list]] = {}
     for group in groups:
@@ -311,6 +291,4 @@ def per_component_forms(
     for cut in cuts:
         v = cut if which == "bcv" else cut[0]
         parts[component_of[v]][1].append(cut)
-    return tuple(
-        sorted(tree_canonical_form(build(*part)).canonical_string for part in parts.values())
-    )
+    return tuple(sorted(tree_canonical_form(build(*part)) for part in parts.values()))

@@ -142,8 +142,8 @@ def cmd_biconnect(args) -> int:
         "cut_edges": [list(e) for e in rep.cut_edges],
         "vertex_bccs": [list(b) for b in rep.vertex_bccs],
         "edge_bccs": [list(c) for c in rep.edge_bccs.classes],
-        "bcv_forms": list(per_component_forms(g, "bcv")),
-        "bce_forms": list(per_component_forms(g, "bce")),
+        "bcv_forms": list(per_component_forms(rep, "bcv")),
+        "bce_forms": list(per_component_forms(rep, "bce")),
     }
     if args.json:
         print(json.dumps(payload))

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .biconn import biconnectivity_report
-from .graphs import Graph, connected_components, is_connected
+from .graphs import Graph, is_connected
 
 
 class _Unreachable:
@@ -211,12 +211,12 @@ def rd_matrix(g: Graph) -> RdMatrix:
     """
     taus = [1] * g.n
     nums: list[list[object]] = [[UNREACHABLE] * g.n for _ in range(g.n)]
-    components = connected_components(g)
+    report = biconnectivity_report(g)
+    components = report.components
     if any(len(comp) > RD_MAX_COMPONENT_NODES for comp in components.classes):
         raise ValueError(
             f"exact RD capped at components of {RD_MAX_COMPONENT_NODES} nodes"
         )
-    report = biconnectivity_report(g)
     blocks_in: list[list[tuple[int, ...]]] = [[] for _ in components.classes]
     for block in report.vertex_bccs:
         blocks_in[components.class_of[block[0]]].append(block)

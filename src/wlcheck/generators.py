@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from .biconn import biconnectivity_report
-from .graphs import Graph, is_connected
+from .graphs import Graph
 
 
 class GenerationError(ValueError):
@@ -249,10 +249,8 @@ def _random_biconnected_block(rng: random.Random, degrees: list[int]) -> Graph |
         return None
     for _ in range(BLOCK_SAMPLE_RETRIES):
         g = _randomize_by_swaps(rng, len(degrees), set(base))
-        if not is_connected(g):
-            continue
         rep = biconnectivity_report(g)
-        if rep.cut_vertices or rep.cut_edges:
+        if len(rep.components.classes) > 1 or rep.cut_vertices or rep.cut_edges:
             continue
         return g
     return None

@@ -32,7 +32,7 @@ from .distances import (
     rd_matrix,
     spd_matrix,
 )
-from .graphs import Graph, Partition, connected_components, induced_subgraph
+from .graphs import Graph, Partition, induced_subgraph
 from .refine import AlgoResult, run_algorithm
 
 
@@ -80,7 +80,6 @@ class Corpus:
     not change after any of them is read.
     """
 
-    name: str
     members: list[tuple[str, Graph]]
     provenance: str
     _refined: dict[str, AlgoResult] = field(
@@ -115,8 +114,7 @@ class Corpus:
         from its report."""
         form = self._forms.get((which, idx))
         if form is None:
-            g = self.members[idx][1]
-            form = self._forms[which, idx] = per_component_forms(g, which, self.reports[idx])
+            form = self._forms[which, idx] = per_component_forms(self.reports[idx], which)
         return form
 
 
@@ -132,7 +130,6 @@ def random_corpus(seeds: int = 200) -> Corpus:
         p = Fraction(1, 5) if i % 2 == 0 else Fraction(2, 5)
         members.append((f"gnp(n={n},p={p},seed={i})", gen.random_gnp(n, p, i)))
     return Corpus(
-        name="random",
         members=members,
         provenance=f"{seeds} seeded G(n,p): n=4+(i%9), p in {{1/5,2/5}}, {_seed_range(seeds)}",
     )
@@ -161,7 +158,6 @@ def _pairs_corpus(pairs) -> Corpus:
     """Both graphs of each (builder, args) pair: pair i is members 2i and
     2i + 1."""
     return Corpus(
-        name="pairs",
         members=[member for pair in pairs for member in _pair_members(*pair)],
         provenance=", ".join(_pair_label(*pair) for pair in pairs),
     )
@@ -193,7 +189,6 @@ def family_corpus() -> Corpus:
     members.append(("regular_with_cuts(3,3,4,1)", gen.regular_with_cuts(3, 3, 4, 1)))
     members.append(("regular_with_cuts(4,2,6,2)", gen.regular_with_cuts(4, 2, 6, 2)))
     return Corpus(
-        name="families",
         members=members,
         provenance="example1/example2 pairs, named DRGs, basic families, regular_with_cuts",
     )
@@ -203,7 +198,6 @@ def standard_corpus(seeds: int = 200) -> Corpus:
     rand = random_corpus(seeds)
     fam = family_corpus()
     return Corpus(
-        name="standard",
         members=rand.members + fam.members,
         provenance=f"{rand.provenance}; plus {fam.provenance}",
     )
@@ -215,7 +209,6 @@ def tree_corpus(count: int = 50) -> Corpus:
         for i in range(count)
     ]
     return Corpus(
-        name="trees",
         members=members,
         provenance=f"{count} Pruefer trees, n=4+(i%10), {_seed_range(count)}",
     )
@@ -228,7 +221,6 @@ def hierarchy_corpus() -> Corpus:
     ]
     fam = family_corpus()
     return Corpus(
-        name="hierarchy",
         members=members + fam.members,
         provenance="100 G(12,3/10) seeds 0..99; plus " + fam.provenance,
     )
@@ -578,7 +570,7 @@ def check_distance_regular_suite() -> CheckReport:
         for name in ("dodecahedron", "desargues", "rook4x4", "shrikhande", "petersen")
     ]
     members += [("cycle(6)", gen.cycle(6)), ("complete(6)", gen.complete(6))]
-    corpus = Corpus("distance_regular", members, ", ".join(gid for gid, _ in members))
+    corpus = Corpus(members, ", ".join(gid for gid, _ in members))
     profiles = {gid: distance_regular_profile(g) for gid, g in members}
 
     for gid, prof in profiles.items():
@@ -691,10 +683,10 @@ def _refines_violations(corpus: Corpus, fine: str, coarse: str) -> list:
     ]
 
 
-def check_refinement_hierarchy(corpus: Corpus | None = None) -> CheckReport:
-    """Every HIERARCHY relation, checked jointly over the corpus."""
+def check_refinement_hierarchy() -> CheckReport:
+    """Every HIERARCHY relation, checked jointly over the hierarchy corpus."""
     started = time.monotonic()
-    corpus = corpus or hierarchy_corpus()
+    corpus = hierarchy_corpus()
     violations = [
         v for fine, coarse in HIERARCHY for v in _refines_violations(corpus, fine, coarse)
     ]
@@ -811,7 +803,7 @@ def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
             for k, row in zip([scale // tau for tau in rd.taus], rd.nums)
         ]
         d = _scaled_rows(spd_matrix(g).rows, scale)
-        comp = connected_components(g)
+        comp = rep.components
         scaled.append((r, d, scale, comp.classes))
         comp_sizes = [len(comp.classes[comp.class_of[v]]) for v in range(n)]
         for u in range(n):

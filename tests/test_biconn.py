@@ -69,6 +69,51 @@ def test_edge_bccs_partition_separates_exactly_the_bridges():
             assert same == ((u, v) not in bridges)
 
 
+def _without_bridges(g: Graph, rep) -> Graph:
+    bridges = set(rep.cut_edges)
+    return Graph.from_edges(g.n, [e for e in g.edges if e not in bridges])
+
+
+def _corpus_graphs():
+    """The standard, hierarchy and tree corpora, sparse random graphs with
+    isolated nodes, and the empty graph."""
+    graphs = standard_corpus(200).graphs + hierarchy_corpus().graphs + tree_corpus().graphs
+    graphs += [gen.random_gnp(n, Fraction(1, 8), seed) for n in range(1, 25) for seed in range(4)]
+    graphs.append(Graph.from_edges(0, []))
+    return graphs
+
+
+def _component_check_graphs():
+    # plus an edgeless graph and a path deep enough to need the iterative DFS
+    graphs = _corpus_graphs() + [Graph.from_edges(3, []), gen.path(3000)]
+    assert sum(any(g.degree(v) == 0 for v in range(g.n)) for g in graphs) > 50
+    return graphs
+
+
+def test_components_and_edge_classes_match_the_bfs_partitions():
+    # separating the bridges alone would not catch two edge classes that no
+    # edge joins merged into one; equality with the BFS partitions does
+    for g in _component_check_graphs():
+        rep = biconnectivity_report(g)
+        assert rep.components == connected_components(g), g.edges
+        assert rep.edge_bccs == connected_components(_without_bridges(g, rep)), g.edges
+
+
+def test_components_and_edge_classes_match_networkx():
+    nx = pytest.importorskip("networkx")
+
+    def classes(sets):
+        return sorted(tuple(sorted(s)) for s in sets)
+
+    for g in _component_check_graphs():
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        rep = biconnectivity_report(g)
+        assert list(rep.components.classes) == classes(nx.connected_components(h)), g.edges
+        assert list(rep.edge_bccs.classes) == classes(nx.k_edge_components(h, 2)), g.edges
+
+
 def test_vertex_bccs_cover_edges_and_overlap_only_at_cuts():
     for seed in range(25):
         g = gen.random_gnp(9, 0.3, seed)
@@ -133,7 +178,7 @@ def test_bcv_leaf_components_contain_one_cut_vertex():
         rep = biconnectivity_report(g)
         if not rep.cut_vertices:
             continue
-        t = bcv_tree(g, rep)
+        t = bcv_tree(g)
         degree = [0] * t.num_nodes
         for a, b in t.tree_edges:
             degree[a] += 1
@@ -173,7 +218,7 @@ def test_bce_tree_edge_count_equals_bridge_count():
         if len(connected_components(g).classes) != 1:
             continue
         rep = biconnectivity_report(g)
-        t = bce_tree(g, rep)
+        t = bce_tree(g)
         assert len(t.tree_edges) == len(rep.cut_edges)
         assert t.num_nodes == len(rep.edge_bccs.classes)
 
@@ -191,14 +236,14 @@ def test_canonical_form_equal_for_relabelings():
     perm = [5, 2, 7, 0, 8, 3, 1, 6, 4]
     h = relabel(g2, perm)
     assert (
-        tree_canonical_form(bcv_tree(g2)).canonical_string
-        == tree_canonical_form(bcv_tree(h)).canonical_string
+        tree_canonical_form(bcv_tree(g2))
+        == tree_canonical_form(bcv_tree(h))
     )
 
 
 def test_canonical_form_separates_star_and_path():
-    star_form = tree_canonical_form(bce_tree(gen.star(4))).canonical_string
-    path_form = tree_canonical_form(bce_tree(gen.path(4))).canonical_string
+    star_form = tree_canonical_form(bce_tree(gen.star(4)))
+    path_form = tree_canonical_form(bce_tree(gen.path(4)))
     assert star_form != path_form
 
 
@@ -210,6 +255,17 @@ def test_canonical_form_rejects_forests():
     )
     with pytest.raises(ValueError):
         tree_canonical_form(forest)
+
+
+def test_canonical_form_rejects_bad_tree_edge_indices():
+    def two_nodes(edges):
+        return BlockCutTree((COMPONENT, COMPONENT), ((0,), (1, 2)), edges)
+
+    assert tree_canonical_form(two_nodes(((0, 1),))) == "(C1(C2))"
+    # -1 would index the last node, 5 no node at all
+    for edges in (((0, -1),), ((0, 5),)):
+        with pytest.raises(ValueError, match="out of range"):
+            tree_canonical_form(two_nodes(edges))
 
 
 def _plain_tree_as_bct(g: Graph) -> BlockCutTree:
@@ -228,8 +284,8 @@ def test_canonical_form_agrees_with_isomorphism_oracle():
             if a.n > 10 or b.n > 10:
                 continue
             same_form = (
-                tree_canonical_form(_plain_tree_as_bct(a)).canonical_string
-                == tree_canonical_form(_plain_tree_as_bct(b)).canonical_string
+                tree_canonical_form(_plain_tree_as_bct(a))
+                == tree_canonical_form(_plain_tree_as_bct(b))
             )
             assert same_form == brute_force_isomorphic(a, b)
 
@@ -242,8 +298,8 @@ def test_canonical_form_sees_component_sizes():
 
 def test_per_component_forms_on_disconnected_graph():
     two_c3 = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-    assert per_component_forms(two_c3, "bcv") == ("(C3)", "(C3)")
-    assert per_component_forms(two_c3, "bce") == ("(C3)", "(C3)")
+    assert per_component_forms(biconnectivity_report(two_c3), "bcv") == ("(C3)", "(C3)")
+    assert per_component_forms(biconnectivity_report(two_c3), "bce") == ("(C3)", "(C3)")
 
 
 def _induced_subgraph_forms(g, which):
@@ -251,27 +307,26 @@ def _induced_subgraph_forms(g, which):
     builder = bcv_tree if which == "bcv" else bce_tree
     return tuple(
         sorted(
-            tree_canonical_form(builder(induced_subgraph(g, comp)[0])).canonical_string
+            tree_canonical_form(builder(induced_subgraph(g, comp)[0]))
             for comp in connected_components(g).classes
         )
     )
 
 
 def test_per_component_forms_match_the_induced_subgraph_forms():
-    graphs = standard_corpus(200).graphs + hierarchy_corpus().graphs + tree_corpus().graphs
-    graphs += [gen.random_gnp(n, Fraction(1, 8), seed) for n in range(1, 25) for seed in range(4)]
-    graphs.append(Graph.from_edges(0, []))
+    graphs = _corpus_graphs()
     disconnected = 0
     for g in graphs:
         disconnected += len(connected_components(g).classes) > 1
         report = biconnectivity_report(g)
         for which in ("bcv", "bce"):
             expected = _induced_subgraph_forms(g, which)
-            assert per_component_forms(g, which) == expected, (g.edges, which)
-            assert per_component_forms(g, which, report) == expected, (g.edges, which)
+            fresh = per_component_forms(biconnectivity_report(g), which)
+            assert fresh == expected, (g.edges, which)
+            assert per_component_forms(report, which) == expected, (g.edges, which)
     assert disconnected > 50
     with pytest.raises(ValueError, match="unknown block cut tree"):
-        per_component_forms(gen.path(3), "bcc")
+        per_component_forms(biconnectivity_report(gen.path(3)), "bcc")
 
 
 def test_isolated_vertices_are_singleton_blocks():
@@ -287,7 +342,7 @@ def test_bcv_edge_count_is_cut_membership_sum():
         if len(connected_components(g).classes) != 1:
             continue
         rep = biconnectivity_report(g)
-        t = bcv_tree(g, rep)
+        t = bcv_tree(g)
         expected = sum(
             sum(1 for b in rep.vertex_bccs if v in b) for v in rep.cut_vertices
         )
@@ -366,7 +421,7 @@ def test_tree_forms_match_networkx_isomorphism(which, builder):
     graphs = [
         gen.random_gnp(3 + seed % 6, Fraction(1 + seed % 3, 4), seed) for seed in range(48)
     ]
-    forms = [per_component_forms(g, which) for g in graphs]
+    forms = [per_component_forms(biconnectivity_report(g), which) for g in graphs]
     forests = [_networkx_forest(nx, g, builder) for g in graphs]
     verdicts = Counter()
     for i in range(len(graphs)):

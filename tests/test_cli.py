@@ -1,10 +1,13 @@
+import hashlib
 import json
 
 import pytest
 
+from wlcheck import biconn, cli
 from wlcheck.cli import main
 from wlcheck.generators import cycle
-from wlcheck.graphs import encode_edge_list, parse_edge_list, parse_graph6
+from wlcheck.graphs import Graph, encode_edge_list, parse_edge_list, parse_graph6
+from wlcheck.harness import family_corpus, tree_corpus
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +63,39 @@ def test_biconnect_json_matches_spec_example(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["cut_vertices"] == [1, 2]
     assert payload["cut_edges"] == [[0, 1], [1, 2], [2, 3]]
+
+
+def test_biconnect_json_is_byte_identical_on_the_pinned_graphs(tmp_path, capsys):
+    # every family and tree corpus member plus a 0-node and a 3-node edgeless
+    # graph; a change to this output must be deliberate and re-pin the md5
+    graphs = family_corpus().graphs + tree_corpus().graphs
+    graphs += [Graph.from_edges(0, []), Graph.from_edges(3, [])]
+    path = tmp_path / "g.el"
+    outputs = []
+    for g in graphs:
+        path.write_text(encode_edge_list(g))
+        code, out, _ = run_cli(capsys, "biconnect", str(path), "--json")
+        assert code == 0
+        outputs.append(out)
+    digest = hashlib.md5("".join(outputs).encode()).hexdigest()
+    assert digest == "dfa7555082b180ee9239776ea4ad28f1"
+
+
+def test_biconnect_builds_one_report(tmp_path, capsys, monkeypatch):
+    calls = []
+    report = biconn.biconnectivity_report
+
+    def counted(g):
+        calls.append(g)
+        return report(g)
+
+    monkeypatch.setattr(biconn, "biconnectivity_report", counted)
+    monkeypatch.setattr(cli, "biconnectivity_report", counted)
+    path = tmp_path / "c3_k2_k1.el"
+    path.write_text(encode_edge_list(Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4)])))
+    code, out, _ = run_cli(capsys, "biconnect", str(path), "--json")
+    assert code == 0 and json.loads(out)["bce_forms"] == ["(C1(C1))", "(C1)", "(C3)"]
+    assert len(calls) == 1
 
 
 def test_distances_json(tmp_path, capsys):

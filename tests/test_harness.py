@@ -204,7 +204,7 @@ def test_conflicts_one_pair_per_key_in_first_appearance_order():
 def test_planted_refinement_violation_is_reported():
     # 1-WL cannot tell example2(4) apart, SPD-WL can: 1-WL does not refine it
     g1, g2 = gen.example2(4)
-    corpus = harness.Corpus("planted", [("g1", g1), ("g2", g2)], "example2(4)")
+    corpus = harness.Corpus([("g1", g1), ("g2", g2)], "example2(4)")
     one = corpus.refined("1wl")
     spd = corpus.refined("spdwl")
     violations = harness._refines_violations(corpus, "1wl", "spdwl")
@@ -356,8 +356,8 @@ def test_rd_properties_report_a_planted_entry(gid, plant, monkeypatch):
     planted = RdMatrix(g.n, tuple(tau * q for tau in rd.taus), tuple(map(tuple, nums)))
     assert planted[u, v] == rd[u, v] + delta
     monkeypatch.setattr(harness, "rd_matrix", lambda h: planted if h is g else rd_matrix(h))
-    one = harness.Corpus(gid, [(gid, g)], gid)
-    none = harness.Corpus("none", [], "none")
+    one = harness.Corpus([(gid, g)], gid)
+    none = harness.Corpus([], "none")
     corpus, trees = (none, one) if gid == "tree" else (one, none)
     report = harness.check_rd_properties(corpus, trees)
     assert report.violations == [
