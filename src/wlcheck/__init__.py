@@ -36,17 +36,9 @@ from .graphs import (
 from .refine import (
     AlgoResult,
     Coloring,
-    InterningContext,
     SubgraphPolicy,
     compute_orbits,
     distinguishable,
-    refine_1wl,
-    refine_2fwl,
-    refine_dsswl,
-    refine_dswl,
-    refine_gdwl,
-    refine_scwl,
-    representations_equal,
     run_algorithm,
 )
 

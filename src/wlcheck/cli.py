@@ -29,7 +29,7 @@ def read_graph_file(path: str) -> Graph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     stripped = [
         line for line in text.splitlines() if line.strip() and not line.lstrip().startswith("#")
@@ -108,6 +108,14 @@ def _output_path(base: str, suffix: str) -> str:
     return f"{base}.{suffix}"
 
 
+def _write_graph(path: str, g: Graph, fmt: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(_render(g, fmt))
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_gen(args) -> int:
     result = _generate(args.family, args.params)
     if isinstance(result, tuple):
@@ -115,8 +123,7 @@ def cmd_gen(args) -> int:
         if args.output:
             for g, suffix in ((g1, "g1"), (g2, "g2")):
                 path = _output_path(args.output, suffix)
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(_render(g, args.format))
+                _write_graph(path, g, args.format)
                 print(path)
         else:
             print(f"# {args.family} graph 1 of 2")
@@ -125,8 +132,7 @@ def cmd_gen(args) -> int:
             sys.stdout.write(_render(g2, args.format))
         return 0
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(_render(result, args.format))
+        _write_graph(args.output, result, args.format)
     else:
         sys.stdout.write(_render(result, args.format))
     return 0

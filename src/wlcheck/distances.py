@@ -312,6 +312,8 @@ class DistanceRegularProfile:
 
 def distance_regular_profile(g: Graph) -> DistanceRegularProfile:
     """Check |N^i(u) ∩ N^j(v)| depends only on (i, j, dis(u, v))."""
+    if g.n == 0:
+        raise ValueError("distance_regular_profile requires a non-empty graph")
     if not is_connected(g):
         raise ValueError("distance_regular_profile requires a connected graph")
     spd = spd_matrix(g)
@@ -345,10 +347,7 @@ def distance_regular_profile(g: Graph) -> DistanceRegularProfile:
     c = []
     for d in range(diameter + 1):
         # pick any pair at distance d; regularity guarantees one exists
-        pair = next(
-            ((u, v) for u in range(n) for v in range(n) if spd[u, v] == d), None
-        )
-        u, v = pair
+        u, v = next((u, v) for u in range(n) for v in range(n) if spd[u, v] == d)
         if d < diameter:
             b.append(len(hops[u][1] & hops[v][d + 1]))
         if d >= 1:

@@ -1,11 +1,12 @@
 """Color refinement: 1-WL, GD-WL (SPD/RD/pair), 2-FWL, DSS-WL, DS-WL, SC-WL.
 
-Every run interns canonical structure encodings in one shared context, so
+Each call interns canonical structure encodings in a context of its own, so
 equal colors mean equal hashed structures across all the graphs refined
-together. Every algorithm runs through the one loop in `_iterate`: each
-graph's state is a single flat color list (nodes; 2-FWL: pairs in row-major
-order; DS-WL: subgraph-major node colors, which DSS-WL follows with its
-global node colors). All graphs advance in lockstep and iterate until the
+together in that call, and colors of separate calls do not compare. Every
+algorithm runs through the one loop in `_iterate`: each graph's state is a
+single flat color list (nodes; 2-FWL: pairs in row-major order; DS-WL:
+subgraph-major node colors, which DSS-WL follows with its global node
+colors). All graphs advance in lockstep and iterate until the
 joint partition survives a full round unchanged; exceeding the theoretical
 stabilization bound indicates an interning bug and raises.
 
@@ -13,10 +14,9 @@ Each round's inner loop runs in C builtins (`map`, `zip`, `sorted` over
 ints). The multisets of 2-FWL and GD-WL pack each (high id, color) pair into
 one int, `high << 32 | color`, so sorting the ints sorts the pairs: a packed
 key is in one-to-one correspondence with the sorted tuple of pairs, and
-gives the same color ids. The packing is the same for every context, so ids
-of separate calls sharing a context stay comparable. It needs every color id
-below 2^32 (`PACKED_ID_LIMIT`); a run whose context outgrows that raises
-`OverflowError` rather than let two keys collide.
+gives the same color ids. It needs every color id below 2^32
+(`PACKED_ID_LIMIT`); a run whose context outgrows that raises `OverflowError`
+rather than let two keys collide.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class InterningContext:
 
 @dataclass(frozen=True)
 class Coloring:
-    """Stable coloring of one graph within a shared context.
+    """Stable coloring of one graph, interned in the context of its call.
 
     colors are the node colors (2-FWL: the diagonal pair colors);
     representation is the sorted graph-level color multiset (2-FWL: all
@@ -120,10 +120,9 @@ def _iterate(update, initial, total_elements):
             )
 
 
-def refine_1wl(graphs: list[Graph], ctx: InterningContext | None = None) -> list[Coloring]:
+def refine_1wl(graphs: list[Graph]) -> list[Coloring]:
     """Classic color refinement: hash own color plus neighbor multiset."""
-    if ctx is None:
-        ctx = InterningContext()
+    ctx = InterningContext()
     c0 = ctx.intern(("init",))
     initial = [[c0] * g.n for g in graphs]
 
@@ -172,19 +171,14 @@ def _distance_token(tau: int | None, value):
     return Fraction(value, tau)
 
 
-def refine_gdwl(
-    graphs: list[Graph],
-    distance_kind: str = "spd",
-    ctx: InterningContext | None = None,
-) -> list[Coloring]:
+def refine_gdwl(graphs: list[Graph], distance_kind: str = "spd") -> list[Coloring]:
     """Generalized-distance refinement: aggregate (distance, color) over all nodes.
 
     distance_kind is 'spd', 'rd', or 'spdrd' (the ordered SPD/RD pair).
     Unreachable pairs contribute the UNREACHABLE token, so component
     structure is part of the hash.
     """
-    if ctx is None:
-        ctx = InterningContext()
+    ctx = InterningContext()
     c0 = ctx.intern(("init",))
     initial = [[c0] * g.n for g in graphs]
     # per node v, the high half of each packed (id of token d(v,u), color of
@@ -233,7 +227,7 @@ def _rows(flat, n):
     return [flat[i * n : (i + 1) * n] for i in range(n)]
 
 
-def refine_2fwl(graphs: list[Graph], ctx: InterningContext | None = None) -> list[Coloring]:
+def refine_2fwl(graphs: list[Graph]) -> list[Coloring]:
     """Folklore 2-WL on ordered pairs; Theta(n^3) per round per graph.
 
     Initial pair colors separate the diagonal, edges, and non-edges; the
@@ -243,8 +237,7 @@ def refine_2fwl(graphs: list[Graph], ctx: InterningContext | None = None) -> lis
     for g in graphs:
         if g.n > TWO_FWL_MAX_NODES:
             raise ValueError(f"2-FWL capped at {TWO_FWL_MAX_NODES} nodes")
-    if ctx is None:
-        ctx = InterningContext()
+    ctx = InterningContext()
     initial = [
         [
             ctx.intern(("2fwl0", u == v, g.has_edge(u, v)))
@@ -356,11 +349,7 @@ def _initial_subgraph_colors(graphs: list[Graph], policy: SubgraphPolicy, ctx):
 DSS_WL_MAX_NODES = 64
 
 
-def refine_dsswl(
-    graphs: list[Graph],
-    policy: SubgraphPolicy,
-    ctx: InterningContext | None = None,
-) -> list[Coloring]:
+def refine_dsswl(graphs: list[Graph], policy: SubgraphPolicy) -> list[Coloring]:
     """DSS-WL: per-round joint aggregation within and across the subgraph bag.
 
     Each subgraph color update hashes (own subgraph color, subgraph
@@ -372,8 +361,7 @@ def refine_dsswl(
     for g in graphs:
         if g.n > DSS_WL_MAX_NODES:
             raise ValueError(f"DSS-WL capped at {DSS_WL_MAX_NODES} nodes")
-    if ctx is None:
-        ctx = InterningContext()
+    ctx = InterningContext()
     subs = _initial_subgraph_colors(graphs, policy, ctx)
     bags = [_policy_bag(g, policy) for g in graphs]
 
@@ -410,18 +398,13 @@ def refine_dsswl(
     return _node_colorings([flat[g.n * g.n :] for g, flat in zip(graphs, state)], rounds, ctx)
 
 
-def refine_dswl(
-    graphs: list[Graph],
-    policy: SubgraphPolicy,
-    ctx: InterningContext | None = None,
-) -> list[Coloring]:
+def refine_dswl(graphs: list[Graph], policy: SubgraphPolicy) -> list[Coloring]:
     """DS-WL: independent 1-WL in each subgraph, no cross-bag aggregation.
 
     The output color of node v is the whole-graph representation of its
     own subgraph G_v.
     """
-    if ctx is None:
-        ctx = InterningContext()
+    ctx = InterningContext()
     initial = _initial_subgraph_colors(graphs, policy, ctx)
     bags = [_policy_bag(g, policy) for g in graphs]
 
@@ -562,14 +545,9 @@ def substructure_counts(g: Graph, subs: list[Substructure]) -> list[tuple[int, .
     ]
 
 
-def refine_scwl(
-    graphs: list[Graph],
-    substructures: list[Substructure],
-    ctx: InterningContext | None = None,
-) -> list[Coloring]:
+def refine_scwl(graphs: list[Graph], substructures: list[Substructure]) -> list[Coloring]:
     """1-WL augmented with per-node, per-orbit induced substructure counts."""
-    if ctx is None:
-        ctx = InterningContext()
+    ctx = InterningContext()
     c0 = ctx.intern(("init",))
     xs = [substructure_counts(g, substructures) for g in graphs]
     initial = [[c0] * g.n for g in graphs]
@@ -604,16 +582,17 @@ class AlgoResult:
 
     node_colors holds the node-level color mapping (2-FWL: the diagonal);
     representations are the sorted graph-level color multisets (2-FWL: all
-    pair colors). ctx is the caller's context the colors were interned in,
-    or None when the run used a private one: its ids compare with no other
-    run, and keeping it would hold every key the run interned.
+    pair colors).
     """
 
     spec: str
     node_colors: tuple[tuple[int, ...], ...]
     representations: tuple[tuple[int, ...], ...]
     rounds: int
-    ctx: InterningContext | None = field(compare=False, repr=False)
+
+
+# substructure name prefix -> the generators family that builds it on n nodes
+_SUBSTRUCTURE_FAMILIES = {"c": "cycle", "p": "path", "k": "complete", "s": "star"}
 
 
 def _named_substructure(token: str) -> Substructure:
@@ -623,18 +602,13 @@ def _named_substructure(token: str) -> Substructure:
     aliases = {"triangle": "c3", "tri": "c3", "square": "c4", "edge": "p2"}
     name = aliases.get(name, name)
     kind, num = name[:1], name[1:]
-    if not num.isdigit():
+    if kind not in _SUBSTRUCTURE_FAMILIES or not num.isdecimal():
         raise ValueError(f"unknown substructure {token!r}")
     n = int(num)
-    if kind == "c":
-        return make_substructure(name, generators.cycle(n))
-    if kind == "p":
-        return make_substructure(name, generators.path(n))
-    if kind == "k":
-        return make_substructure(name, generators.complete(n))
-    if kind == "s":
-        return make_substructure(name, generators.star(n))
-    raise ValueError(f"unknown substructure {token!r}")
+    # check the cap before building: a name like k2000 would take seconds to build
+    if n > SUBSTRUCTURE_MAX_NODES:
+        raise ValueError(f"substructures capped at {SUBSTRUCTURE_MAX_NODES} nodes")
+    return make_substructure(name, getattr(generators, _SUBSTRUCTURE_FAMILIES[kind])(n))
 
 
 # CLI token -> (policy tag, number of integer radii after a colon)
@@ -656,36 +630,31 @@ def parse_policy(token: str) -> SubgraphPolicy:
     raise ValueError(f"unknown subgraph policy {token!r}")
 
 
-def run_algorithm(
-    spec: str, graphs: list[Graph], ctx: InterningContext | None = None
-) -> AlgoResult:
+def run_algorithm(spec: str, graphs: list[Graph]) -> AlgoResult:
     """Run an algorithm named by its CLI spec string on graphs jointly.
 
     Specs: 1wl | spdwl | rdwl | gdwl | 2fwl | dsswl:POLICY | dswl:POLICY |
     scwl:NAME[,NAME...] where POLICY is nm | nd | ego:K | egom:K and NAME
     is like c3 (triangle), c4, p3, k4, s3.
     """
-    shared = ctx
-    if ctx is None:
-        ctx = InterningContext()
     if spec == "1wl":
-        results = refine_1wl(graphs, ctx)
+        results = refine_1wl(graphs)
     elif spec == "spdwl":
-        results = refine_gdwl(graphs, "spd", ctx)
+        results = refine_gdwl(graphs, "spd")
     elif spec == "rdwl":
-        results = refine_gdwl(graphs, "rd", ctx)
+        results = refine_gdwl(graphs, "rd")
     elif spec == "gdwl":
-        results = refine_gdwl(graphs, "spdrd", ctx)
+        results = refine_gdwl(graphs, "spdrd")
     elif spec == "2fwl":
-        results = refine_2fwl(graphs, ctx)
+        results = refine_2fwl(graphs)
     elif spec.startswith("dsswl:"):
-        results = refine_dsswl(graphs, parse_policy(spec[len("dsswl:"):]), ctx)
+        results = refine_dsswl(graphs, parse_policy(spec[len("dsswl:"):]))
     elif spec.startswith("dswl:"):
-        results = refine_dswl(graphs, parse_policy(spec[len("dswl:"):]), ctx)
+        results = refine_dswl(graphs, parse_policy(spec[len("dswl:"):]))
     elif spec.startswith("scwl:"):
         # an empty name, as in "scwl:" or "scwl:c3,", is an unknown substructure
         subs = [_named_substructure(tok) for tok in spec[len("scwl:"):].split(",")]
-        results = refine_scwl(graphs, subs, ctx)
+        results = refine_scwl(graphs, subs)
     else:
         raise ValueError(f"unknown algorithm spec {spec!r}")
     return AlgoResult(
@@ -693,7 +662,6 @@ def run_algorithm(
         node_colors=tuple(r.colors for r in results),
         representations=tuple(r.representation for r in results),
         rounds=results[0].rounds if results else 0,
-        ctx=shared,
     )
 
 
@@ -717,20 +685,3 @@ def distinguishable(g: Graph, h: Graph, algo: str) -> bool:
     """True when the algorithm separates the two graph representations."""
     result = run_algorithm(algo, [g, h])
     return result.representations[0] != result.representations[1]
-
-
-def representations_equal(a, b) -> bool:
-    """Compare two colorings' representations.
-
-    They must share a context and have stopped in the same round: ids
-    interned at different rounds of a shared context name colorings of
-    different depth, so they are not comparable. Raises ValueError
-    otherwise; refine both graphs in one call to compare them.
-    """
-    if a.ctx is not b.ctx:
-        raise ValueError("colorings come from different interning contexts")
-    if a.rounds != b.rounds:
-        raise ValueError(
-            f"colorings stopped in different rounds ({a.rounds} and {b.rounds})"
-        )
-    return a.representation == b.representation

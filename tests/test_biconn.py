@@ -364,19 +364,6 @@ def test_long_cycle_stays_biconnected():
     assert len(rep.vertex_bccs) == 1
 
 
-def test_representations_equal_requires_shared_context():
-    import pytest as _pytest
-
-    from wlcheck.refine import refine_1wl, representations_equal
-
-    a = refine_1wl([gen.cycle(5)])[0]
-    b = refine_1wl([gen.cycle(5)])[0]
-    with _pytest.raises(ValueError):
-        representations_equal(a, b)
-    c, d = refine_1wl([gen.cycle(5), gen.cycle(5)])
-    assert representations_equal(c, d)
-
-
 def _networkx_cut_sets(nx, g):
     h = nx.Graph()
     h.add_nodes_from(range(g.n))

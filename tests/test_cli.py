@@ -190,6 +190,22 @@ def test_malformed_file_is_usage_error(tmp_path, capsys):
     assert code == 2 and "self-loop" in err
 
 
+def test_non_utf8_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.el"
+    path.write_bytes(b"\xff\xfe 3 1\n0 1\n")
+    code, out, err = run_cli(capsys, "biconnect", str(path))
+    assert_one_line_usage_error(code, out, err)
+    assert "cannot read" in err
+
+
+@pytest.mark.parametrize("family", [["path", "3"], ["example2", "3"]])
+def test_gen_to_unwritable_path_is_usage_error(tmp_path, capsys, family):
+    target = tmp_path / "no" / "such" / "dir" / "x.el"
+    code, out, err = run_cli(capsys, "gen", *family, "-o", str(target))
+    assert_one_line_usage_error(code, out, err)
+    assert "cannot write" in err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

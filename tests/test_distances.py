@@ -232,6 +232,13 @@ def test_irregular_graph_is_not_drg():
     assert not prof.is_drg and prof.kappa == ()
 
 
+def test_profile_rejects_empty_and_disconnected_graphs():
+    with pytest.raises(ValueError, match="requires a non-empty graph"):
+        distance_regular_profile(Graph.from_edges(0, []))
+    with pytest.raises(ValueError, match="requires a connected graph"):
+        distance_regular_profile(two_triangles())
+
+
 def test_rd_recursion_base_and_agreement():
     for name, n in (("dodecahedron", 20), ("shrikhande", 16), ("petersen", 10)):
         g = gen.named_graph(name)

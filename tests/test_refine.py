@@ -23,7 +23,6 @@ from wlcheck.refine import (
     refine_dswl,
     refine_gdwl,
     refine_scwl,
-    representations_equal,
     run_algorithm,
     substructure_counts,
 )
@@ -189,6 +188,19 @@ def test_scwl_substructure_guard():
         make_substructure("c9", gen.cycle(9))
 
 
+def test_oversized_substructure_name_is_rejected_before_building(monkeypatch):
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+
+    def refuse(n):
+        raise AssertionError(f"built a substructure on {n} nodes")
+
+    for family in ("cycle", "path", "complete", "star"):
+        monkeypatch.setattr(gen, family, refuse)
+    for name in ("c9", "p2000", "k2000", "s1000000"):
+        with pytest.raises(ValueError, match="^substructures capped at 8 nodes$"):
+            run_algorithm(f"scwl:{name}", [g])
+
+
 def test_compute_orbits():
     assert compute_orbits(gen.cycle(5)).classes == ((0, 1, 2, 3, 4),)
     assert compute_orbits(gen.path(3)).classes == ((0, 2), (1,))
@@ -268,35 +280,6 @@ def test_unknown_algorithm_spec():
         run_algorithm("3wl", [gen.path(2)])
 
 
-def test_shared_context_keeps_ids_comparable():
-    ctx = InterningContext()
-    a = refine_1wl([gen.cycle(5)], ctx)[0]
-    b = refine_1wl([gen.cycle(5)], ctx)[0]
-    assert a.colors == b.colors
-
-
-def test_run_algorithm_interns_into_a_fresh_caller_context():
-    # an empty context is falsy (len 0); it must still be the one used
-    ctx = InterningContext()
-    graphs = [gen.random_gnp(6, Fraction(2, 5), seed) for seed in range(20)]
-    separate = []
-    for g in graphs:
-        result = run_algorithm("1wl", [g], ctx)
-        assert result.ctx is ctx
-        separate.append(result.representations[0])
-    assert len(ctx) > 0
-    joint_result = run_algorithm("1wl", graphs)
-    assert joint_result.ctx is None  # a private context is not kept
-    joint = joint_result.representations
-    separated_pairs = 0
-    for i in range(len(graphs)):
-        for j in range(i + 1, len(graphs)):
-            if joint[i] != joint[j]:
-                separated_pairs += 1
-                assert separate[i] != separate[j], (i, j)
-    assert separated_pairs > 0
-
-
 def test_ego_policies_reject_negative_radius():
     for tag in ("ego", "ego_marking"):
         with pytest.raises(ValueError):
@@ -318,7 +301,7 @@ SPEC_FORMS = [
 
 
 def _refine_directly(spec, graphs):
-    """The refine_* call that run_algorithm makes for spec, on a fresh context."""
+    """The refine_* call that run_algorithm makes for spec."""
     name, _, arg = spec.partition(":")
     if name == "1wl":
         return refine_1wl(graphs)
@@ -345,6 +328,22 @@ def test_run_algorithm_reports_the_colorings_of_its_refine_call(spec):
     for c in colorings:
         assert c.rounds == result.rounds
         assert c.ctx is not None and len(c.ctx) > 0
+
+
+@pytest.mark.parametrize("spec", SPEC_FORMS)
+def test_each_call_interns_into_a_context_of_its_own(spec):
+    graphs = [gen.path(4), gen.cycle(5), two_triangles(), gen.complete(1)]
+    first = run_algorithm(spec, graphs)
+    # unrelated calls, among them the same spec on other graphs, leave no
+    # keys behind that could shift the ids of a later call
+    for other in (spec, "1wl", "gdwl", "2fwl"):
+        run_algorithm(other, [gen.cycle(6)])
+        run_algorithm(other, [gen.cycle(6), gen.path(6), gen.random_gnp(7, Fraction(2, 5), 1)])
+    assert run_algorithm(spec, graphs) == first
+    a, b = _refine_directly(spec, graphs), _refine_directly(spec, graphs)
+    assert a == b
+    assert all(c.ctx is a[0].ctx for c in a) and all(c.ctx is b[0].ctx for c in b)
+    assert a[0].ctx is not b[0].ctx
 
 
 @pytest.mark.parametrize("spec", SPEC_FORMS)
@@ -439,12 +438,12 @@ def _token_key(token):
     return (True, 0) if token is UNREACHABLE else (False, token)
 
 
-def _reference_gdwl(graphs, kind, ctx=None):
+def _reference_gdwl(graphs, kind):
     """GD-WL with the plain tuple key: per distance token in token order,
     its interned id and the sorted colors of the nodes at that distance.
-    Tokens are the public values: ints and Fractions."""
-    if ctx is None:
-        ctx = InterningContext()
+    Tokens are the public values: ints and Fractions. Returns the
+    (node colors, representations, rounds) triple and the context."""
+    ctx = InterningContext()
     c0 = ctx.intern(("init",))
     node_buckets = []
     for g in graphs:
@@ -482,7 +481,7 @@ def _reference_gdwl(graphs, kind, ctx=None):
         ]
 
     state, rounds = _reference_run([[c0] * g.n for g in graphs], step, list)
-    return tuple(map(tuple, state)), tuple(tuple(sorted(c)) for c in state), rounds
+    return (tuple(map(tuple, state)), tuple(tuple(sorted(c)) for c in state), rounds), ctx
 
 
 def _reference_inputs():
@@ -497,7 +496,7 @@ def test_packed_keys_match_the_tuple_key_formulas(spec):
         if spec == "2fwl":
             expected = _reference_2fwl(graphs)
         else:
-            expected = _reference_gdwl(graphs, kinds[spec])
+            expected, _ = _reference_gdwl(graphs, kinds[spec])
         result = run_algorithm(spec, graphs)
         got = (result.node_colors, result.representations, result.rounds)
         assert got == expected, name
@@ -508,72 +507,35 @@ def _token_ids(ctx):
 
 
 def test_gdwl_kinds_in_one_shared_context_match_the_tuple_key_formulas():
-    # rd and spd tokens of equal value (0, 1, ...) are equal keys, so the
-    # kinds share ids on one context exactly as the public values do
-    kinds = {"spdwl": "spd", "rdwl": "rd", "gdwl": "spdrd"}
     # a triangle beside a path: numerator 2 stands for 2/3 in one component
     # (tau 3) and for 2 in the other (tau 1)
     mixed = [Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)]), gen.path(3)]
     for name, graphs in _reference_inputs() + [("mixed taus", mixed)]:
-        ctx, reference_ctx = InterningContext(), InterningContext()
-        for spec in ("rdwl", "spdwl", "gdwl", "rdwl"):
-            expected = _reference_gdwl(graphs, kinds[spec], reference_ctx)
-            result = run_algorithm(spec, graphs, ctx)
-            got = (result.node_colors, result.representations, result.rounds)
-            assert got == expected, (name, spec)
-            # the same distance tokens under the same ids, and as many keys
-            assert _token_ids(ctx) == _token_ids(reference_ctx), (name, spec)
-            assert len(ctx) == len(reference_ctx), (name, spec)
-
-
-def test_shared_context_keeps_ids_comparable_across_calls():
-    # 2fwl and gdwl take turns on one context, so each second call packs
-    # keys while the context holds the other algorithm's keys too; its ids
-    # must still match the first call's wherever one joint call's match
-    rng = random.Random(5)
-    first = [gen.random_gnp(7, Fraction(2, 5), seed) for seed in range(8)]
-    first += list(gen.example1(1, 4)) + list(gen.example2(4))
-    second = []
-    for g in rng.sample(first, len(first)):
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        second.append(relabel(g, perm))
-    ctx = InterningContext()
-    calls = {spec: [] for spec in ("2fwl", "gdwl")}
-    for graphs in (first, second):
-        for spec, results in calls.items():
-            results.append(run_algorithm(spec, graphs, ctx))
-    for spec, (a, b) in calls.items():
-        # relabeled copies of the same graphs stabilize in the same round
-        assert a.rounds == b.rounds
-        separate = a.representations + b.representations
-        joint = run_algorithm(spec, first + second).representations
-        for i in range(len(joint)):
-            for j in range(i + 1, len(joint)):
-                assert (separate[i] == separate[j]) == (joint[i] == joint[j]), (spec, i, j)
-        assert set(a.representations) == set(b.representations)
-
-
-def test_representations_equal_rejects_colorings_of_different_rounds():
-    # on one context, cycle(6) alone stops after 1 round and next to
-    # path(6) after 4: the ids differ although the graph is the same
-    ctx = InterningContext()
-    (alone,) = refine_1wl([gen.cycle(6)], ctx)
-    jointly, _ = refine_1wl([gen.cycle(6), gen.path(6)], ctx)
-    assert (alone.rounds, jointly.rounds) == (1, 4)
-    with pytest.raises(ValueError, match="different rounds"):
-        representations_equal(alone, jointly)
-    assert representations_equal(*refine_1wl([gen.cycle(6), gen.cycle(6)], ctx))
+        for kind in ("spd", "rd", "spdrd"):
+            expected, reference_ctx = _reference_gdwl(graphs, kind)
+            colorings = refine_gdwl(graphs, kind)
+            got = (
+                tuple(c.colors for c in colorings),
+                tuple(c.representation for c in colorings),
+                colorings[0].rounds,
+            )
+            assert got == expected, (name, kind)
+            # the same distance tokens under the same ids, and as many keys,
+            # in the context the call's colorings carry
+            ctx = colorings[0].ctx
+            assert all(c.ctx is ctx for c in colorings), (name, kind)
+            assert _token_ids(ctx) == _token_ids(reference_ctx), (name, kind)
+            assert len(ctx) == len(reference_ctx), (name, kind)
 
 
 @pytest.mark.parametrize("spec", ["2fwl", "spdwl", "rdwl", "gdwl"])
 def test_packing_overflow_raises_instead_of_colliding(spec, monkeypatch):
     graphs = [gen.random_gnp(9, Fraction(1, 3), 2), gen.path(5)]
-    ctx = InterningContext()
-    expected = run_algorithm(spec, graphs, ctx)
+    expected = run_algorithm(spec, graphs)
+    final_size = len(_refine_directly(spec, graphs)[0].ctx)
     # every round starts with fewer ids than the run ends with, so a limit
     # of the final context size still fits ...
-    monkeypatch.setattr(refine, "PACKED_ID_LIMIT", len(ctx))
+    monkeypatch.setattr(refine, "PACKED_ID_LIMIT", final_size)
     assert run_algorithm(spec, graphs) == expected
     # ... and one far below it stops the run before it returns colors
     monkeypatch.setattr(refine, "PACKED_ID_LIMIT", 2)
