@@ -42,4 +42,14 @@ from .refine import (
     run_algorithm,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AlgoResult", "BiconnectivityReport", "BlockCutTree", "Coloring",
+    "DistanceRegularProfile", "Graph", "GraphFormatError", "Partition",
+    "RdMatrix", "SpdMatrix", "SubgraphPolicy", "UNREACHABLE", "bce_tree",
+    "bcv_tree", "biconnectivity_report", "brute_force_cut_sets",
+    "brute_force_isomorphic", "compute_orbits", "connected_components",
+    "distance_regular_profile", "distinguishable", "encode_edge_list",
+    "encode_graph6", "hitting_time_matrix", "induced_subgraph",
+    "parse_edge_list", "parse_graph6", "rd_from_intersection_array",
+    "rd_matrix", "run_algorithm", "spd_matrix", "tree_canonical_form",
+]

@@ -188,7 +188,7 @@ def named_graph(name: str) -> Graph:
 
 NAMED_GRAPHS = tuple(sorted(_NAMED))
 
-REGULAR_WITH_CUTS_RETRIES = 1000
+REGULAR_WITH_CUTS_ATTEMPTS = 100
 
 
 def _havel_hakimi(degrees: list[int]) -> set[tuple[int, int]] | None:
@@ -264,7 +264,8 @@ def regular_with_cuts(d: int, blocks: int, block_size: int, seed: int) -> Graph:
     sum would be odd (a bridge side of an odd-degree regular graph must
     have odd order). Even d: regular graphs cannot have bridges at all, so
     consecutive blocks share a cut vertex that splits its d edges evenly.
-    Retries against the exact oracle until the intended cut set appears.
+    Makes REGULAR_WITH_CUTS_ATTEMPTS attempts, each checked against the
+    exact oracle, until the intended cut set appears.
     """
     if d < 1 or blocks < 2 or block_size < d + 1:
         raise GenerationError(
@@ -274,7 +275,7 @@ def regular_with_cuts(d: int, blocks: int, block_size: int, seed: int) -> Graph:
         # a biconnected block needs the shared vertex at degree >= 2
         raise GenerationError("regular_with_cuts is infeasible for d = 2")
     rng = random.Random(seed)
-    for _ in range(REGULAR_WITH_CUTS_RETRIES // 10):
+    for _ in range(REGULAR_WITH_CUTS_ATTEMPTS):
         if d % 2:
             g, expected_cuts = _chain_by_bridges(rng, d, blocks, block_size)
         else:
@@ -292,7 +293,7 @@ def regular_with_cuts(d: int, blocks: int, block_size: int, seed: int) -> Graph:
         return g
     raise GenerationError(
         f"regular_with_cuts({d},{blocks},{block_size}) infeasible after "
-        f"{REGULAR_WITH_CUTS_RETRIES} retries"
+        f"{REGULAR_WITH_CUTS_ATTEMPTS} attempts"
     )
 
 

@@ -20,12 +20,13 @@ class Graph:
 
     edges are stored as sorted (u, v) pairs with u < v, in lexicographic
     order; adjacency lists are sorted ascending. No self-loops, no
-    duplicate edges.
+    duplicate edges. The constructor rejects edges in any other form and
+    derives adjacency from them; `from_edges` takes edges in any form.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    adjacency: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
@@ -41,13 +42,7 @@ class Graph:
             if e in seen:
                 raise GraphFormatError(f"duplicate edge {{{e[0]},{e[1]}}}")
             seen.add(e)
-        sorted_edges = tuple(sorted(seen))
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in sorted_edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-        return Graph(n=n, edges=sorted_edges, adjacency=adjacency)
+        return Graph(n, tuple(sorted(seen)))
 
     @property
     def m(self) -> int:
@@ -60,7 +55,20 @@ class Graph:
         return ((u, v) if u < v else (v, u)) in self._edge_set
 
     def __post_init__(self):
-        object.__setattr__(self, "_edge_set", frozenset(self.edges))
+        n, edges = self.n, self.edges
+        # edges == the sorted tuple of the distinct edges also rejects lists
+        if n < 0 or edges != tuple(sorted(set(edges))) or not all(0 <= u < v < n for u, v in edges):
+            raise GraphFormatError(
+                "Graph(n, edges) takes sorted distinct (u, v) with 0 <= u < v < n; "
+                "Graph.from_edges takes any edge list"
+            )
+        # in lexicographic edge order each node meets its neighbors in ascending order
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
+        object.__setattr__(self, "_edge_set", frozenset(edges))
 
     def __hash__(self):
         return hash((self.n, self.edges))
@@ -342,10 +350,13 @@ def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
     return place(0)
 
 
+AUTOMORPHISM_MAX_NODES = 8
+
+
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """All automorphisms of a small graph (n <= 8), as permutation tuples."""
-    if g.n > 8:
-        raise ValueError("automorphism enumeration capped at 8 nodes")
+    if g.n > AUTOMORPHISM_MAX_NODES:
+        raise ValueError(f"automorphism enumeration capped at {AUTOMORPHISM_MAX_NODES} nodes")
     degs = [g.degree(v) for v in range(g.n)]
     autos = []
     for perm in itertools.permutations(range(g.n)):

@@ -3,15 +3,18 @@
 Each call interns canonical structure encodings in a context of its own, so
 equal colors mean equal hashed structures across all the graphs refined
 together in that call, and colors of separate calls do not compare. Every
-algorithm runs through the one loop in `_iterate`: each graph's state is a
-single flat color list (nodes; 2-FWL: pairs in row-major order; DS-WL:
-subgraph-major node colors, which DSS-WL follows with its global node
-colors). All graphs advance in lockstep and iterate until the
-joint partition survives a full round unchanged; exceeding the theoretical
-stabilization bound indicates an interning bug and raises.
+algorithm runs through the one loop in `_iterate` over a state of flat
+color lists: one per graph (nodes; 2-FWL: pairs in row-major order; DSS-WL:
+subgraph-major node colors followed by its global node colors), except
+DS-WL, which holds one list per subgraph, graph after graph, so that 1-WL
+and DS-WL share the one 1-WL round of `_wl_update`. All graphs advance in
+lockstep and iterate until the joint partition survives a full round
+unchanged; exceeding the theoretical stabilization bound indicates an
+interning bug and raises.
 
 Each round's inner loop runs in C builtins (`map`, `zip`, `sorted` over
-ints). The multisets of 2-FWL and GD-WL pack each (high id, color) pair into
+ints), except SC-WL's, which builds its (color, counts) pairs in a Python
+generator. The multisets of 2-FWL and GD-WL pack each (high id, color) pair into
 one int, `high << 32 | color`, so sorting the ints sorts the pairs: a packed
 key is in one-to-one correspondence with the sorted tuple of pairs, and
 gives the same color ids. It needs every color id below 2^32
@@ -27,7 +30,7 @@ from itertools import chain, count
 from operator import add
 
 from .distances import UNREACHABLE, rd_matrix, spd_matrix
-from .graphs import Graph, Partition, automorphisms, is_connected
+from .graphs import AUTOMORPHISM_MAX_NODES, Graph, Partition, automorphisms, is_connected
 
 
 class InterningContext:
@@ -120,25 +123,32 @@ def _iterate(update, initial, total_elements):
             )
 
 
+def _wl_update(ctx: InterningContext, adjacencies):
+    """The 1-WL round over a state of one color list per adjacency: hash
+    each node's own color plus the multiset of its neighbors' colors."""
+    intern = ctx.intern
+
+    def update(state):
+        out = []
+        for colors, adjacency in zip(state, adjacencies):
+            color_of = colors.__getitem__
+            out.append(
+                [
+                    intern(("1wl", c, tuple(sorted(map(color_of, nbrs)))))
+                    for c, nbrs in zip(colors, adjacency)
+                ]
+            )
+        return out
+
+    return update
+
+
 def refine_1wl(graphs: list[Graph]) -> list[Coloring]:
     """Classic color refinement: hash own color plus neighbor multiset."""
     ctx = InterningContext()
     c0 = ctx.intern(("init",))
     initial = [[c0] * g.n for g in graphs]
-
-    def update(state):
-        intern = ctx.intern
-        out = []
-        for g, colors in zip(graphs, state):
-            color_of = colors.__getitem__
-            out.append(
-                [
-                    intern(("1wl", c, tuple(sorted(map(color_of, nbrs)))))
-                    for c, nbrs in zip(colors, g.adjacency)
-                ]
-            )
-        return out
-
+    update = _wl_update(ctx, [g.adjacency for g in graphs])
     state, rounds = _iterate(update, initial, sum(g.n for g in graphs))
     return _node_colorings(state, rounds, ctx)
 
@@ -295,55 +305,35 @@ class SubgraphPolicy:
 
 
 def _policy_bag(g: Graph, policy: SubgraphPolicy):
-    """Adjacency of each generated subgraph G_v (one per node, node-aligned)."""
+    """Adjacency of each generated subgraph G_v (one per node, node-aligned).
+
+    Node deletion keeps every node but v, the ego policies the nodes within
+    distance k of v; a node left out stays in G_v, isolated.
+    """
     if policy.tag == "node_marking":
         return [g.adjacency] * g.n
     if policy.tag == "node_deletion":
-        bags = []
-        for v in range(g.n):
-            bags.append(
-                tuple(
-                    ()
-                    if u == v
-                    else tuple(w for w in g.adjacency[u] if w != v)
-                    for u in range(g.n)
-                )
-            )
-        return bags
-    # ego and ego_marking: the radius-k ball around v
-    spd = spd_matrix(g)
-    bags = []
-    for v in range(g.n):
-        inside = [
-            u
-            for u in range(g.n)
-            if spd[v, u] is not UNREACHABLE and spd[v, u] <= policy.k
+        keeps = [[u != v for u in range(g.n)] for v in range(g.n)]
+    else:
+        keeps = [
+            [d is not UNREACHABLE and d <= policy.k for d in row]
+            for row in spd_matrix(g).rows
         ]
-        inside_set = set(inside)
-        bags.append(
-            tuple(
-                tuple(w for w in g.adjacency[u] if w in inside_set)
-                if u in inside_set
-                else ()
-                for u in range(g.n)
-            )
+    return [
+        tuple(
+            tuple(w for w in nbrs if keep[w]) if keep[u] else ()
+            for u, nbrs in enumerate(g.adjacency)
         )
-    return bags
+        for keep in keeps
+    ]
 
 
 def _initial_subgraph_colors(graphs: list[Graph], policy: SubgraphPolicy, ctx):
     """Subgraph-major colors (entry i*n + u is node u in G_i): all init,
     except that a marking policy marks node i in its own subgraph G_i."""
-    c0 = ctx.intern(("init",))
-    c1 = ctx.intern(("mark",))
-    out = []
-    for g in graphs:
-        flat = [c0] * (g.n * g.n)
-        if policy.marks:
-            for i in range(g.n):
-                flat[i * g.n + i] = c1
-        out.append(flat)
-    return out
+    c0, c1 = ctx.intern(("init",)), ctx.intern(("mark",))
+    own = c1 if policy.marks else c0
+    return [[own if u == i else c0 for i in range(g.n) for u in range(g.n)] for g in graphs]
 
 
 DSS_WL_MAX_NODES = 64
@@ -401,57 +391,35 @@ def refine_dsswl(graphs: list[Graph], policy: SubgraphPolicy) -> list[Coloring]:
 def refine_dswl(graphs: list[Graph], policy: SubgraphPolicy) -> list[Coloring]:
     """DS-WL: independent 1-WL in each subgraph, no cross-bag aggregation.
 
-    The output color of node v is the whole-graph representation of its
-    own subgraph G_v.
+    The state is one color list per subgraph, graph after graph. The output
+    color of node v is the whole-graph representation of its own subgraph G_v.
     """
     ctx = InterningContext()
-    initial = _initial_subgraph_colors(graphs, policy, ctx)
-    bags = [_policy_bag(g, policy) for g in graphs]
-
-    def update(state):
-        intern = ctx.intern
-        out = []
-        for g, bag, flat in zip(graphs, bags, state):
-            new_flat = []
-            for sub_i, adj_i in zip(_rows(flat, g.n), bag):
-                color_of = sub_i.__getitem__
-                new_flat += [
-                    intern(("1wl", c, tuple(sorted(map(color_of, nbrs)))))
-                    for c, nbrs in zip(sub_i, adj_i)
-                ]
-            out.append(new_flat)
-        return out
-
+    initial = [
+        sub
+        for g, flat in zip(graphs, _initial_subgraph_colors(graphs, policy, ctx))
+        for sub in _rows(flat, g.n)
+    ]
+    update = _wl_update(ctx, [adj for g in graphs for adj in _policy_bag(g, policy)])
     state, rounds = _iterate(update, initial, sum(g.n * g.n for g in graphs))
     # node v's color is the representation of its own subgraph G_v
+    subs = iter(state)
     reps = [
-        [ctx.intern(("dsrep", tuple(sorted(row)))) for row in _rows(flat, g.n)]
-        for g, flat in zip(graphs, state)
+        [ctx.intern(("dsrep", tuple(sorted(next(subs))))) for _ in range(g.n)]
+        for g in graphs
     ]
     return _node_colorings(reps, rounds, ctx)
 
 
-SUBSTRUCTURE_MAX_NODES = 8
+def _orbits(autos) -> Partition:
+    """Vertex orbits of the group listed by autos: v's orbit is the set of
+    its images p[v], labeled here by the least of them."""
+    return Partition.from_labels([min(images) for images in zip(*autos)])
 
 
 def compute_orbits(h: Graph) -> Partition:
     """Vertex orbits under the full automorphism group (exhaustive)."""
-    if h.n > SUBSTRUCTURE_MAX_NODES:
-        raise ValueError(f"orbit computation capped at {SUBSTRUCTURE_MAX_NODES} nodes")
-    parent = list(range(h.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for perm in automorphisms(h):
-        for v in range(h.n):
-            a, b = find(v), find(perm[v])
-            if a != b:
-                parent[a] = b
-    return Partition.from_labels([find(v) for v in range(h.n)])
+    return _orbits(automorphisms(h))
 
 
 @dataclass(frozen=True)
@@ -464,17 +432,16 @@ class Substructure:
 
 
 def make_substructure(name: str, h: Graph) -> Substructure:
-    if h.n > SUBSTRUCTURE_MAX_NODES:
-        raise ValueError(f"substructures capped at {SUBSTRUCTURE_MAX_NODES} nodes")
     if not is_connected(h):
         raise ValueError("substructures must be connected")
-    orbits = compute_orbits(h)
+    autos = automorphisms(h)
+    orbits = _orbits(autos)
     return Substructure(
         name=name,
         graph=h,
         orbit_index=orbits.class_of,
         num_orbits=len(orbits.classes),
-        aut_count=len(automorphisms(h)),
+        aut_count=len(autos),
     )
 
 
@@ -606,8 +573,8 @@ def _named_substructure(token: str) -> Substructure:
         raise ValueError(f"unknown substructure {token!r}")
     n = int(num)
     # check the cap before building: a name like k2000 would take seconds to build
-    if n > SUBSTRUCTURE_MAX_NODES:
-        raise ValueError(f"substructures capped at {SUBSTRUCTURE_MAX_NODES} nodes")
+    if n > AUTOMORPHISM_MAX_NODES:
+        raise ValueError(f"substructures capped at {AUTOMORPHISM_MAX_NODES} nodes")
     return make_substructure(name, getattr(generators, _SUBSTRUCTURE_FAMILIES[kind])(n))
 
 

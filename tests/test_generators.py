@@ -204,6 +204,23 @@ def test_regular_with_cuts_validation():
         gen.regular_with_cuts(4, 2, 3, 0)
 
 
+def test_regular_with_cuts_states_how_many_attempts_failed(monkeypatch):
+    calls = []
+    chain = gen._chain_by_shared_vertices
+
+    def counted(*args):
+        calls.append(args)
+        return chain(*args)
+
+    monkeypatch.setattr(gen, "_chain_by_shared_vertices", counted)
+    # a 5-node block whose shared vertex keeps d / 2 = 2 of its edges has the
+    # degree sequence (4, 4, 4, 4, 2), which is not graphical: every attempt fails
+    attempts = gen.REGULAR_WITH_CUTS_ATTEMPTS
+    with pytest.raises(gen.GenerationError, match=f"infeasible after {attempts} attempts$"):
+        gen.regular_with_cuts(4, 2, 5, 0)
+    assert len(calls) == attempts
+
+
 def test_generalized_petersen_sizes():
     petersen = gen.named_graph("petersen")
     assert petersen.n == 10 and petersen.m == 15

@@ -185,9 +185,49 @@ def test_graph_validation():
         Graph.from_edges(2, [(0, 2)])
 
 
+def test_constructor_derives_adjacency_so_no_bad_graph_reaches_a_cache():
+    from wlcheck.distances import UNREACHABLE, spd_matrix
+
+    # adjacency is derived from edges, never passed in
+    with pytest.raises(TypeError):
+        Graph(3, ((0, 1), (1, 2)), ((), (), ()))
+    raw = Graph(3, ((0, 1), (1, 2)))
+    assert raw.adjacency == ((1,), (0, 2), (1,))
+    # an equal graph shares cache entries with raw, so they must be right
+    assert spd_matrix(raw).rows == ((0, 1, 2), (1, 0, 1), (2, 1, 0))
+    rows = spd_matrix(Graph.from_edges(3, [(0, 1), (1, 2)])).rows
+    assert rows == ((0, 1, 2), (1, 0, 1), (2, 1, 0))
+    assert UNREACHABLE not in rows[0]
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (3, ((1, 0),)),
+        (3, ((0, 3),)),
+        (3, ((0, 1), (0, 1))),
+        (3, ((0, 2), (0, 1))),
+        (3, [(0, 1)]),
+        (-1, ()),
+    ],
+)
+def test_constructor_rejects_edges_not_in_canonical_form(n, edges):
+    with pytest.raises(GraphFormatError):
+        Graph(n, edges)
+
+
 def test_both_formats_round_trip_on_whole_family_corpus():
     from wlcheck.harness import family_corpus
 
     for gid, g in family_corpus().members:
         assert parse_edge_list(encode_edge_list(g)) == g, gid
         assert parse_graph6(encode_graph6(g)) == g, gid
+
+
+def test_star_import_binds_no_module():
+    import types
+
+    namespace = {}
+    exec("from wlcheck import *", namespace)
+    del namespace["__builtins__"]
+    assert namespace and not any(isinstance(v, types.ModuleType) for v in namespace.values())

@@ -7,7 +7,7 @@ import pytest
 from wlcheck import generators as gen
 from wlcheck import harness, refine
 from wlcheck.distances import UNREACHABLE, rd_matrix, spd_matrix
-from wlcheck.graphs import Graph, Partition, relabel
+from wlcheck.graphs import Graph, Partition, automorphisms, relabel
 from wlcheck.refine import (
     ALGORITHM_SPECS,
     POLICY_TAGS,
@@ -201,6 +201,19 @@ def test_oversized_substructure_name_is_rejected_before_building(monkeypatch):
             run_algorithm(f"scwl:{name}", [g])
 
 
+def test_make_substructure_enumerates_the_automorphisms_once(monkeypatch):
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return automorphisms(h)
+
+    monkeypatch.setattr(refine, "automorphisms", counted)
+    k4 = make_substructure("k4", gen.complete(4))
+    assert (k4.num_orbits, k4.aut_count) == (1, 24)
+    assert len(calls) == 1
+
+
 def test_compute_orbits():
     assert compute_orbits(gen.cycle(5)).classes == ((0, 1, 2, 3, 4),)
     assert compute_orbits(gen.path(3)).classes == ((0, 2), (1,))
@@ -391,12 +404,14 @@ def _reference_run(state, step, entries):
         return Partition.from_labels([c for graph_colors in colors for c in entries(graph_colors)])
 
     rounds = 0
+    before = joint(state)
     while True:
-        new = step(state)
+        state = step(state)
         rounds += 1
-        if joint(new) == joint(state):
-            return new, rounds
-        state = new
+        after = joint(state)
+        if after == before:
+            return state, rounds
+        before = after
 
 
 def _reference_2fwl(graphs):
@@ -487,6 +502,123 @@ def _reference_gdwl(graphs, kind):
 def _reference_inputs():
     gnp = [gen.random_gnp(4 + i % 9, Fraction(1 + i % 4, 8), 1000 + i) for i in range(24)]
     return [("gnp", gnp), ("hierarchy", harness.hierarchy_corpus().graphs)]
+
+
+def _reference_1wl_round(ctx, colors, nbrs):
+    return [
+        ctx.intern(("1wl", c, tuple(sorted(colors[w] for w in nbrs[u]))))
+        for u, c in enumerate(colors)
+    ]
+
+
+def _reference_1wl(graphs):
+    """1-WL with the plain tuple key: own color, sorted neighbor colors."""
+    ctx = InterningContext()
+    c0 = ctx.intern(("init",))
+    nbrs = [[[w for w in range(g.n) if g.has_edge(u, w)] for u in range(g.n)] for g in graphs]
+
+    def step(state):
+        return [_reference_1wl_round(ctx, colors, g_nbrs) for colors, g_nbrs in zip(state, nbrs)]
+
+    state, rounds = _reference_run([[c0] * g.n for g in graphs], step, list)
+    return tuple(map(tuple, state)), tuple(tuple(sorted(c)) for c in state), rounds
+
+
+def _reference_bag(g, policy):
+    """Per subgraph G_v, from the policy's definition: each node's neighbors
+    in G_v, and the node it marks (or None). A node left out of G_v stays
+    in it, isolated."""
+    name, _, radius = policy.partition(":")
+    bag = []
+    for v in range(g.n):
+        inside = set(range(g.n))
+        if name == "nd":
+            inside.discard(v)
+        elif name in ("ego", "egom"):
+            inside = {v}
+            for _ in range(int(radius)):
+                inside |= {w for u in inside for w in range(g.n) if g.has_edge(u, w)}
+        nbrs = [[w for w in sorted(inside) if g.has_edge(u, w)] if u in inside else [] for u in range(g.n)]
+        bag.append((nbrs, v if name in ("nm", "egom") else None))
+    return bag
+
+
+def _reference_dswl(graphs, policy):
+    """DS-WL as plain 1-WL on each subgraph of the bag; node v's color is
+    the sorted color multiset of G_v."""
+    ctx = InterningContext()
+    c0, c1 = ctx.intern(("init",)), ctx.intern(("mark",))
+    bags = [_reference_bag(g, policy) for g in graphs]
+    initial = [
+        [[c1 if u == mark else c0 for u in range(g.n)] for _, mark in bag]
+        for g, bag in zip(graphs, bags)
+    ]
+
+    def step(state):
+        return [
+            [_reference_1wl_round(ctx, sub, nbrs) for sub, (nbrs, _) in zip(subs, bag)]
+            for subs, bag in zip(state, bags)
+        ]
+
+    state, rounds = _reference_run(initial, step, lambda subs: [c for sub in subs for c in sub])
+    node_colors = tuple(
+        tuple(ctx.intern(("dsrep", tuple(sorted(sub)))) for sub in subs) for subs in state
+    )
+    return node_colors, tuple(tuple(sorted(c)) for c in node_colors), rounds
+
+
+def _reference_dsswl(graphs, policy):
+    """DSS-WL with the plain tuple key: own subgraph color, sorted subgraph
+    neighbor colors, node color, sorted neighbor node colors in G; a node
+    color is the sorted multiset of the node's colors across the bag."""
+    ctx = InterningContext()
+    c0, c1 = ctx.intern(("init",)), ctx.intern(("mark",))
+    bags = [_reference_bag(g, policy) for g in graphs]
+    nbrs = [[[w for w in range(g.n) if g.has_edge(u, w)] for u in range(g.n)] for g in graphs]
+
+    def with_node_colors(subs):
+        return subs, [ctx.intern(("dssbag", tuple(sorted(sub[v] for sub in subs)))) for v in range(len(subs))]
+
+    def step(state):
+        out = []
+        for (subs, node), bag, g_nbrs in zip(state, bags, nbrs):
+            g_keys = [tuple(sorted(node[w] for w in g_nbrs[u])) for u in range(len(node))]
+            new = [
+                [
+                    ctx.intern(("dss", c, tuple(sorted(sub[w] for w in sub_nbrs[u])), node[u], g_keys[u]))
+                    for u, c in enumerate(sub)
+                ]
+                for sub, (sub_nbrs, _) in zip(subs, bag)
+            ]
+            out.append(with_node_colors(new))
+        return out
+
+    initial = [
+        with_node_colors([[c1 if u == mark else c0 for u in range(g.n)] for _, mark in bag])
+        for g, bag in zip(graphs, bags)
+    ]
+    state, rounds = _reference_run(
+        initial, step, lambda st: [c for sub in st[0] for c in sub] + st[1]
+    )
+    node_colors = tuple(tuple(node) for _, node in state)
+    return node_colors, tuple(tuple(sorted(c)) for c in node_colors), rounds
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["1wl", "dswl:nm", "dswl:nd", "dsswl:nm", "dsswl:nd", "dsswl:ego:1", "dsswl:egom:1"],
+)
+def test_1wl_dswl_and_dsswl_match_the_per_subgraph_tuple_key_formulas(spec):
+    name, _, policy = spec.partition(":")
+    for corpus, graphs in _reference_inputs():
+        if name == "1wl":
+            expected = _reference_1wl(graphs)
+        elif name == "dswl":
+            expected = _reference_dswl(graphs, policy)
+        else:
+            expected = _reference_dsswl(graphs, policy)
+        result = run_algorithm(spec, graphs)
+        assert (result.node_colors, result.representations, result.rounds) == expected, corpus
 
 
 @pytest.mark.parametrize("spec", ["2fwl", "spdwl", "rdwl", "gdwl"])
