@@ -6,8 +6,10 @@ integers: `RdMatrix` holds each node's component tau (its spanning-tree
 count) and integer numerators, R(u, v) = nums[u][v] / taus[u], so
 refinement and the harness compare and hash ints. `fractions.Fraction`s are
 built only at the public edge (`rd[u, v]`, `RdMatrix.rows`). Cross-component
-entries use the UNREACHABLE sentinel, which orders after every finite value
-and hashes as its own token.
+entries use the UNREACHABLE sentinel: a singleton (it unpickles to itself)
+that is equal only to itself and has no order against numbers, so sorting
+it with finite values raises TypeError. GD-WL sorts the finite values of a
+row and appends the sentinel's token after them by hand.
 
 Resistance distances and hitting times both come from one fraction-free
 integer solver, `_fraction_free_solve`, which returns a determinant and an

@@ -86,8 +86,6 @@ def tree_random(n: int, seed: int) -> Graph:
         raise GenerationError("tree_random requires n >= 1")
     if n == 1:
         return Graph.from_edges(1, [])
-    if n == 2:
-        return Graph.from_edges(2, [(0, 1)])
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n

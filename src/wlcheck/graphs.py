@@ -6,7 +6,6 @@ so values can be shared freely between threads and cached by identity.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 
@@ -167,21 +166,15 @@ def _graph6_decode_size(data: bytes) -> tuple[int, int]:
         raise GraphFormatError("empty graph6 string")
     if data[0] != 126:
         return data[0] - 63, 1
-    if len(data) >= 2 and data[1] == 126:
-        if len(data) < 8:
-            raise GraphFormatError("truncated graph6 size field")
-        vals = [b - 63 for b in data[2:8]]
-        n = 0
-        for v in vals:
-            n = (n << 6) | v
-        return n, 8
-    if len(data) < 4:
+    # "~" and three size bytes, or "~~" and six
+    start, width = (2, 6) if data[1:2] == b"~" else (1, 3)
+    end = start + width
+    if len(data) < end:
         raise GraphFormatError("truncated graph6 size field")
-    vals = [b - 63 for b in data[1:4]]
     n = 0
-    for v in vals:
-        n = (n << 6) | v
-    return n, 4
+    for b in data[start:end]:
+        n = (n << 6) | (b - 63)
+    return n, end
 
 
 def parse_graph6(text: str) -> Graph:
@@ -295,14 +288,81 @@ def relabel(g: Graph, perm) -> Graph:
     return Graph.from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges))
 
 
+def induced_embeddings(h: Graph, g: Graph, visit) -> bool:
+    """Search the induced embeddings of h in g: the injective maps of h's
+    nodes to g's under which two nodes are adjacent in h exactly when their
+    images are adjacent in g.
+
+    Calls visit(image) once per map, with image[v] the image of h's node v in
+    one list that the search reuses (copy it to keep it). Stops and returns
+    True as soon as visit returns a true value, else returns False once every
+    map was visited. h's nodes are placed in breadth-first order, each drawn
+    from the neighbors of its BFS parent's image, or from all of g's nodes
+    at the root of a component of h, and pruned on degree and on its
+    adjacency to every node placed before it.
+    """
+    order: list[int] = []
+    parent: dict[int, int | None] = {}
+    for root in range(h.n):
+        if root in parent:
+            continue
+        parent[root] = None
+        queue = [root]
+        for u in queue:  # the queue grows while it is read
+            for w in h.adjacency[u]:
+                if w not in parent:
+                    parent[w] = u
+                    queue.append(w)
+        order += queue
+    # per position: node, BFS parent, degree, the earlier nodes its image
+    # must be adjacent to (the parent is so by construction) and those it
+    # must not be
+    steps = [
+        (
+            v,
+            parent[v],
+            h.degree(v),
+            [w for w in order[:i] if w != parent[v] and h.has_edge(v, w)],
+            [w for w in order[:i] if not h.has_edge(v, w)],
+        )
+        for i, v in enumerate(order)
+    ]
+    adj = g.adjacency
+    nbrs = [set(a) for a in adj]
+    anywhere = range(g.n)
+    image = [-1] * h.n
+    image_of = image.__getitem__
+    used = [False] * g.n
+
+    def place(pos: int) -> bool:
+        if pos == len(steps):
+            return bool(visit(image))
+        v, anchor, degree, adjacent, apart = steps[pos]
+        for cand in anywhere if anchor is None else adj[image[anchor]]:
+            if used[cand] or len(adj[cand]) < degree:
+                continue
+            near = nbrs[cand]
+            if near.issuperset(map(image_of, adjacent)) and near.isdisjoint(map(image_of, apart)):
+                image[v] = cand
+                used[cand] = True
+                found = place(pos + 1)
+                used[cand] = False
+                if found:
+                    return True
+        return False
+
+    return place(0)
+
+
 BRUTE_FORCE_ISO_MAX_NODES = 10
 
 
 def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
     """Exhaustive isomorphism test, pruned by degrees. Oracle use only.
 
-    Capped at 10 nodes per graph; the search assigns images in order and
-    backtracks on any adjacency mismatch against already-placed nodes.
+    Capped at 10 nodes per graph. Past the node, edge and degree-sequence
+    filters, g and h are isomorphic exactly when g has an induced embedding
+    in h, since h has no node or edge to spare.
     """
     if g.n > BRUTE_FORCE_ISO_MAX_NODES or h.n > BRUTE_FORCE_ISO_MAX_NODES:
         raise ValueError(
@@ -312,56 +372,17 @@ def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
         return False
     if sorted(map(g.degree, range(g.n))) != sorted(map(h.degree, range(h.n))):
         return False
-    n = g.n
-    # Place high-degree nodes first: fewer candidates, earlier pruning.
-    order = sorted(range(n), key=g.degree, reverse=True)
-    image = [-1] * n
-    used = [False] * n
-    h_adj = [set(h.adjacency[v]) for v in range(n)]
-
-    def place(pos: int) -> bool:
-        if pos == n:
-            return True
-        u = order[pos]
-        for cand in range(n):
-            if used[cand] or g.degree(u) != h.degree(cand):
-                continue
-            ok = True
-            for w in g.adjacency[u]:
-                iw = image[w]
-                if iw != -1 and iw not in h_adj[cand]:
-                    ok = False
-                    break
-            if ok:
-                # non-edges must also map to non-edges
-                for prev in order[:pos]:
-                    if image[prev] in h_adj[cand] and not g.has_edge(u, prev):
-                        ok = False
-                        break
-            if ok:
-                image[u] = cand
-                used[cand] = True
-                if place(pos + 1):
-                    return True
-                image[u] = -1
-                used[cand] = False
-        return False
-
-    return place(0)
+    return induced_embeddings(g, h, lambda image: True)
 
 
 AUTOMORPHISM_MAX_NODES = 8
 
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """All automorphisms of a small graph (n <= 8), as permutation tuples."""
+    """All automorphisms of a small graph (n <= 8), as permutation tuples in
+    lexicographic order: the induced embeddings of g in itself."""
     if g.n > AUTOMORPHISM_MAX_NODES:
         raise ValueError(f"automorphism enumeration capped at {AUTOMORPHISM_MAX_NODES} nodes")
-    degs = [g.degree(v) for v in range(g.n)]
-    autos = []
-    for perm in itertools.permutations(range(g.n)):
-        if any(degs[v] != degs[perm[v]] for v in range(g.n)):
-            continue
-        if all(g.has_edge(perm[u], perm[v]) for u, v in g.edges):
-            autos.append(perm)
-    return autos
+    autos: list[tuple[int, ...]] = []
+    induced_embeddings(g, g, lambda image: autos.append(tuple(image)))
+    return sorted(autos)

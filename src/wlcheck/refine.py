@@ -30,7 +30,7 @@ from itertools import chain, count
 from operator import add
 
 from .distances import UNREACHABLE, rd_matrix, spd_matrix
-from .graphs import AUTOMORPHISM_MAX_NODES, Graph, Partition, automorphisms, is_connected
+from .graphs import AUTOMORPHISM_MAX_NODES, Graph, Partition, automorphisms, induced_embeddings, is_connected
 
 
 class InterningContext:
@@ -448,60 +448,20 @@ def make_substructure(name: str, h: Graph) -> Substructure:
 def _count_induced_occurrences(g: Graph, sub: Substructure) -> list[tuple[int, ...]]:
     """Per node, per orbit of `sub`: induced occurrences containing the node.
 
-    Enumerates all induced embeddings of the substructure by backtracking
-    and divides by |Aut| so each vertex set is counted once.
+    Over all induced embeddings of the substructure, each node of g is
+    tallied under the orbit of the node mapped onto it; dividing by |Aut|
+    counts each vertex set once.
     """
-    h = sub.graph
-    hn = h.n
-    # order H's vertices so each one (after the first) touches an earlier one
-    order = [0]
-    seen = {0}
-    while len(order) < hn:
-        nxt = next(
-            v for v in range(hn) if v not in seen and any(w in seen for w in h.adjacency[v])
-        )
-        order.append(nxt)
-        seen.add(nxt)
-    h_adj = [set(h.adjacency[v]) for v in range(hn)]
     counts = [[0] * sub.num_orbits for _ in range(g.n)]
-    image = [-1] * hn
-    used = [False] * g.n
 
-    def backtrack(pos: int):
-        if pos == hn:
-            for hv in range(hn):
-                counts[image[hv]][sub.orbit_index[hv]] += 1
-            return
-        hv = order[pos]
-        anchor = next(w for w in h_adj[hv] if image[w] != -1) if pos else None
-        candidates = g.adjacency[image[anchor]] if pos else range(g.n)
-        for cand in candidates:
-            if used[cand] or g.degree(cand) < h.degree(hv):
-                continue
-            ok = True
-            for prev in order[:pos]:
-                want = prev in h_adj[hv]
-                have = g.has_edge(cand, image[prev])
-                if want != have:
-                    ok = False
-                    break
-            if ok:
-                image[hv] = cand
-                used[cand] = True
-                backtrack(pos + 1)
-                image[hv] = -1
-                used[cand] = False
+    def tally(image):
+        for v, orbit in zip(image, sub.orbit_index):
+            counts[v][orbit] += 1
 
-    backtrack(0)
-    out = []
-    for v in range(g.n):
-        row = []
-        for c in counts[v]:
-            if c % sub.aut_count:
-                raise AssertionError("orbit count not divisible by |Aut(H)|")
-            row.append(c // sub.aut_count)
-        out.append(tuple(row))
-    return out
+    induced_embeddings(sub.graph, g, tally)
+    if any(c % sub.aut_count for row in counts for c in row):
+        raise AssertionError("orbit count not divisible by |Aut(H)|")
+    return [tuple(c // sub.aut_count for c in row) for row in counts]
 
 
 def substructure_counts(g: Graph, subs: list[Substructure]) -> list[tuple[int, ...]]:

@@ -140,6 +140,11 @@ def test_tree_random_is_deterministic_and_seed_sensitive():
     assert any(gen.tree_random(9, 5) != gen.tree_random(9, s) for s in range(6, 12))
 
 
+def test_tree_random_on_two_nodes_is_the_edge():
+    for seed in range(5):
+        assert gen.tree_random(2, seed).edges == ((0, 1),)
+
+
 def test_random_gnp_extremes_and_determinism():
     assert gen.random_gnp(6, 0, 1).m == 0
     assert gen.random_gnp(6, 1, 1) == gen.complete(6)

@@ -1,9 +1,13 @@
+import itertools
+import random
+
 import pytest
 
 from wlcheck import generators as gen
 from wlcheck.graphs import (
     Graph,
     GraphFormatError,
+    automorphisms,
     brute_force_isomorphic,
     connected_components,
     disjoint_union,
@@ -81,6 +85,24 @@ def test_graph6_errors():
         parse_graph6("D")  # promises 5 nodes, no body
     with pytest.raises(GraphFormatError):
         parse_graph6("D\x07\x07")
+
+
+@pytest.mark.parametrize("n", [63, 100])
+def test_graph6_round_trips_with_the_four_byte_size_form(n):
+    g = gen.random_gnp(n, 0.1, n)
+    s = encode_graph6(g)
+    assert s[0] == "~" and s[1] != "~"
+    assert parse_graph6(s) == g
+
+
+@pytest.mark.parametrize("text", ["~", "~~", "~~?????"])
+def test_graph6_truncated_size_field(text):
+    with pytest.raises(GraphFormatError, match="^truncated graph6 size field$"):
+        parse_graph6(text)
+
+
+def test_graph6_eight_byte_size_form():
+    assert parse_graph6("~~?????@") == Graph(1, ())
 
 
 def test_edge_list_round_trip():
@@ -174,6 +196,49 @@ def test_brute_force_isomorphic_derived_case():
 def test_brute_force_isomorphic_guard():
     with pytest.raises(ValueError):
         brute_force_isomorphic(gen.cycle(11), gen.cycle(11))
+
+
+def _atlas_graphs(nx, max_nodes):
+    """Every graph on at most max_nodes nodes, once up to isomorphism."""
+    return [
+        (Graph.from_edges(a.number_of_nodes(), a.edges()), a)
+        for a in nx.graph_atlas_g()
+        if a.number_of_nodes() <= max_nodes
+    ]
+
+
+def _scanned_automorphisms(g):
+    """Reference: every permutation that keeps degrees and maps edges to edges."""
+    degs = [g.degree(v) for v in range(g.n)]
+    return [
+        perm
+        for perm in itertools.permutations(range(g.n))
+        if all(degs[v] == degs[perm[v]] for v in range(g.n))
+        and all(g.has_edge(perm[u], perm[v]) for u, v in g.edges)
+    ]
+
+
+def test_automorphisms_match_a_permutation_scan_and_networkx():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    for g, a in _atlas_graphs(nx, 6):
+        autos = automorphisms(g)
+        assert autos == _scanned_automorphisms(g), g.edges
+        assert len(autos) == sum(1 for _ in GraphMatcher(a, a).isomorphisms_iter()), g.edges
+
+
+def test_brute_force_isomorphic_matches_networkx_on_the_atlas():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(5)
+    graphs = _atlas_graphs(nx, 6)
+    for i, (g, a) in enumerate(graphs):
+        for h, b in graphs[i:]:
+            if (g.n, g.m) == (h.n, h.m):
+                assert brute_force_isomorphic(g, h) == nx.is_isomorphic(a, b), (g.edges, h.edges)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert brute_force_isomorphic(g, relabel(g, perm)), (g.edges, perm)
 
 
 def test_graph_validation():

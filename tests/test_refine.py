@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -212,6 +214,50 @@ def test_make_substructure_enumerates_the_automorphisms_once(monkeypatch):
     k4 = make_substructure("k4", gen.complete(4))
     assert (k4.num_orbits, k4.aut_count) == (1, 24)
     assert len(calls) == 1
+
+
+def _reference_counts(nx, g, sub):
+    """Per node, per orbit of sub: the node subsets of g that induce a copy
+    of sub.graph, each found by combinations and matched by networkx."""
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    big, small = nx.Graph(), nx.Graph()
+    big.add_nodes_from(range(g.n))
+    big.add_edges_from(g.edges)
+    small.add_nodes_from(range(sub.graph.n))
+    small.add_edges_from(sub.graph.edges)
+    counts = [[0] * sub.num_orbits for _ in range(g.n)]
+    for nodes in itertools.combinations(range(g.n), sub.graph.n):
+        induced = big.subgraph(nodes)
+        if induced.number_of_edges() != sub.graph.m:
+            continue
+        mapping = next(GraphMatcher(induced, small).isomorphisms_iter(), None)
+        for v, hv in (mapping or {}).items():
+            counts[v][sub.orbit_index[hv]] += 1
+    return counts
+
+
+def test_substructure_counts_match_combinations_and_networkx():
+    nx = pytest.importorskip("networkx")
+    subs = [
+        make_substructure("c3", gen.cycle(3)),
+        make_substructure("c4", gen.cycle(4)),
+        make_substructure("p3", gen.path(3)),
+        make_substructure("s4", gen.star(4)),
+        make_substructure("k4", gen.complete(4)),
+    ]
+    for seed in range(10):
+        g = gen.random_gnp(9, 0.4, seed)
+        per_sub = [_reference_counts(nx, g, sub) for sub in subs]
+        expected = [tuple(c for counts in per_sub for c in counts[v]) for v in range(g.n)]
+        assert substructure_counts(g, subs) == expected, seed
+
+
+def test_scwl_output_on_family_corpus_is_pinned():
+    # a change to this output must be deliberate and re-pin the md5
+    result = run_algorithm("scwl:tri,c4,c5,k4,p3,s3", harness.family_corpus().graphs)
+    state = repr((result.node_colors, result.representations, result.rounds))
+    assert hashlib.md5(state.encode()).hexdigest() == "bec453e5b522343b44bba302c4d860c7"
 
 
 def test_compute_orbits():
