@@ -10,7 +10,10 @@ DS-WL, which holds one list per subgraph, graph after graph, so that 1-WL
 and DS-WL share the one 1-WL round of `_wl_update`. All graphs advance in
 lockstep and iterate until the joint partition survives a full round
 unchanged; exceeding the theoretical stabilization bound indicates an
-interning bug and raises.
+interning bug and raises. With `early_exit`, which only `distinguishable`
+sets, the loop also stops at the first round (round 0 included) where two
+graphs' multisets of state entries differ; the colorings it then returns
+are partial, and good only for telling the graphs apart.
 
 Each round's inner loop runs in C builtins (`map`, `zip`, `sorted` over
 ints), except SC-WL's, which builds its (color, counts) pairs in a Python
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain, count, islice
 from operator import add
 
 from .distances import UNREACHABLE, rd_matrix, spd_matrix
@@ -96,31 +99,48 @@ class StabilizationError(RuntimeError):
     """Internal error: refinement exceeded its theoretical round bound."""
 
 
-def _iterate(update, initial, total_elements):
+def _multisets_differ(state, lists_per_graph) -> bool:
+    """True when two graphs' multisets of state entries differ; each graph
+    owns the next lists_per_graph[i] lists of state."""
+    lists = iter(state)
+    multisets = {tuple(sorted(chain.from_iterable(islice(lists, k)))) for k in lists_per_graph}
+    return len(multisets) > 1
+
+
+def _iterate(update, initial, total_elements, early_exit=False, lists_per_graph=None):
     """Run lockstep rounds until the joint partition stabilizes.
 
     This is the stabilization loop of every refine_* function.
-    update(state) -> state; a state holds one flat color list per graph,
-    and the partition compared between rounds is that of all entries of
-    all lists together. Returns (state, rounds). The partition can
-    strictly refine at most total_elements - 1 times, so the round cap is
-    total_elements + 1.
+    update(state) -> state; a state holds one flat color list per graph
+    (or lists_per_graph[i] lists for graph i), and the partition compared
+    between rounds is that of all entries of all lists together. Returns
+    (state, rounds). The partition can strictly refine at most
+    total_elements - 1 times, so the round cap is total_elements + 1.
+
+    With early_exit the loop also stops, before round 1 and after every
+    round, as soon as two graphs' multisets of state entries differ. That
+    verdict is final: every round's key holds the element's previous
+    color, so each round's joint partition refines the one before, and
+    multisets that differ at one round differ at every later one, the
+    stable coloring included.
     """
     state = initial
     sig = _partition_sig(state)
     rounds = 0
     cap = total_elements + 1
-    while True:
+    groups = lists_per_graph or [1] * len(state)
+    while not (early_exit and _multisets_differ(state, groups)):
         state = update(state)
         rounds += 1
         new_sig = _partition_sig(state)
         if new_sig == sig:
-            return state, rounds
+            break
         sig = new_sig
         if rounds > cap:
             raise StabilizationError(
                 f"no stabilization after {rounds} rounds (cap {cap})"
             )
+    return state, rounds
 
 
 def _wl_update(ctx: InterningContext, adjacencies):
@@ -143,13 +163,13 @@ def _wl_update(ctx: InterningContext, adjacencies):
     return update
 
 
-def refine_1wl(graphs: list[Graph]) -> list[Coloring]:
+def refine_1wl(graphs: list[Graph], *, early_exit: bool = False) -> list[Coloring]:
     """Classic color refinement: hash own color plus neighbor multiset."""
     ctx = InterningContext()
     c0 = ctx.intern(("init",))
     initial = [[c0] * g.n for g in graphs]
     update = _wl_update(ctx, [g.adjacency for g in graphs])
-    state, rounds = _iterate(update, initial, sum(g.n for g in graphs))
+    state, rounds = _iterate(update, initial, sum(g.n for g in graphs), early_exit)
     return _node_colorings(state, rounds, ctx)
 
 
@@ -181,7 +201,9 @@ def _distance_token(tau: int | None, value):
     return Fraction(value, tau)
 
 
-def refine_gdwl(graphs: list[Graph], distance_kind: str = "spd") -> list[Coloring]:
+def refine_gdwl(
+    graphs: list[Graph], distance_kind: str = "spd", *, early_exit: bool = False
+) -> list[Coloring]:
     """Generalized-distance refinement: aggregate (distance, color) over all nodes.
 
     distance_kind is 'spd', 'rd', or 'spdrd' (the ordered SPD/RD pair).
@@ -225,7 +247,7 @@ def refine_gdwl(graphs: list[Graph], distance_kind: str = "spd") -> list[Colorin
             for highs, colors in zip(highs_per_graph, state)
         ]
 
-    state, rounds = _iterate(update, initial, sum(g.n for g in graphs))
+    state, rounds = _iterate(update, initial, sum(g.n for g in graphs), early_exit)
     return _node_colorings(state, rounds, ctx)
 
 
@@ -237,7 +259,7 @@ def _rows(flat, n):
     return [flat[i * n : (i + 1) * n] for i in range(n)]
 
 
-def refine_2fwl(graphs: list[Graph]) -> list[Coloring]:
+def refine_2fwl(graphs: list[Graph], *, early_exit: bool = False) -> list[Coloring]:
     """Folklore 2-WL on ordered pairs; Theta(n^3) per round per graph.
 
     Initial pair colors separate the diagonal, edges, and non-edges; the
@@ -275,7 +297,7 @@ def refine_2fwl(graphs: list[Graph]) -> list[Coloring]:
             out.append(new_flat)
         return out
 
-    state, rounds = _iterate(update, initial, sum(g.n * g.n for g in graphs))
+    state, rounds = _iterate(update, initial, sum(g.n * g.n for g in graphs), early_exit)
     # entry u * (n + 1) of the row-major flat list is the diagonal pair (u, u)
     return [
         Coloring(tuple(flat[:: g.n + 1]), tuple(sorted(flat)), rounds, ctx)
@@ -339,7 +361,9 @@ def _initial_subgraph_colors(graphs: list[Graph], policy: SubgraphPolicy, ctx):
 DSS_WL_MAX_NODES = 64
 
 
-def refine_dsswl(graphs: list[Graph], policy: SubgraphPolicy) -> list[Coloring]:
+def refine_dsswl(
+    graphs: list[Graph], policy: SubgraphPolicy, *, early_exit: bool = False
+) -> list[Coloring]:
     """DSS-WL: per-round joint aggregation within and across the subgraph bag.
 
     Each subgraph color update hashes (own subgraph color, subgraph
@@ -384,11 +408,13 @@ def refine_dsswl(graphs: list[Graph], policy: SubgraphPolicy) -> list[Coloring]:
         return out
 
     initial = [flat + node_colors(flat, g.n) for g, flat in zip(graphs, subs)]
-    state, rounds = _iterate(update, initial, sum(g.n * g.n for g in graphs))
+    state, rounds = _iterate(update, initial, sum(g.n * g.n for g in graphs), early_exit)
     return _node_colorings([flat[g.n * g.n :] for g, flat in zip(graphs, state)], rounds, ctx)
 
 
-def refine_dswl(graphs: list[Graph], policy: SubgraphPolicy) -> list[Coloring]:
+def refine_dswl(
+    graphs: list[Graph], policy: SubgraphPolicy, *, early_exit: bool = False
+) -> list[Coloring]:
     """DS-WL: independent 1-WL in each subgraph, no cross-bag aggregation.
 
     The state is one color list per subgraph, graph after graph. The output
@@ -401,7 +427,11 @@ def refine_dswl(graphs: list[Graph], policy: SubgraphPolicy) -> list[Coloring]:
         for sub in _rows(flat, g.n)
     ]
     update = _wl_update(ctx, [adj for g in graphs for adj in _policy_bag(g, policy)])
-    state, rounds = _iterate(update, initial, sum(g.n * g.n for g in graphs))
+    # graph i owns its g.n subgraph lists, so an early exit compares the
+    # multisets of all of a graph's subgraph colors
+    state, rounds = _iterate(
+        update, initial, sum(g.n * g.n for g in graphs), early_exit, [g.n for g in graphs]
+    )
     # node v's color is the representation of its own subgraph G_v
     subs = iter(state)
     reps = [
@@ -472,7 +502,9 @@ def substructure_counts(g: Graph, subs: list[Substructure]) -> list[tuple[int, .
     ]
 
 
-def refine_scwl(graphs: list[Graph], substructures: list[Substructure]) -> list[Coloring]:
+def refine_scwl(
+    graphs: list[Graph], substructures: list[Substructure], *, early_exit: bool = False
+) -> list[Coloring]:
     """1-WL augmented with per-node, per-orbit induced substructure counts."""
     ctx = InterningContext()
     c0 = ctx.intern(("init",))
@@ -499,7 +531,7 @@ def refine_scwl(graphs: list[Graph], substructures: list[Substructure]) -> list[
             )
         return out
 
-    state, rounds = _iterate(update, initial, sum(g.n for g in graphs))
+    state, rounds = _iterate(update, initial, sum(g.n for g in graphs), early_exit)
     return _node_colorings(state, rounds, ctx)
 
 
@@ -557,33 +589,36 @@ def parse_policy(token: str) -> SubgraphPolicy:
     raise ValueError(f"unknown subgraph policy {token!r}")
 
 
+def _refine(spec: str, graphs: list[Graph], early_exit: bool = False) -> list[Coloring]:
+    """The colorings of the refine_* call that spec names: the one dispatch
+    of spec strings, for run_algorithm and distinguishable."""
+    if spec == "1wl":
+        return refine_1wl(graphs, early_exit=early_exit)
+    if spec in ("spdwl", "rdwl", "gdwl"):
+        kind = {"spdwl": "spd", "rdwl": "rd", "gdwl": "spdrd"}[spec]
+        return refine_gdwl(graphs, kind, early_exit=early_exit)
+    if spec == "2fwl":
+        return refine_2fwl(graphs, early_exit=early_exit)
+    if spec.startswith("dsswl:"):
+        return refine_dsswl(graphs, parse_policy(spec[len("dsswl:"):]), early_exit=early_exit)
+    if spec.startswith("dswl:"):
+        return refine_dswl(graphs, parse_policy(spec[len("dswl:"):]), early_exit=early_exit)
+    if spec.startswith("scwl:"):
+        # an empty name, as in "scwl:" or "scwl:c3,", is an unknown substructure
+        subs = [_named_substructure(tok) for tok in spec[len("scwl:"):].split(",")]
+        return refine_scwl(graphs, subs, early_exit=early_exit)
+    raise ValueError(f"unknown algorithm spec {spec!r}")
+
+
 def run_algorithm(spec: str, graphs: list[Graph]) -> AlgoResult:
-    """Run an algorithm named by its CLI spec string on graphs jointly.
+    """Run an algorithm named by its CLI spec string on graphs jointly,
+    to the stable coloring.
 
     Specs: 1wl | spdwl | rdwl | gdwl | 2fwl | dsswl:POLICY | dswl:POLICY |
     scwl:NAME[,NAME...] where POLICY is nm | nd | ego:K | egom:K and NAME
     is like c3 (triangle), c4, p3, k4, s3.
     """
-    if spec == "1wl":
-        results = refine_1wl(graphs)
-    elif spec == "spdwl":
-        results = refine_gdwl(graphs, "spd")
-    elif spec == "rdwl":
-        results = refine_gdwl(graphs, "rd")
-    elif spec == "gdwl":
-        results = refine_gdwl(graphs, "spdrd")
-    elif spec == "2fwl":
-        results = refine_2fwl(graphs)
-    elif spec.startswith("dsswl:"):
-        results = refine_dsswl(graphs, parse_policy(spec[len("dsswl:"):]))
-    elif spec.startswith("dswl:"):
-        results = refine_dswl(graphs, parse_policy(spec[len("dswl:"):]))
-    elif spec.startswith("scwl:"):
-        # an empty name, as in "scwl:" or "scwl:c3,", is an unknown substructure
-        subs = [_named_substructure(tok) for tok in spec[len("scwl:"):].split(",")]
-        results = refine_scwl(graphs, subs)
-    else:
-        raise ValueError(f"unknown algorithm spec {spec!r}")
+    results = _refine(spec, graphs)
     return AlgoResult(
         spec=spec,
         node_colors=tuple(r.colors for r in results),
@@ -609,6 +644,12 @@ ALGORITHM_SPECS = (
 
 
 def distinguishable(g: Graph, h: Graph, algo: str) -> bool:
-    """True when the algorithm separates the two graph representations."""
-    result = run_algorithm(algo, [g, h])
-    return result.representations[0] != result.representations[1]
+    """True when the algorithm separates the two graph representations.
+
+    Refinement stops at the first round, round 0 included, where the two
+    graphs' color multisets differ (see `_iterate`): from there on they
+    differ at every round, so the stable representations differ too. Set-up
+    runs first, so a spec or graph the algorithm rejects still raises.
+    """
+    first, second = _refine(algo, [g, h], early_exit=True)
+    return first.representation != second.representation

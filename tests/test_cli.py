@@ -144,6 +144,21 @@ def test_distinguish_counterexample_pair(tmp_path, capsys):
     assert code == 0 and out.strip() == "distinguishable"
 
 
+@pytest.mark.parametrize(
+    "algo, big",
+    [("2fwl", cycle(41)), ("dsswl:nm", cycle(65)), ("rdwl", cycle(200)), ("scwl:k9", cycle(5))],
+)
+def test_distinguish_reports_set_up_errors_before_comparing(tmp_path, capsys, algo, big):
+    # the node counts differ, so a comparison before set-up would answer
+    # "distinguishable"; the cap error must win
+    big_path, small_path = tmp_path / "big.el", tmp_path / "small.el"
+    big_path.write_text(encode_edge_list(big))
+    small_path.write_text(encode_edge_list(cycle(3)))
+    code, out, err = run_cli(capsys, "distinguish", "--algo", algo, str(big_path), str(small_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "capped" in err
+
+
 def test_refine_json(tmp_path, capsys):
     path = tmp_path / "c6.el"
     run_cli(capsys, "gen", "cycle", "6", "-o", str(path))

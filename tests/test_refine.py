@@ -71,9 +71,50 @@ def test_spdwl_distinguishes_example2():
     assert not distinguishable(g1, g2, "1wl")
 
 
-def test_first_round_histograms_differ_for_c6_vs_triangles():
+def _count_updates(monkeypatch):
+    """Patch refine._iterate so every round it runs appends to the list
+    returned."""
+    updates = []
+    iterate = refine._iterate
+
+    def counting(update, *args):
+        def counted(state):
+            updates.append(None)
+            return update(state)
+
+        return iterate(counted, *args)
+
+    monkeypatch.setattr(refine, "_iterate", counting)
+    return updates
+
+
+def test_first_round_histograms_differ_for_c6_vs_triangles(monkeypatch):
     cols = refine_gdwl([gen.cycle(6), two_triangles()], "spd")
     assert cols[0].representation != cols[1].representation
+    # distinguishable stops at the first round whose multisets differ:
+    # round 1 here, where the full refinement runs a second round
+    updates = _count_updates(monkeypatch)
+    assert distinguishable(gen.cycle(6), two_triangles(), "spdwl")
+    assert len(updates) == 1
+    # unequal node counts differ before round 1
+    updates.clear()
+    assert distinguishable(gen.path(3), gen.path(4), "1wl")
+    assert updates == []
+
+
+def test_iterate_raises_past_its_round_cap():
+    # an update that flips between two partitions of 3 entries never
+    # stabilizes; the cap is 3 + 1 rounds
+    flip = {0: [[0, 1, 1]], 1: [[0, 0, 1]]}
+    updates = []
+
+    def update(state):
+        updates.append(None)
+        return flip[state[0][1]]
+
+    with pytest.raises(refine.StabilizationError, match=r"^no stabilization after 5 rounds \(cap 4\)$"):
+        refine._iterate(update, [[0, 0, 1]], 3)
+    assert len(updates) == 5
 
 
 def test_rdwl_separates_dodecahedron_from_desargues():
@@ -432,6 +473,42 @@ def test_refinement_properties_on_random_relabelings(spec):
         assert fine.refines(Partition.from_labels(one.node_colors[0] + one.node_colors[1]))
 
     check()
+
+
+def _early_exit_pairs():
+    """Pairs that split before round 1 (unequal node counts), later (P4 vs
+    S4 at round 1 of 1-WL; C6 vs two triangles, example2(4) under spdwl), or
+    never (relabelled copies, the counterexample pairs under the algorithms
+    they defeat), and 0- and 1-node graphs."""
+    g = gen.random_gnp(7, Fraction(2, 5), 3)
+    tree = gen.tree_random(8, 1)
+    empty = Graph.from_edges(0, [])
+    return [
+        (gen.path(3), gen.path(4)),
+        (gen.cycle(5), gen.complete(4)),
+        (two_triangles(), gen.cycle(7)),
+        (gen.path(4), gen.star(4)),
+        (gen.cycle(6), two_triangles()),
+        gen.example2(4),
+        gen.example2(3),
+        gen.example1(2, 2),
+        gen.example1(1, 4),
+        (g, relabel(g, [3, 6, 0, 5, 1, 4, 2])),
+        (tree, relabel(tree, [7, 0, 6, 1, 5, 2, 4, 3])),
+        (empty, empty),
+        (empty, gen.complete(1)),
+        (gen.complete(1), gen.complete(1)),
+        (gen.complete(1), gen.path(2)),
+    ]
+
+
+@pytest.mark.parametrize("spec", SPEC_FORMS)
+def test_early_exit_gives_the_full_refinement_verdict(spec):
+    for g, h in _early_exit_pairs():
+        full = run_algorithm(spec, [g, h])
+        expected = full.representations[0] != full.representations[1]
+        assert distinguishable(g, h, spec) == expected, (spec, g, h)
+        assert distinguishable(h, g, spec) == expected, (spec, h, g)
 
 
 def test_subgraph_policy_rejects_unknown_tag():
