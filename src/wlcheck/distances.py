@@ -24,7 +24,7 @@ RD independently.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -313,69 +313,54 @@ class DistanceRegularProfile:
 
 
 def distance_regular_profile(g: Graph) -> DistanceRegularProfile:
-    """Check |N^i(u) ∩ N^j(v)| depends only on (i, j, dis(u, v))."""
+    """Distance-regularity read off the SPD rows.
+
+    For nodes u, v at distance d, b_d(u, v) counts the neighbors of v at
+    distance d + 1 from u and c_d(u, v) those at distance d - 1. A
+    connected graph is distance-regular iff both depend on d alone
+    (Brouwer, Cohen & Neumaier 1989, Distance-Regular Graphs, 4.1); b_0 is
+    the degree, so this forces regularity. One pass over the neighbors of
+    every node for every row, Theta(n m). kappa is counted from node 0's
+    row.
+    """
     if g.n == 0:
         raise ValueError("distance_regular_profile requires a non-empty graph")
     if not is_connected(g):
         raise ValueError("distance_regular_profile requires a connected graph")
-    spd = spd_matrix(g)
-    n = g.n
-    diameter = 0
-    for u in range(n):
-        for v in range(n):
-            d = spd[u, v]
-            if d is not UNREACHABLE and d > diameter:
-                diameter = d
-    # hop sets per node
-    hops: list[list[set[int]]] = []
-    for u in range(n):
-        sets = [set() for _ in range(diameter + 1)]
-        for v in range(n):
-            sets[spd[u, v]].add(v)
-        hops.append(sets)
-    signature_by_dist: dict[int, tuple] = {}
-    for u in range(n):
-        for v in range(n):
-            d = spd[u, v]
-            sig = tuple(
-                len(hops[u][i] & hops[v][j])
-                for i in range(diameter + 1)
-                for j in range(diameter + 1)
-            )
-            if signature_by_dist.setdefault(d, sig) != sig:
+    rows = spd_matrix(g).rows
+    diameter = max(map(max, rows))
+    # (b_d, c_d) of the first pair seen at each distance d
+    bc: list[tuple[int, int] | None] = [None] * (diameter + 1)
+    for du in rows:
+        for v, d in enumerate(du):
+            far = sum(du[w] > d for w in g.adjacency[v])
+            near = sum(du[w] < d for w in g.adjacency[v])
+            if bc[d] is None:
+                bc[d] = (far, near)
+            elif bc[d] != (far, near):
                 return DistanceRegularProfile(False, diameter, (), (), ())
-    kappa = tuple(len(hops[0][i]) for i in range(1, diameter + 1))
-    b = []
-    c = []
-    for d in range(diameter + 1):
-        # pick any pair at distance d; regularity guarantees one exists
-        u, v = next((u, v) for u in range(n) for v in range(n) if spd[u, v] == d)
-        if d < diameter:
-            b.append(len(hops[u][1] & hops[v][d + 1]))
-        if d >= 1:
-            c.append(len(hops[u][1] & hops[v][d - 1]))
+    hops = Counter(rows[0])
     return DistanceRegularProfile(
         is_drg=True,
         diameter=diameter,
-        kappa=kappa,
-        iota_b=tuple(b),
-        iota_c=tuple(c),
+        kappa=tuple(hops[d] for d in range(1, diameter + 1)),
+        iota_b=tuple(b for b, _ in bc[:diameter]),
+        iota_c=tuple(c for _, c in bc[1:]),
     )
 
 
-def rd_from_intersection_array(profile: DistanceRegularProfile, n: int) -> tuple[Fraction, ...]:
+def rd_from_intersection_array(profile: DistanceRegularProfile) -> tuple[Fraction, ...]:
     """Resistance at each hop distance from the intersection array alone.
 
     r_0 = 0 and r_d = r_{d-1} + 2 * (k_d + ... + k_D) / (n * k_{d-1} * b_{d-1})
-    with k_0 = 1; in a distance-regular graph the resistance between any
-    pair at hop distance d equals r_d.
+    with k_0 = 1 and n = 1 + k_1 + ... + k_D; in a distance-regular graph
+    the resistance between any pair at hop distance d equals r_d.
     """
     if not profile.is_drg:
         raise ValueError("rd_from_intersection_array requires a distance-regular profile")
-    d_max = profile.diameter
     k = (1,) + profile.kappa
+    n = sum(k)
     r = [Fraction(0)]
-    for d in range(1, d_max + 1):
-        tail = sum(k[i] for i in range(d, d_max + 1))
-        r.append(r[-1] + Fraction(2 * tail, n * k[d - 1] * profile.iota_b[d - 1]))
+    for d in range(1, profile.diameter + 1):
+        r.append(r[-1] + Fraction(2 * sum(k[d:]), n * k[d - 1] * profile.iota_b[d - 1]))
     return tuple(r)

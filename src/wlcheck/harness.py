@@ -627,7 +627,7 @@ def check_distance_regular_suite() -> CheckReport:
 
     for gid, g in members:
         prof = profiles[gid]
-        r = rd_from_intersection_array(prof, g.n)
+        r = rd_from_intersection_array(prof)
         if any(r[d] >= r[d + 1] for d in range(len(r) - 1)):
             violations.append(
                 {
@@ -755,27 +755,20 @@ def check_wl_condition(corpus: Corpus) -> CheckReport:
 # resistance-distance properties
 
 
-def _scaled_rows(rows, scale: int) -> list[list]:
-    """Each finite entry times scale, as an int (scale must be a multiple of
-    every finite entry's denominator); UNREACHABLE stays as it is."""
-    return [
-        [x if x is UNREACHABLE else x.numerator * (scale // x.denominator) for x in row]
-        for row in rows
-    ]
-
-
-def _lcm_of_denominators(rows) -> int:
-    return math.lcm(*{x.denominator for row in rows for x in row if x is not UNREACHABLE})
-
-
 def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
     """Exact RD laws: metric axioms, rd <= spd with tree equality, the
     additive-triple cut-vertex characterization, commute times, and range.
 
-    Each graph's laws are checked on integers: its resistances, distances
-    and bounds all multiplied by the lcm of its components' taus, which
-    turns each RD numerator over tau into an int. Scaling by a common
-    positive integer keeps every comparison exact.
+    First, per member, an RD or SPD entry must be UNREACHABLE exactly when
+    its two nodes lie in different components of the biconnectivity
+    report. Every other law compares nodes of one component, so they run
+    one component at a time, on integers: inside a component every RD
+    numerator is over the same tau, so the numerators are compared as they
+    are, and distances and bounds are multiplied by tau. Symmetry compares
+    R(u, v) with R(v, u) cross-multiplied by their taus, so a tau that
+    varies inside a component shows as a symmetry violation. A component
+    with an UNREACHABLE entry inside it has been reported by the first law
+    and skips the rest.
 
     rd_matrix sums block resistances across cut vertices, which makes the
     additive triple at a cut vertex hold by construction. The commute-time
@@ -792,99 +785,84 @@ def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
             {"graphs": [gid], "items": list(items), "expected": what, "observed": "violated"}
         )
 
-    # per member: scaled rd rows, scaled spd rows, the scale and the components
-    scaled = []
-    for (gid, g), rep in zip(trees.members + corpus.members, trees.reports + corpus.reports):
-        n = g.n
+    tree_count = len(trees.members)
+    members = zip(trees.members + corpus.members, trees.reports + corpus.reports)
+    for index, ((gid, g), rep) in enumerate(members):
         rd = rd_matrix(g)
-        scale = math.lcm(*set(rd.taus))
-        r = [
-            [x if x is UNREACHABLE else x * k for x in row]
-            for k, row in zip([scale // tau for tau in rd.taus], rd.nums)
-        ]
-        d = _scaled_rows(spd_matrix(g).rows, scale)
-        comp = rep.components
-        scaled.append((r, d, scale, comp.classes))
-        comp_sizes = [len(comp.classes[comp.class_of[v]]) for v in range(n)]
-        for u in range(n):
-            ru, du = r[u], d[u]
-            if ru[u] != 0:
-                bad(gid, "zero diagonal", [u])
-            top = (comp_sizes[u] - 1) * scale
-            for v in range(n):
-                ruv = ru[v]
-                if (ruv is UNREACHABLE) != (du[v] is UNREACHABLE):
-                    bad(gid, "UNREACHABLE exactly across components", [u, v])
-                    continue
-                if ruv is UNREACHABLE:
-                    continue
-                if r[v][u] != ruv:
-                    bad(gid, "symmetry", [u, v])
-                if u != v and not 0 < ruv <= top:
-                    bad(gid, "0 < rd <= |component|-1 off-diagonal", [u, v])
-                if ruv > du[v]:
-                    bad(gid, "rd <= spd", [u, v])
-        # triangle inequality on reachable triples
-        for u in range(n):
-            ru = r[u]
-            for v in range(u + 1, n):
-                ruv = ru[v]
-                if ruv is UNREACHABLE:
-                    continue
-                for w, (rvw, ruw) in enumerate(zip(r[v], ru)):
-                    if ruw is UNREACHABLE or w == u or w == v:
-                        continue
-                    if ruv + rvw < ruw:
-                        bad(gid, "triangle inequality", [u, v, w])
-        # per component: rd == spd everywhere iff the component is a tree
-        for cls in comp.classes:
-            inside = set(cls)
-            edges_inside = sum(1 for a, b in g.edges if a in inside)
-            is_tree = edges_inside == len(cls) - 1
-            all_equal = all(r[u][v] == d[u][v] for u in cls for v in cls)
-            if is_tree != all_equal:
-                bad(gid, "rd == spd on all pairs iff component is a tree", sorted(cls)[:1])
-        # cut vertex <=> additive RD triple, against the DFS oracle
-        cuts = set(rep.cut_vertices)
-        for v in range(n):
-            comp_members = comp.classes[comp.class_of[v]]
-            if len(comp_members) < 3:
-                if v in cuts:
-                    bad(gid, "cut vertex in a <3 component", [v])
-                continue
-            rv = r[v]
-            others = [u for u in comp_members if u != v]
-            additive = any(
-                r[u][v] + rv[w] == r[u][w]
-                for i, u in enumerate(others)
-                for w in others[i + 1 :]
-            )
-            if additive != (v in cuts):
-                bad(gid, "cut vertex iff additive RD triple", [v])
-
-    # commute-time identity on every component small enough for the oracle,
-    # solved on the component alone with its own edge count m; both sides
-    # times the scale and the lcm of the hitting times' denominators
-    for (gid, g), (r, _, scale, classes) in zip(corpus.members, scaled[len(trees.members) :]):
-        for cls in classes:
-            if not 2 <= len(cls) <= HITTING_TIME_MAX_NODES:
-                continue
-            sub, names = induced_subgraph(g, cls)
-            h_rows = hitting_time_matrix(sub)
-            h_scale = _lcm_of_denominators(h_rows)
-            h = _scaled_rows(h_rows, h_scale)
-            two_m = 2 * sub.m * h_scale
-            for i, u in enumerate(names):
-                for j, v in enumerate(names):
-                    if (h[i][j] + h[j][i]) * scale != two_m * r[u][v]:
-                        bad(gid, "commute time == 2m * rd", [u, v])
-
-    # trees: rd equals spd entrywise, exactly
-    for (gid, g), (r, d, _, _) in zip(trees.members, scaled):
+        r, taus, d = rd.nums, rd.taus, spd_matrix(g).rows
+        class_of = rep.components.class_of
+        broken = set()
         for u in range(g.n):
             for v in range(g.n):
-                if r[u][v] != d[u][v]:
-                    bad(gid, "tree rd == spd", [u, v])
+                across = class_of[u] != class_of[v]
+                if (r[u][v] is UNREACHABLE) != across or (d[u][v] is UNREACHABLE) != across:
+                    bad(gid, "UNREACHABLE exactly across components", [u, v])
+                    if not across:
+                        broken.add(class_of[u])
+        cuts = set(rep.cut_vertices)
+        for c, cls in enumerate(rep.components.classes):
+            if c in broken:
+                continue
+            tau = taus[cls[0]]
+            top = (len(cls) - 1) * tau
+            for u in cls:
+                ru, du, tau_u = r[u], d[u], taus[u]
+                if ru[u] != 0:
+                    bad(gid, "zero diagonal", [u])
+                for v in cls:
+                    ruv = ru[v]
+                    if r[v][u] * tau_u != ruv * taus[v]:
+                        bad(gid, "symmetry", [u, v])
+                    if u != v and not 0 < ruv <= top:
+                        bad(gid, "0 < rd <= |component|-1 off-diagonal", [u, v])
+                    if ruv > du[v] * tau:
+                        bad(gid, "rd <= spd", [u, v])
+            for i, u in enumerate(cls):
+                ru = r[u]
+                for v in cls[i + 1 :]:
+                    ruv, rv = ru[v], r[v]
+                    for w in cls:
+                        if w != u and w != v and ruv + rv[w] < ru[w]:
+                            bad(gid, "triangle inequality", [u, v, w])
+            # rd == spd everywhere iff the component is a tree
+            is_tree = sum(g.degree(u) for u in cls) == 2 * (len(cls) - 1)
+            all_equal = all(r[u][v] == d[u][v] * tau for u in cls for v in cls)
+            if is_tree != all_equal:
+                bad(gid, "rd == spd on all pairs iff component is a tree", cls[:1])
+            # cut vertex <=> additive RD triple, against the DFS oracle
+            for v in cls:
+                if len(cls) < 3:
+                    if v in cuts:
+                        bad(gid, "cut vertex in a <3 component", [v])
+                    continue
+                rv = r[v]
+                others = [u for u in cls if u != v]
+                additive = any(
+                    r[u][v] + rv[w] == r[u][w]
+                    for i, u in enumerate(others)
+                    for w in others[i + 1 :]
+                )
+                if additive != (v in cuts):
+                    bad(gid, "cut vertex iff additive RD triple", [v])
+            if index < tree_count:
+                # trees: rd equals spd entrywise, exactly
+                for u in cls:
+                    for v in cls:
+                        if r[u][v] != d[u][v] * tau:
+                            bad(gid, "tree rd == spd", [u, v])
+            elif 2 <= len(cls) <= HITTING_TIME_MAX_NODES:
+                # commute-time identity, solved on the component alone with
+                # its own edge count m; both sides times tau and the lcm of
+                # the hitting times' denominators
+                sub, names = induced_subgraph(g, cls)
+                h_rows = hitting_time_matrix(sub)
+                h_scale = math.lcm(*{x.denominator for row in h_rows for x in row})
+                h = [[x.numerator * (h_scale // x.denominator) for x in row] for row in h_rows]
+                two_m = 2 * sub.m * h_scale
+                for i, u in enumerate(names):
+                    for j, v in enumerate(names):
+                        if (h[i][j] + h[j][i]) * tau != two_m * r[u][v]:
+                            bad(gid, "commute time == 2m * rd", [u, v])
 
     return _finish(
         "rd_properties",

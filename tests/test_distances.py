@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -150,6 +152,18 @@ def test_rd_cross_component_unreachable():
     assert rd[0, 1] == Fraction(2, 3)
 
 
+def test_unreachable_survives_pickle_and_deepcopy():
+    g = two_triangles()
+    for copy_of in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+        assert copy_of(UNREACHABLE) is UNREACHABLE
+        rd, spd = copy_of(rd_matrix(g)), copy_of(spd_matrix(g))
+        assert rd == rd_matrix(g) and spd == spd_matrix(g)
+        for u in range(3):
+            for v in range(3, 6):
+                for x in (rd.nums[u][v], rd.nums[v][u], spd[u, v], spd[v, u], rd[u, v]):
+                    assert x is UNREACHABLE
+
+
 def test_rd_metric_axioms_and_spd_bound():
     for seed in range(12):
         g = gen.random_gnp(9, 0.35, seed)
@@ -227,6 +241,29 @@ def test_profile_identity_k_recursion():
             assert k[j] * prof.iota_c[j - 1] == k[j - 1] * prof.iota_b[j - 1]
 
 
+def test_profile_matches_networkx_on_small_graphs():
+    nx = pytest.importorskip("networkx")
+    pairs = [
+        (h, Graph.from_edges(h.number_of_nodes(), list(h.edges())))
+        for h in nx.graph_atlas_g()
+        if h.number_of_nodes() and nx.is_connected(h)
+    ]
+    assert len(pairs) == 996
+    for name in gen.NAMED_GRAPHS:
+        g = gen.named_graph(name)
+        pairs.append((nx.Graph(list(g.edges)), g))
+    drgs = 0
+    for h, g in pairs:
+        prof = distance_regular_profile(g)
+        assert prof.is_drg == nx.is_distance_regular(h)
+        if prof.is_drg:
+            drgs += 1
+            b, c = nx.intersection_array(h)
+            assert (prof.iota_b, prof.iota_c) == (tuple(b), tuple(c))
+    # K1..K7, C4..C7, K_{3,3} and the octahedron, then the named graphs
+    assert drgs == 13 + len(gen.NAMED_GRAPHS)
+
+
 def test_irregular_graph_is_not_drg():
     prof = distance_regular_profile(gen.path(4))
     assert not prof.is_drg and prof.kappa == ()
@@ -243,7 +280,7 @@ def test_rd_recursion_base_and_agreement():
     for name, n in (("dodecahedron", 20), ("shrikhande", 16), ("petersen", 10)):
         g = gen.named_graph(name)
         prof = distance_regular_profile(g)
-        r = rd_from_intersection_array(prof, n)
+        r = rd_from_intersection_array(prof)
         assert r[0] == 0
         assert all(r[d] < r[d + 1] for d in range(len(r) - 1))
         rd, spd = rd_matrix(g), spd_matrix(g)
@@ -255,7 +292,7 @@ def test_rd_recursion_base_and_agreement():
 def test_rd_recursion_rejects_non_drg():
     prof = distance_regular_profile(gen.path(4))
     with pytest.raises(ValueError):
-        rd_from_intersection_array(prof, 4)
+        rd_from_intersection_array(prof)
 
 
 def test_rd_component_guard():

@@ -367,3 +367,39 @@ def test_rd_properties_report_a_planted_entry(gid, plant, monkeypatch):
     # unplanted, the same graph passes
     monkeypatch.setattr(harness, "rd_matrix", rd_matrix)
     assert harness.check_rd_properties(corpus, trees).violations == []
+
+
+@pytest.mark.parametrize("u, v, entry", [(0, 3, UNREACHABLE), (0, 4, 1)], ids=["inside", "across"])
+def test_rd_properties_report_unreachable_on_the_wrong_side(u, v, entry, monkeypatch):
+    # UNREACHABLE inside the paw, or a finite entry between the paw and the
+    # triangle: the one violation is reported, and no later law trips on it
+    g = RD_GRAPHS["split"]
+    rd = rd_matrix(g)
+    nums = [list(row) for row in rd.nums]
+    nums[u][v] = entry
+    planted = RdMatrix(g.n, rd.taus, tuple(map(tuple, nums)))
+    monkeypatch.setattr(harness, "rd_matrix", lambda h: planted if h is g else rd_matrix(h))
+    corpus = harness.Corpus([("split", g)], "split")
+    report = harness.check_rd_properties(corpus, harness.Corpus([], "none"))
+    assert report.violations == [
+        {
+            "graphs": ["split"],
+            "items": [u, v],
+            "expected": "UNREACHABLE exactly across components",
+            "observed": "violated",
+        }
+    ]
+
+
+def test_rd_properties_report_a_tau_that_varies_inside_a_component(monkeypatch):
+    # node 3's tau doubled alone: every R(3, x) halves, R(x, 3) does not
+    g = RD_GRAPHS["paw"]
+    rd = rd_matrix(g)
+    planted = RdMatrix(g.n, rd.taus[:3] + (2 * rd.taus[3],), rd.nums)
+    monkeypatch.setattr(harness, "rd_matrix", lambda h: planted if h is g else rd_matrix(h))
+    corpus = harness.Corpus([("paw", g)], "paw")
+    report = harness.check_rd_properties(corpus, harness.Corpus([], "none"))
+    assert report.violations == [
+        {"graphs": ["paw"], "items": items, "expected": "symmetry", "observed": "violated"}
+        for items in ([0, 3], [1, 3], [2, 3], [3, 0], [3, 1], [3, 2])
+    ]
