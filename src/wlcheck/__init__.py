@@ -37,7 +37,6 @@ from .refine import (
     AlgoResult,
     Coloring,
     SubgraphPolicy,
-    compute_orbits,
     distinguishable,
     run_algorithm,
 )
@@ -47,7 +46,7 @@ __all__ = [
     "DistanceRegularProfile", "Graph", "GraphFormatError", "Partition",
     "RdMatrix", "SpdMatrix", "SubgraphPolicy", "UNREACHABLE", "bce_tree",
     "bcv_tree", "biconnectivity_report", "brute_force_cut_sets",
-    "brute_force_isomorphic", "compute_orbits", "connected_components",
+    "brute_force_isomorphic", "connected_components",
     "distance_regular_profile", "distinguishable", "encode_edge_list",
     "encode_graph6", "hitting_time_matrix", "induced_subgraph",
     "parse_edge_list", "parse_graph6", "rd_from_intersection_array",

@@ -262,8 +262,9 @@ def regular_with_cuts(d: int, blocks: int, block_size: int, seed: int) -> Graph:
     sum would be odd (a bridge side of an odd-degree regular graph must
     have odd order). Even d: regular graphs cannot have bridges at all, so
     consecutive blocks share a cut vertex that splits its d edges evenly.
-    Makes REGULAR_WITH_CUTS_ATTEMPTS attempts, each checked against the
-    exact oracle, until the intended cut set appears.
+    Every block is checked to be biconnected, so the chain's cut sets and
+    degrees hold by construction. Makes REGULAR_WITH_CUTS_ATTEMPTS
+    attempts, until every block of one attempt is found.
     """
     if d < 1 or blocks < 2 or block_size < d + 1:
         raise GenerationError(
@@ -273,22 +274,11 @@ def regular_with_cuts(d: int, blocks: int, block_size: int, seed: int) -> Graph:
         # a biconnected block needs the shared vertex at degree >= 2
         raise GenerationError("regular_with_cuts is infeasible for d = 2")
     rng = random.Random(seed)
+    chain = _chain_by_bridges if d % 2 else _chain_by_shared_vertices
     for _ in range(REGULAR_WITH_CUTS_ATTEMPTS):
-        if d % 2:
-            g, expected_cuts = _chain_by_bridges(rng, d, blocks, block_size)
-        else:
-            g, expected_cuts = _chain_by_shared_vertices(rng, d, blocks, block_size)
-        if g is None:
-            continue
-        rep = biconnectivity_report(g)
-        expected_vertices, expected_edges = expected_cuts
-        if rep.cut_edges != expected_edges:
-            continue
-        if rep.cut_vertices != expected_vertices:
-            continue
-        if any(g.degree(v) != d for v in range(g.n)):
-            continue
-        return g
+        g = chain(rng, d, blocks, block_size)
+        if g is not None:
+            return g
     raise GenerationError(
         f"regular_with_cuts({d},{blocks},{block_size}) infeasible after "
         f"{REGULAR_WITH_CUTS_ATTEMPTS} attempts"
@@ -318,21 +308,14 @@ def _chain_by_bridges(rng, d, blocks, block_size):
             degrees[a] -= 1
         block = _random_biconnected_block(rng, degrees)
         if block is None:
-            return None, None
+            return None
         parts.append(block)
     edges = []
     for j, block in enumerate(parts):
         edges.extend((base[j] + u, base[j] + v) for u, v in block.edges)
-    bridges = []
-    cut_vertices = set()
-    for j in range(blocks - 1):
-        out_att = base[j] + (1 if j > 0 else 0)
-        in_att = base[j + 1]
-        bridges.append((min(out_att, in_att), max(out_att, in_att)))
-        cut_vertices.update((out_att, in_att))
-    edges.extend(bridges)
-    g = Graph.from_edges(base[-1] + sizes[-1], edges)
-    return g, (tuple(sorted(cut_vertices)), tuple(sorted(bridges)))
+    # the bridge from block j's outgoing attachment node to block j + 1's node 0
+    edges.extend((base[j] + (1 if j > 0 else 0), base[j + 1]) for j in range(blocks - 1))
+    return Graph.from_edges(base[-1] + sizes[-1], edges)
 
 
 def _chain_by_shared_vertices(rng, d, blocks, block_size):
@@ -342,7 +325,6 @@ def _chain_by_shared_vertices(rng, d, blocks, block_size):
     size = block_size
     n = blocks * size - (blocks - 1)
     edges = []
-    shared = [j * (size - 1) for j in range(1, blocks)]
     for j in range(blocks):
         offset = j * (size - 1)
         degrees = [d] * size
@@ -352,7 +334,6 @@ def _chain_by_shared_vertices(rng, d, blocks, block_size):
             degrees[size - 1] = half
         block = _random_biconnected_block(rng, degrees)
         if block is None:
-            return None, None
+            return None
         edges.extend((offset + u, offset + v) for u, v in block.edges)
-    g = Graph.from_edges(n, edges)
-    return g, (tuple(shared), ())
+    return Graph.from_edges(n, edges)

@@ -374,15 +374,3 @@ def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
         return False
     return induced_embeddings(g, h, lambda image: True)
 
-
-AUTOMORPHISM_MAX_NODES = 8
-
-
-def automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """All automorphisms of a small graph (n <= 8), as permutation tuples in
-    lexicographic order: the induced embeddings of g in itself."""
-    if g.n > AUTOMORPHISM_MAX_NODES:
-        raise ValueError(f"automorphism enumeration capped at {AUTOMORPHISM_MAX_NODES} nodes")
-    autos: list[tuple[int, ...]] = []
-    induced_embeddings(g, g, lambda image: autos.append(tuple(image)))
-    return sorted(autos)

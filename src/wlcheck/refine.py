@@ -15,6 +15,9 @@ sets, the loop also stops at the first round (round 0 included) where two
 graphs' multisets of state entries differ; the colorings it then returns
 are partial, and good only for telling the graphs apart.
 
+SC-WL counts per node of each pattern, not per orbit of its automorphism
+group; both give the same colors (see `refine_scwl`).
+
 Each round's inner loop runs in C builtins (`map`, `zip`, `sorted` over
 ints), except SC-WL's, which builds its (color, counts) pairs in a Python
 generator. The multisets of 2-FWL and GD-WL pack each (high id, color) pair into
@@ -33,7 +36,7 @@ from itertools import chain, count, islice
 from operator import add
 
 from .distances import UNREACHABLE, rd_matrix, spd_matrix
-from .graphs import AUTOMORPHISM_MAX_NODES, Graph, Partition, automorphisms, induced_embeddings, is_connected
+from .graphs import Graph, induced_embeddings, is_connected
 
 
 class InterningContext:
@@ -441,61 +444,39 @@ def refine_dswl(
     return _node_colorings(reps, rounds, ctx)
 
 
-def _orbits(autos) -> Partition:
-    """Vertex orbits of the group listed by autos: v's orbit is the set of
-    its images p[v], labeled here by the least of them."""
-    return Partition.from_labels([min(images) for images in zip(*autos)])
-
-
-def compute_orbits(h: Graph) -> Partition:
-    """Vertex orbits under the full automorphism group (exhaustive)."""
-    return _orbits(automorphisms(h))
+SUBSTRUCTURE_MAX_NODES = 8
 
 
 @dataclass(frozen=True)
 class Substructure:
     name: str
     graph: Graph
-    orbit_index: tuple[int, ...]
-    num_orbits: int
-    aut_count: int
 
 
 def make_substructure(name: str, h: Graph) -> Substructure:
     if not is_connected(h):
         raise ValueError("substructures must be connected")
-    autos = automorphisms(h)
-    orbits = _orbits(autos)
-    return Substructure(
-        name=name,
-        graph=h,
-        orbit_index=orbits.class_of,
-        num_orbits=len(orbits.classes),
-        aut_count=len(autos),
-    )
+    if h.n > SUBSTRUCTURE_MAX_NODES:
+        raise ValueError(f"substructures capped at {SUBSTRUCTURE_MAX_NODES} nodes")
+    return Substructure(name, h)
 
 
 def _count_induced_occurrences(g: Graph, sub: Substructure) -> list[tuple[int, ...]]:
-    """Per node, per orbit of `sub`: induced occurrences containing the node.
-
-    Over all induced embeddings of the substructure, each node of g is
-    tallied under the orbit of the node mapped onto it; dividing by |Aut|
-    counts each vertex set once.
-    """
-    counts = [[0] * sub.num_orbits for _ in range(g.n)]
+    """Per node v of g, per node u of `sub`: the induced embeddings of the
+    substructure in g that map u onto v."""
+    counts = [[0] * sub.graph.n for _ in range(g.n)]
 
     def tally(image):
-        for v, orbit in zip(image, sub.orbit_index):
-            counts[v][orbit] += 1
+        for u, v in enumerate(image):
+            counts[v][u] += 1
 
     induced_embeddings(sub.graph, g, tally)
-    if any(c % sub.aut_count for row in counts for c in row):
-        raise AssertionError("orbit count not divisible by |Aut(H)|")
-    return [tuple(c // sub.aut_count for c in row) for row in counts]
+    return [tuple(row) for row in counts]
 
 
 def substructure_counts(g: Graph, subs: list[Substructure]) -> list[tuple[int, ...]]:
-    """Concatenated per-orbit count vector for every node of g."""
+    """Per node v of g, the counts of `_count_induced_occurrences`
+    concatenated over subs: one per node of each pattern, none per orbit."""
     per_sub = [_count_induced_occurrences(g, s) for s in subs]
     return [
         tuple(x for vecs in per_sub for x in vecs[v]) for v in range(g.n)
@@ -505,7 +486,15 @@ def substructure_counts(g: Graph, subs: list[Substructure]) -> list[tuple[int, .
 def refine_scwl(
     graphs: list[Graph], substructures: list[Substructure], *, early_exit: bool = False
 ) -> list[Coloring]:
-    """1-WL augmented with per-node, per-orbit induced substructure counts."""
+    """1-WL augmented with induced substructure counts per node of each pattern.
+
+    GSN counts per orbit of the pattern's automorphism group instead, with
+    the same colors: composing with the inverse of an automorphism s maps
+    the embeddings that send u onto v one-to-one onto those that send s(u)
+    onto v, so the nodes of one orbit get equal counts and the orbit's
+    count is a fixed multiple of each. Either vector determines the other,
+    and the colors depend only on which vectors are equal.
+    """
     ctx = InterningContext()
     c0 = ctx.intern(("init",))
     xs = [substructure_counts(g, substructures) for g in graphs]
@@ -565,8 +554,8 @@ def _named_substructure(token: str) -> Substructure:
         raise ValueError(f"unknown substructure {token!r}")
     n = int(num)
     # check the cap before building: a name like k2000 would take seconds to build
-    if n > AUTOMORPHISM_MAX_NODES:
-        raise ValueError(f"substructures capped at {AUTOMORPHISM_MAX_NODES} nodes")
+    if n > SUBSTRUCTURE_MAX_NODES:
+        raise ValueError(f"substructures capped at {SUBSTRUCTURE_MAX_NODES} nodes")
     return make_substructure(name, getattr(generators, _SUBSTRUCTURE_FAMILIES[kind])(n))
 
 

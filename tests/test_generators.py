@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from wlcheck import generators as gen
-from wlcheck.biconn import bce_tree, biconnectivity_report
+from wlcheck.biconn import bce_tree, biconnectivity_report, brute_force_cut_sets
 from wlcheck.distances import distance_regular_profile
 from wlcheck.graphs import connected_components
 from wlcheck.refine import distinguishable
@@ -224,6 +224,30 @@ def test_regular_with_cuts_states_how_many_attempts_failed(monkeypatch):
     with pytest.raises(gen.GenerationError, match=f"infeasible after {attempts} attempts$"):
         gen.regular_with_cuts(4, 2, 5, 0)
     assert len(calls) == attempts
+
+
+def test_regular_with_cuts_has_the_promised_cut_structure():
+    # the deletion oracle, not the lowpoint DFS that vets each block
+    built = 0
+    for d in (3, 4, 5, 6):
+        for blocks in (2, 3, 4):
+            for size in (d + 1, d + 2, d + 4):
+                for seed in range(3):
+                    try:
+                        g = gen.regular_with_cuts(d, blocks, size, seed)
+                    except gen.GenerationError:
+                        continue
+                    built += 1
+                    cut_vertices, bridges = brute_force_cut_sets(g)
+                    assert len(connected_components(g).classes) == 1
+                    assert degree_histogram(g) == {d: g.n}
+                    if d % 2:
+                        assert len(bridges) == blocks - 1, (d, blocks, size, seed)
+                        assert len(cut_vertices) == 2 * (blocks - 1), (d, blocks, size, seed)
+                    else:
+                        assert bridges == (), (d, blocks, size, seed)
+                        assert len(cut_vertices) == blocks - 1, (d, blocks, size, seed)
+    assert built >= 60
 
 
 def test_generalized_petersen_sizes():

@@ -9,13 +9,12 @@ import pytest
 from wlcheck import generators as gen
 from wlcheck import harness, refine
 from wlcheck.distances import UNREACHABLE, rd_matrix, spd_matrix
-from wlcheck.graphs import Graph, Partition, automorphisms, relabel
+from wlcheck.graphs import Graph, Partition, relabel
 from wlcheck.refine import (
     ALGORITHM_SPECS,
     POLICY_TAGS,
     InterningContext,
     SubgraphPolicy,
-    compute_orbits,
     distinguishable,
     make_substructure,
     parse_policy,
@@ -200,9 +199,11 @@ def test_scwl_empty_substructures_match_1wl_partition():
 
 def test_scwl_triangle_counts():
     tri = make_substructure("c3", gen.cycle(3))
+    # per pattern node: each triangle node is the image of each triangle
+    # corner under 2 of the 6 embeddings of its triangle
     counts = substructure_counts(two_triangles(), [tri])
-    assert counts == [(1,)] * 6
-    assert substructure_counts(gen.cycle(6), [tri]) == [(0,)] * 6
+    assert counts == [(2, 2, 2)] * 6
+    assert substructure_counts(gen.cycle(6), [tri]) == [(0, 0, 0)] * 6
     cols = refine_scwl([gen.cycle(6), two_triangles()], [tri])
     assert cols[0].representation != cols[1].representation
 
@@ -212,11 +213,10 @@ def test_scwl_orbit_attribution_on_paw():
     paw = Graph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
     p3 = make_substructure("p3", gen.path(3))
     counts = substructure_counts(paw, [p3])
-    # orbits of P3: {endpoints}, {middle}; e.g. node 3 is an endpoint of
-    # the single induced P3 through the pendant edge plus one per triangle side
+    # P3 is 0-1-2; node 3 is an end of the induced paths 3-2-0 and 3-2-1,
+    # each traversed both ways, and the middle of none
     assert len(counts) == 4
-    assert counts[3][p3.orbit_index[0]] == 2
-    assert counts[3][p3.orbit_index[1]] == 0
+    assert counts[3] == (2, 0, 2)
 
 
 def test_scwl_cannot_solve_biconnectivity_below_girth():
@@ -244,49 +244,66 @@ def test_oversized_substructure_name_is_rejected_before_building(monkeypatch):
             run_algorithm(f"scwl:{name}", [g])
 
 
-def test_make_substructure_enumerates_the_automorphisms_once(monkeypatch):
+def test_scwl_searches_each_pattern_only_in_the_graphs(monkeypatch):
     calls = []
+    search = refine.induced_embeddings
 
-    def counted(h):
-        calls.append(h)
-        return automorphisms(h)
+    def counted(h, g, visit):
+        calls.append((h, g))
+        return search(h, g, visit)
 
-    monkeypatch.setattr(refine, "automorphisms", counted)
-    k4 = make_substructure("k4", gen.complete(4))
-    assert (k4.num_orbits, k4.aut_count) == (1, 24)
-    assert len(calls) == 1
+    # both modules' names, so a search made inside wlcheck.graphs counts too
+    monkeypatch.setattr("wlcheck.graphs.induced_embeddings", counted)
+    monkeypatch.setattr(refine, "induced_embeddings", counted)
+    # no search of the pattern in itself, not even for K8's 40320 maps
+    make_substructure("k8", gen.complete(8))
+    assert calls == []
+    g1, g2 = gen.example1(2, 2)
+    run_algorithm("scwl:k4,c5", [g1, g2])
+    assert calls == [
+        (gen.complete(4), g1), (gen.cycle(5), g1), (gen.complete(4), g2), (gen.cycle(5), g2)
+    ]
+
+
+def _nx_graph(nx, g):
+    a = nx.Graph()
+    a.add_nodes_from(range(g.n))
+    a.add_edges_from(g.edges)
+    return a
 
 
 def _reference_counts(nx, g, sub):
-    """Per node, per orbit of sub: the node subsets of g that induce a copy
-    of sub.graph, each found by combinations and matched by networkx."""
+    """Per node v of g, per node u of sub.graph: over the node subsets of g
+    (from combinations) that induce a copy of sub.graph, the networkx
+    isomorphisms of the copy onto sub.graph that map v to u, each the
+    inverse of one induced embedding that maps u onto v."""
     from networkx.algorithms.isomorphism import GraphMatcher
 
-    big, small = nx.Graph(), nx.Graph()
-    big.add_nodes_from(range(g.n))
-    big.add_edges_from(g.edges)
-    small.add_nodes_from(range(sub.graph.n))
-    small.add_edges_from(sub.graph.edges)
-    counts = [[0] * sub.num_orbits for _ in range(g.n)]
+    big, small = _nx_graph(nx, g), _nx_graph(nx, sub.graph)
+    counts = [[0] * sub.graph.n for _ in range(g.n)]
     for nodes in itertools.combinations(range(g.n), sub.graph.n):
         induced = big.subgraph(nodes)
         if induced.number_of_edges() != sub.graph.m:
             continue
-        mapping = next(GraphMatcher(induced, small).isomorphisms_iter(), None)
-        for v, hv in (mapping or {}).items():
-            counts[v][sub.orbit_index[hv]] += 1
+        for mapping in GraphMatcher(induced, small).isomorphisms_iter():
+            for v, hv in mapping.items():
+                counts[v][hv] += 1
     return counts
 
 
-def test_substructure_counts_match_combinations_and_networkx():
-    nx = pytest.importorskip("networkx")
-    subs = [
+def _count_test_patterns():
+    return [
         make_substructure("c3", gen.cycle(3)),
         make_substructure("c4", gen.cycle(4)),
         make_substructure("p3", gen.path(3)),
         make_substructure("s4", gen.star(4)),
         make_substructure("k4", gen.complete(4)),
     ]
+
+
+def test_substructure_counts_match_combinations_and_networkx():
+    nx = pytest.importorskip("networkx")
+    subs = _count_test_patterns()
     for seed in range(10):
         g = gen.random_gnp(9, 0.4, seed)
         per_sub = [_reference_counts(nx, g, sub) for sub in subs]
@@ -294,18 +311,29 @@ def test_substructure_counts_match_combinations_and_networkx():
         assert substructure_counts(g, subs) == expected, seed
 
 
+def test_pattern_nodes_in_one_orbit_get_equal_counts():
+    # per-node counts give the colors of per-orbit counts because an orbit's
+    # nodes always get equal counts; the orbits here come from networkx
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    paw = Graph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+    subs = _count_test_patterns() + [make_substructure("paw", paw)]
+    for sub in subs:
+        small = _nx_graph(nx, sub.graph)
+        autos = list(GraphMatcher(small, small).isomorphisms_iter())
+        for seed in range(10):
+            g = gen.random_gnp(9, 0.4, seed)
+            for v, row in enumerate(substructure_counts(g, [sub])):
+                for s in autos:
+                    assert all(row[u] == row[s[u]] for u in range(sub.graph.n)), (sub.name, seed, v)
+
+
 def test_scwl_output_on_family_corpus_is_pinned():
     # a change to this output must be deliberate and re-pin the md5
     result = run_algorithm("scwl:tri,c4,c5,k4,p3,s3", harness.family_corpus().graphs)
     state = repr((result.node_colors, result.representations, result.rounds))
     assert hashlib.md5(state.encode()).hexdigest() == "bec453e5b522343b44bba302c4d860c7"
-
-
-def test_compute_orbits():
-    assert compute_orbits(gen.cycle(5)).classes == ((0, 1, 2, 3, 4),)
-    assert compute_orbits(gen.path(3)).classes == ((0, 2), (1,))
-    paw = Graph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
-    assert len(compute_orbits(paw).classes) == 3
 
 
 ALL_ALGOS = ("1wl", "spdwl", "rdwl", "gdwl", "2fwl", "dsswl:nm", "dsswl:ego:1", "dswl:nm", "scwl:tri")
