@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, Partition, connected_components, induced_subgraph, is_connected
+from .graphs import Graph, Partition, is_connected
 
 
 @dataclass(frozen=True)
@@ -129,25 +129,38 @@ def biconnectivity_report(g: Graph) -> BiconnectivityReport:
 BRUTE_FORCE_CUT_MAX_NODES = 64
 
 
+def _components_after_deleting(g: Graph, node: int = -1, edge=(-1, -1)) -> int:
+    """Number of components of g once node, or edge (a, b), is deleted:
+    one BFS over g's adjacency that never enters node or crosses edge."""
+    a, b = edge
+    seen = [False] * g.n
+    if node >= 0:
+        seen[node] = True
+    comps = 0
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        comps += 1
+        seen[start] = True
+        queue = [start]
+        while queue:
+            u = queue.pop()
+            for w in g.adjacency[u]:
+                if not (seen[w] or u == a and w == b or u == b and w == a):
+                    seen[w] = True
+                    queue.append(w)
+    return comps
+
+
 def brute_force_cut_sets(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """Cut sets by literal deletion and component recount. Oracle only."""
     if g.n > BRUTE_FORCE_CUT_MAX_NODES:
         raise ValueError(
             f"brute_force_cut_sets capped at {BRUTE_FORCE_CUT_MAX_NODES} nodes"
         )
-    base = len(connected_components(g).classes)
-    cut_vertices = []
-    for v in range(g.n):
-        rest = [u for u in range(g.n) if u != v]
-        sub, _ = induced_subgraph(g, rest)
-        if len(connected_components(sub).classes) > base:
-            cut_vertices.append(v)
-    cut_edges = []
-    for e in g.edges:
-        remaining = [f for f in g.edges if f != e]
-        sub = Graph.from_edges(g.n, remaining)
-        if len(connected_components(sub).classes) > base:
-            cut_edges.append(e)
+    base = _components_after_deleting(g)
+    cut_vertices = [v for v in range(g.n) if _components_after_deleting(g, node=v) > base]
+    cut_edges = [e for e in g.edges if _components_after_deleting(g, edge=e) > base]
     return tuple(cut_vertices), tuple(sorted(cut_edges))
 
 

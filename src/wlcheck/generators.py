@@ -261,7 +261,8 @@ def regular_with_cuts(d: int, blocks: int, block_size: int, seed: int) -> Graph:
     stub each and a block size is bumped by one when its internal degree
     sum would be odd (a bridge side of an odd-degree regular graph must
     have odd order). Even d: regular graphs cannot have bridges at all, so
-    consecutive blocks share a cut vertex that splits its d edges evenly.
+    consecutive blocks share a cut vertex that splits its d edges evenly;
+    d must then be a multiple of 4, or the end blocks' degree sums are odd.
     Every block is checked to be biconnected, so the chain's cut sets and
     degrees hold by construction. Makes REGULAR_WITH_CUTS_ATTEMPTS
     attempts, until every block of one attempt is found.
@@ -270,9 +271,13 @@ def regular_with_cuts(d: int, blocks: int, block_size: int, seed: int) -> Graph:
         raise GenerationError(
             "regular_with_cuts requires d >= 1, blocks >= 2, block_size > d"
         )
-    if d % 2 == 0 and d // 2 < 2:
-        # a biconnected block needs the shared vertex at degree >= 2
-        raise GenerationError("regular_with_cuts is infeasible for d = 2")
+    if d % 4 == 2:
+        # the shared vertex keeps d / 2 edges in each block (for d = 2, too
+        # few for a biconnected block as well)
+        raise GenerationError(
+            f"regular_with_cuts is infeasible for d = {d} (2 mod 4): an end block's "
+            "degree sum d/2 + d*(block_size-1) is odd"
+        )
     rng = random.Random(seed)
     chain = _chain_by_bridges if d % 2 else _chain_by_shared_vertices
     for _ in range(REGULAR_WITH_CUTS_ATTEMPTS):

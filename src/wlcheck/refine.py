@@ -18,12 +18,38 @@ are partial, and good only for telling the graphs apart.
 SC-WL counts per node of each pattern, not per orbit of its automorphism
 group; both give the same colors (see `refine_scwl`).
 
-Each round's inner loop runs in C builtins (`map`, `zip`, `sorted` over
-ints), except SC-WL's, which builds its (color, counts) pairs in a Python
-generator. The multisets of 2-FWL and GD-WL pack each (high id, color) pair into
-one int, `high << 32 | color`, so sorting the ints sorts the pairs: a packed
-key is in one-to-one correspondence with the sorted tuple of pairs, and
-gives the same color ids. It needs every color id below 2^32
+Each round interns one key per element with a single `dict.setdefault` on
+the context's table, and its inner loop runs in C builtins (`map`, `zip`,
+`sorted` over ints). Round keys are flat tuples of ints, with c the
+element's color from the round before:
+
+- 1-WL and DS-WL: (c, *sorted neighbor colors);
+- GD-WL: the sorted packed (distance token id, color) pairs over all nodes;
+- SC-WL: (c, x, *sorted packed (x, color) pairs over the neighbors), where
+  x is the call's id of a node's count vector;
+- 2-FWL: K(u,v), the sorted packed (c(u,w), c(w,v)) pairs over all w;
+- DSS-WL: (c, t, *sorted subgraph-neighbor colors), where t is the round's
+  token for (node color, sorted global neighbor colors), taken from a dict
+  local to the round.
+
+These keys give the ids of the tagged tuple keys they replace, for three
+reasons. Set-up keys ("init", "mark", distance tokens, 2-FWL's initial
+pair classes, DSS-WL's bags, DS-WL's representations) start with a str,
+and round keys hold only ints. A round-r key holds a color from round
+r-1's id range, so no round key recurs in a later round. And x and t are
+bijections within their call and round. 2-FWL's key leaves c(u,v) out: the
+w = u term is the only one whose first color is a diagonal color, and its
+second color is c(u,v). Below the diagonal, 2-FWL reads c(u,v) from a
+per-round map from the id of K(v,u) to that of K(u,v). The initial colors
+are symmetric, so the color of (v,u) is a function of that of (u,v) in
+every round, and the map is well defined; on a miss the key is computed and
+both directions are recorded. A hit skips a key interned before, so no id
+moves.
+
+The packed pairs put a high id (distance token, count vector, or 2-FWL's
+c(u,w)) above a color, `high << 32 | color`, so sorting the ints
+sorts the pairs: a packed key is in one-to-one correspondence with the
+sorted tuple of pairs. It needs every color id below 2^32
 (`PACKED_ID_LIMIT`); a run whose context outgrows that raises `OverflowError`
 rather than let two keys collide.
 """
@@ -46,12 +72,7 @@ class InterningContext:
         self._ids: dict[object, int] = {}
 
     def intern(self, key) -> int:
-        ids = self._ids
-        cid = ids.get(key)
-        if cid is None:
-            cid = len(ids)
-            ids[key] = cid
-        return cid
+        return self._ids.setdefault(key, len(self._ids))
 
     def __len__(self):
         return len(self._ids)
@@ -147,17 +168,18 @@ def _iterate(update, initial, total_elements, early_exit=False, lists_per_graph=
 
 
 def _wl_update(ctx: InterningContext, adjacencies):
-    """The 1-WL round over a state of one color list per adjacency: hash
-    each node's own color plus the multiset of its neighbors' colors."""
-    intern = ctx.intern
+    """The 1-WL round over a state of one color list per adjacency: key
+    each node by its own color and its neighbors' sorted colors."""
+    ids = ctx._ids
 
     def update(state):
+        setdefault = ids.setdefault
         out = []
         for colors, adjacency in zip(state, adjacencies):
             color_of = colors.__getitem__
             out.append(
                 [
-                    intern(("1wl", c, tuple(sorted(map(color_of, nbrs)))))
+                    setdefault((c, *sorted(map(color_of, nbrs))), len(ids))
                     for c, nbrs in zip(colors, adjacency)
                 ]
             )
@@ -242,11 +264,13 @@ def refine_gdwl(
             highs.append(list(map(high_of.__getitem__, row)))
         highs_per_graph.append(highs)
 
+    ids = ctx._ids
+
     def update(state):
         _check_packable(ctx)
-        intern = ctx.intern
+        setdefault = ids.setdefault
         return [
-            [intern(("gd", tuple(sorted(map(add, high, colors))))) for high in highs]
+            [setdefault(tuple(sorted(map(add, high, colors))), len(ids)) for high in highs]
             for highs, colors in zip(highs_per_graph, state)
         ]
 
@@ -282,21 +306,31 @@ def refine_2fwl(graphs: list[Graph], *, early_exit: bool = False) -> list[Colori
         for g in graphs
     ]
 
+    ids = ctx._ids
+
     def update(state):
         _check_packable(ctx)
-        intern = ctx.intern
+        setdefault = ids.setdefault
+        # id of K(v,u) -> id of K(u,v), over all graphs: well defined, since
+        # the color of (v,u) is a function of that of (u,v)
+        transpose = {}
         out = []
         for g, flat in zip(graphs, state):
-            mat = _rows(flat, g.n)
+            n = g.n
+            mat = _rows(flat, n)
             cols = list(zip(*mat))
             new_flat = []
-            for row_u in mat:
-                # the multiset of (c(u,w), c(w,v)) over w, one packed int each
+            for u, row_u in enumerate(mat):
+                # K(u,v): the multiset of (c(u,w), c(w,v)) over w, one packed int each
                 high = [c << _PACK_BITS for c in row_u]
-                new_flat += [
-                    intern(("2fwl", c_uv, tuple(sorted(map(add, high, col_v)))))
-                    for c_uv, col_v in zip(row_u, cols)
-                ]
+                above = new_flat[u::n]
+                row = list(map(transpose.get, above))
+                for v, c in enumerate(row):
+                    if c is None:
+                        c = row[v] = setdefault(tuple(sorted(map(add, high, cols[v]))), len(ids))
+                        transpose[above[v]], transpose[c] = c, above[v]
+                row += [setdefault(tuple(sorted(map(add, high, col_v))), len(ids)) for col_v in cols[u:]]
+                new_flat += row
             out.append(new_flat)
         return out
 
@@ -389,22 +423,28 @@ def refine_dsswl(
             for v in range(n)
         ]
 
+    ids = ctx._ids
+
     def update(state):
-        intern = ctx.intern
+        setdefault = ids.setdefault
+        # (node color, sorted global neighbor colors) -> this round's token
+        tokens = {}
         out = []
         for g, bag, flat in zip(graphs, bags, state):
             n = g.n
             node = flat[n * n :]
-            # the global neighborhood depends on v only, not on the subgraph
-            global_nbrs = [
-                tuple(sorted(map(node.__getitem__, nbrs))) for nbrs in g.adjacency
+            node_of = node.__getitem__
+            # the global part of a key depends on v only, not on the subgraph
+            global_tokens = [
+                tokens.setdefault((c_node, *sorted(map(node_of, nbrs))), len(tokens))
+                for c_node, nbrs in zip(node, g.adjacency)
             ]
             new_flat = []
             for sub_i, adj_i in zip(_rows(flat, n), bag):
                 color_of = sub_i.__getitem__
                 new_flat += [
-                    intern(("dss", c, tuple(sorted(map(color_of, nbrs))), c_node, g_nbrs))
-                    for c, nbrs, c_node, g_nbrs in zip(sub_i, adj_i, node, global_nbrs)
+                    setdefault((c, t, *sorted(map(color_of, nbrs))), len(ids))
+                    for c, nbrs, t in zip(sub_i, adj_i, global_tokens)
                 ]
             new_flat.extend(node_colors(new_flat, n))
             out.append(new_flat)
@@ -496,29 +536,28 @@ def refine_scwl(
     and the colors depend only on which vectors are equal.
     """
     ctx = InterningContext()
+    ids = ctx._ids
     c0 = ctx.intern(("init",))
-    xs = [substructure_counts(g, substructures) for g in graphs]
     initial = [[c0] * g.n for g in graphs]
+    # each distinct count vector of the call gets an id, packed as the high
+    # half of a neighbor's (count id, color) pair
+    count_ids = {}
+    xs = [
+        [count_ids.setdefault(x, len(count_ids)) for x in substructure_counts(g, substructures)]
+        for g in graphs
+    ]
+    highs = [[[x[w] << _PACK_BITS for w in nbrs] for nbrs in g.adjacency] for g, x in zip(graphs, xs)]
 
     def update(state):
-        out = []
-        for g, x, colors in zip(graphs, xs, state):
-            out.append(
-                [
-                    ctx.intern(
-                        (
-                            "sc",
-                            colors[v],
-                            x[v],
-                            tuple(
-                                sorted((colors[w], x[w]) for w in g.adjacency[v])
-                            ),
-                        )
-                    )
-                    for v in range(g.n)
-                ]
-            )
-        return out
+        _check_packable(ctx)
+        setdefault = ids.setdefault
+        return [
+            [
+                setdefault((c, x_v, *sorted(map(add, high, map(colors.__getitem__, nbrs)))), len(ids))
+                for c, x_v, high, nbrs in zip(colors, x, g_highs, g.adjacency)
+            ]
+            for g, x, g_highs, colors in zip(graphs, xs, highs, state)
+        ]
 
     state, rounds = _iterate(update, initial, sum(g.n for g in graphs), early_exit)
     return _node_colorings(state, rounds, ctx)

@@ -388,6 +388,14 @@ def test_cut_sets_match_networkx():
         assert (rep.cut_vertices, rep.cut_edges) == _networkx_cut_sets(nx, g), gid
 
 
+def test_deletion_oracle_matches_networkx_on_the_graph_atlas():
+    # every graph on 0 to 7 nodes, isolated nodes and disconnected ones included
+    nx = pytest.importorskip("networkx")
+    for i, h in enumerate(nx.graph_atlas_g()):
+        g = Graph.from_edges(h.number_of_nodes(), list(h.edges()))
+        assert brute_force_cut_sets(g) == _networkx_cut_sets(nx, g), i
+
+
 def _networkx_forest(nx, g, builder):
     """The block cut trees of g's components as one labelled networkx forest:
     a node is labelled by its kind and, for a block, its size."""

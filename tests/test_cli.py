@@ -248,6 +248,12 @@ def test_gen_gnp_rejects_non_integer_size(capsys):
     assert_one_line_usage_error(*run_cli(capsys, "gen", "gnp", "five", "1/2", "1"))
 
 
+def test_gen_regular_with_cuts_refuses_degree_2_mod_4(capsys):
+    code, out, err = run_cli(capsys, "gen", "regular_with_cuts", "6", "2", "8", "0")
+    assert_one_line_usage_error(code, out, err)
+    assert "degree sum" in err and "is odd" in err
+
+
 def test_check_rejects_negative_seeds(capsys):
     assert_one_line_usage_error(*run_cli(capsys, "check", "--seeds", "-5"))
 

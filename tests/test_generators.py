@@ -226,6 +226,18 @@ def test_regular_with_cuts_states_how_many_attempts_failed(monkeypatch):
     assert len(calls) == attempts
 
 
+def test_regular_with_cuts_refuses_degree_2_mod_4_up_front(monkeypatch):
+    # the shared vertex keeps d / 2 edges, an odd number, so an end block's
+    # degree sum d/2 + d*(size-1) is odd and no attempt could succeed
+    calls = []
+    monkeypatch.setattr(gen, "_chain_by_shared_vertices", lambda *args: calls.append(args))
+    for d in (2, 6, 10):
+        for size in (d + 1, d + 2, 2 * d):
+            with pytest.raises(gen.GenerationError, match=f"d = {d} .* is odd$"):
+                gen.regular_with_cuts(d, 2, size, 0)
+    assert calls == []
+
+
 def test_regular_with_cuts_has_the_promised_cut_structure():
     # the deletion oracle, not the lowpoint DFS that vets each block
     built = 0

@@ -566,7 +566,9 @@ def _reference_run(state, step, entries):
 
 
 def _reference_2fwl(graphs):
-    """2-FWL with the plain tuple key: sorted (c(u,w), c(w,v)) pairs."""
+    """2-FWL with the plain tuple key: own color, sorted (c(u,w), c(w,v))
+    pairs. Returns the (node colors, representations, rounds) triple and
+    the context, as every _reference_* function does."""
     ctx = InterningContext()
     initial = [
         [[ctx.intern(("2fwl0", u == v, g.has_edge(u, v))) for v in range(g.n)] for u in range(g.n)]
@@ -593,7 +595,7 @@ def _reference_2fwl(graphs):
     mats, rounds = _reference_run(initial, step, lambda mat: [c for row in mat for c in row])
     node_colors = tuple(tuple(mat[v][v] for v in range(len(mat))) for mat in mats)
     reps = tuple(tuple(sorted(c for row in mat for c in row)) for mat in mats)
-    return node_colors, reps, rounds
+    return (node_colors, reps, rounds), ctx
 
 
 def _token_key(token):
@@ -652,7 +654,14 @@ def _reference_gdwl(graphs, kind):
 
 def _reference_inputs():
     gnp = [gen.random_gnp(4 + i % 9, Fraction(1 + i % 4, 8), 1000 + i) for i in range(24)]
-    return [("gnp", gnp), ("hierarchy", harness.hierarchy_corpus().graphs)]
+    return [
+        ("gnp", gnp),
+        ("hierarchy", harness.hierarchy_corpus().graphs),
+        # 2-FWL's transpose map mostly misses on a sparse random graph and
+        # mostly hits on distance-regular graphs
+        ("gnp(36, 1/9)", [gen.random_gnp(36, Fraction(1, 9), 17)]),
+        ("named DRGs", [gen.named_graph(name) for name in gen.NAMED_GRAPHS]),
+    ]
 
 
 def _reference_1wl_round(ctx, colors, nbrs):
@@ -672,7 +681,28 @@ def _reference_1wl(graphs):
         return [_reference_1wl_round(ctx, colors, g_nbrs) for colors, g_nbrs in zip(state, nbrs)]
 
     state, rounds = _reference_run([[c0] * g.n for g in graphs], step, list)
-    return tuple(map(tuple, state)), tuple(tuple(sorted(c)) for c in state), rounds
+    return (tuple(map(tuple, state)), tuple(tuple(sorted(c)) for c in state), rounds), ctx
+
+
+def _reference_scwl(graphs, subs):
+    """SC-WL with the plain tuple key: own color, own counts, sorted
+    (color, counts) pairs of the neighbors."""
+    ctx = InterningContext()
+    c0 = ctx.intern(("init",))
+    xs = [substructure_counts(g, subs) for g in graphs]
+    nbrs = [[[w for w in range(g.n) if g.has_edge(u, w)] for u in range(g.n)] for g in graphs]
+
+    def step(state):
+        return [
+            [
+                ctx.intern(("sc", c, x[u], tuple(sorted((colors[w], x[w]) for w in g_nbrs[u]))))
+                for u, c in enumerate(colors)
+            ]
+            for colors, x, g_nbrs in zip(state, xs, nbrs)
+        ]
+
+    state, rounds = _reference_run([[c0] * g.n for g in graphs], step, list)
+    return (tuple(map(tuple, state)), tuple(tuple(sorted(c)) for c in state), rounds), ctx
 
 
 def _reference_bag(g, policy):
@@ -715,7 +745,7 @@ def _reference_dswl(graphs, policy):
     node_colors = tuple(
         tuple(ctx.intern(("dsrep", tuple(sorted(sub)))) for sub in subs) for subs in state
     )
-    return node_colors, tuple(tuple(sorted(c)) for c in node_colors), rounds
+    return (node_colors, tuple(tuple(sorted(c)) for c in node_colors), rounds), ctx
 
 
 def _reference_dsswl(graphs, policy):
@@ -752,7 +782,19 @@ def _reference_dsswl(graphs, policy):
         initial, step, lambda st: [c for sub in st[0] for c in sub] + st[1]
     )
     node_colors = tuple(tuple(node) for _, node in state)
-    return node_colors, tuple(tuple(sorted(c)) for c in node_colors), rounds
+    return (node_colors, tuple(tuple(sorted(c)) for c in node_colors), rounds), ctx
+
+
+def _refined(spec, graphs):
+    """The (node colors, representations, rounds) triple of the refine_*
+    call that spec names, and the size of the context it interned into."""
+    colorings = refine._refine(spec, graphs)
+    triple = (
+        tuple(c.colors for c in colorings),
+        tuple(c.representation for c in colorings),
+        colorings[0].rounds,
+    )
+    return triple, len(colorings[0].ctx)
 
 
 @pytest.mark.parametrize(
@@ -763,13 +805,12 @@ def test_1wl_dswl_and_dsswl_match_the_per_subgraph_tuple_key_formulas(spec):
     name, _, policy = spec.partition(":")
     for corpus, graphs in _reference_inputs():
         if name == "1wl":
-            expected = _reference_1wl(graphs)
+            expected, ctx = _reference_1wl(graphs)
         elif name == "dswl":
-            expected = _reference_dswl(graphs, policy)
+            expected, ctx = _reference_dswl(graphs, policy)
         else:
-            expected = _reference_dsswl(graphs, policy)
-        result = run_algorithm(spec, graphs)
-        assert (result.node_colors, result.representations, result.rounds) == expected, corpus
+            expected, ctx = _reference_dsswl(graphs, policy)
+        assert _refined(spec, graphs) == (expected, len(ctx)), corpus
 
 
 @pytest.mark.parametrize("spec", ["2fwl", "spdwl", "rdwl", "gdwl"])
@@ -777,12 +818,33 @@ def test_packed_keys_match_the_tuple_key_formulas(spec):
     kinds = {"spdwl": "spd", "rdwl": "rd", "gdwl": "spdrd"}
     for name, graphs in _reference_inputs():
         if spec == "2fwl":
-            expected = _reference_2fwl(graphs)
+            expected, ctx = _reference_2fwl(graphs)
         else:
-            expected, _ = _reference_gdwl(graphs, kinds[spec])
-        result = run_algorithm(spec, graphs)
-        got = (result.node_colors, result.representations, result.rounds)
-        assert got == expected, name
+            expected, ctx = _reference_gdwl(graphs, kinds[spec])
+        assert _refined(spec, graphs) == (expected, len(ctx)), name
+
+
+@pytest.mark.parametrize("names", ["tri", "tri,c4,p3", "k4,s4,p4"])
+def test_scwl_matches_the_tuple_key_formula(names):
+    subs = [refine._named_substructure(name) for name in names.split(",")]
+    for corpus, graphs in _reference_inputs():
+        expected, ctx = _reference_scwl(graphs, subs)
+        assert _refined(f"scwl:{names}", graphs) == (expected, len(ctx)), corpus
+
+
+# the str tags of the keys each refine_* call interns before its rounds
+SET_UP_TAGS = {"init", "mark", "dtok", "2fwl0", "dssbag", "dsrep"}
+
+
+@pytest.mark.parametrize("spec", SPEC_FORMS)
+def test_round_keys_hold_only_ints_and_set_up_keys_start_with_a_str(spec):
+    graphs = [gen.path(4), gen.cycle(5), two_triangles(), gen.complete(1), gen.named_graph("petersen")]
+    keys = list(_refine_directly(spec, graphs)[0].ctx._ids)
+    assert all(type(key) is tuple and key for key in keys)
+    set_up = [key for key in keys if type(key[0]) is str]
+    round_keys = [key for key in keys if type(key[0]) is not str]
+    assert {key[0] for key in set_up} <= SET_UP_TAGS
+    assert round_keys and all(type(x) is int for key in round_keys for x in key)
 
 
 def _token_ids(ctx):
@@ -811,7 +873,7 @@ def test_gdwl_kinds_in_one_shared_context_match_the_tuple_key_formulas():
             assert len(ctx) == len(reference_ctx), (name, kind)
 
 
-@pytest.mark.parametrize("spec", ["2fwl", "spdwl", "rdwl", "gdwl"])
+@pytest.mark.parametrize("spec", ["2fwl", "spdwl", "rdwl", "gdwl", "scwl:tri"])
 def test_packing_overflow_raises_instead_of_colliding(spec, monkeypatch):
     graphs = [gen.random_gnp(9, Fraction(1, 3), 2), gen.path(5)]
     expected = run_algorithm(spec, graphs)
