@@ -11,8 +11,8 @@ import heapq
 import random
 from fractions import Fraction
 
-from .biconn import biconnectivity_report
-from .graphs import Graph
+from .biconn import BRUTE_FORCE_CUT_MAX_NODES, brute_force_cut_sets
+from .graphs import Graph, is_connected
 
 
 class GenerationError(ValueError):
@@ -247,10 +247,10 @@ def _random_biconnected_block(rng: random.Random, degrees: list[int]) -> Graph |
         return None
     for _ in range(BLOCK_SAMPLE_RETRIES):
         g = _randomize_by_swaps(rng, len(degrees), set(base))
-        rep = biconnectivity_report(g)
-        if len(rep.components.classes) > 1 or rep.cut_vertices or rep.cut_edges:
-            continue
-        return g
+        # the deletion oracle, not the lowpoint DFS, so that corpora built
+        # here stay sound when the DFS under test is broken
+        if is_connected(g) and brute_force_cut_sets(g) == ((), ()):
+            return g
     return None
 
 
@@ -263,13 +263,20 @@ def regular_with_cuts(d: int, blocks: int, block_size: int, seed: int) -> Graph:
     have odd order). Even d: regular graphs cannot have bridges at all, so
     consecutive blocks share a cut vertex that splits its d edges evenly;
     d must then be a multiple of 4, or the end blocks' degree sums are odd.
-    Every block is checked to be biconnected, so the chain's cut sets and
-    degrees hold by construction. Makes REGULAR_WITH_CUTS_ATTEMPTS
-    attempts, until every block of one attempt is found.
+    Every block is checked to be biconnected by the deletion oracle, so the
+    chain's cut sets and degrees hold by construction; a block has at most
+    block_size + 1 nodes, within the oracle's cap. Makes
+    REGULAR_WITH_CUTS_ATTEMPTS attempts, until every block of one attempt
+    is found.
     """
     if d < 1 or blocks < 2 or block_size < d + 1:
         raise GenerationError(
             "regular_with_cuts requires d >= 1, blocks >= 2, block_size > d"
+        )
+    if block_size >= BRUTE_FORCE_CUT_MAX_NODES:
+        raise GenerationError(
+            f"regular_with_cuts requires block_size < {BRUTE_FORCE_CUT_MAX_NODES}, "
+            "the node cap of the deletion oracle that checks each block"
         )
     if d % 4 == 2:
         # the shared vertex keeps d / 2 edges in each block (for d = 2, too

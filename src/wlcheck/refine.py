@@ -3,17 +3,18 @@
 Each call interns canonical structure encodings in a context of its own, so
 equal colors mean equal hashed structures across all the graphs refined
 together in that call, and colors of separate calls do not compare. Every
-algorithm runs through the one loop in `_iterate` over a state of flat
-color lists: one per graph (nodes; 2-FWL: pairs in row-major order; DSS-WL:
-subgraph-major node colors followed by its global node colors), except
-DS-WL, which holds one list per subgraph, graph after graph, so that 1-WL
-and DS-WL share the one 1-WL round of `_wl_update`. All graphs advance in
-lockstep and iterate until the joint partition survives a full round
-unchanged; exceeding the theoretical stabilization bound indicates an
-interning bug and raises. With `early_exit`, which only `distinguishable`
-sets, the loop also stops at the first round (round 0 included) where two
-graphs' multisets of state entries differ; the colorings it then returns
-are partial, and good only for telling the graphs apart.
+algorithm runs through the one loop in `_iterate` over a state of one flat
+color list per graph: its node colors; for 2-FWL its pair colors in
+row-major order; for DS-WL the colors of the n*n slots of its subgraph bag,
+subgraph-major, which `_policy_bag` joins into one graph, so that DS-WL is
+the 1-WL round of `_wl_update` on that graph; for DSS-WL the same slots
+followed by its n node colors. All graphs advance in lockstep and iterate
+until the joint partition survives a full round unchanged; exceeding the
+theoretical stabilization bound indicates an interning bug and raises.
+With `early_exit`, which only `distinguishable` sets, the loop also stops
+at the first round (round 0 included) where two graphs' multisets of state
+entries differ; the colorings it then returns are partial, and good only
+for telling the graphs apart.
 
 SC-WL counts per node of each pattern, not per orbit of its automorphism
 group; both give the same colors (see `refine_scwl`).
@@ -58,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, count, islice
+from itertools import chain, count
 from operator import add
 
 from .distances import UNREACHABLE, rd_matrix, spd_matrix
@@ -123,23 +124,20 @@ class StabilizationError(RuntimeError):
     """Internal error: refinement exceeded its theoretical round bound."""
 
 
-def _multisets_differ(state, lists_per_graph) -> bool:
-    """True when two graphs' multisets of state entries differ; each graph
-    owns the next lists_per_graph[i] lists of state."""
-    lists = iter(state)
-    multisets = {tuple(sorted(chain.from_iterable(islice(lists, k)))) for k in lists_per_graph}
-    return len(multisets) > 1
+def _multisets_differ(state) -> bool:
+    """True when two graphs' multisets of state entries differ."""
+    return len({tuple(sorted(colors)) for colors in state}) > 1
 
 
-def _iterate(update, initial, total_elements, early_exit=False, lists_per_graph=None):
+def _iterate(update, initial, total_elements, early_exit=False):
     """Run lockstep rounds until the joint partition stabilizes.
 
     This is the stabilization loop of every refine_* function.
-    update(state) -> state; a state holds one flat color list per graph
-    (or lists_per_graph[i] lists for graph i), and the partition compared
-    between rounds is that of all entries of all lists together. Returns
-    (state, rounds). The partition can strictly refine at most
-    total_elements - 1 times, so the round cap is total_elements + 1.
+    update(state) -> state; a state holds one flat color list per graph,
+    and the partition compared between rounds is that of all entries of
+    all lists together. Returns (state, rounds). The partition can strictly
+    refine at most total_elements - 1 times, so the round cap is
+    total_elements + 1.
 
     With early_exit the loop also stops, before round 1 and after every
     round, as soon as two graphs' multisets of state entries differ. That
@@ -152,8 +150,7 @@ def _iterate(update, initial, total_elements, early_exit=False, lists_per_graph=
     sig = _partition_sig(state)
     rounds = 0
     cap = total_elements + 1
-    groups = lists_per_graph or [1] * len(state)
-    while not (early_exit and _multisets_differ(state, groups)):
+    while not (early_exit and _multisets_differ(state)):
         state = update(state)
         rounds += 1
         new_sig = _partition_sig(state)
@@ -281,11 +278,6 @@ def refine_gdwl(
 TWO_FWL_MAX_NODES = 40
 
 
-def _rows(flat, n):
-    """The first n length-n rows of a flat row-major color list."""
-    return [flat[i * n : (i + 1) * n] for i in range(n)]
-
-
 def refine_2fwl(graphs: list[Graph], *, early_exit: bool = False) -> list[Coloring]:
     """Folklore 2-WL on ordered pairs; Theta(n^3) per round per graph.
 
@@ -317,7 +309,7 @@ def refine_2fwl(graphs: list[Graph], *, early_exit: bool = False) -> list[Colori
         out = []
         for g, flat in zip(graphs, state):
             n = g.n
-            mat = _rows(flat, n)
+            mat = [flat[u * n : (u + 1) * n] for u in range(n)]
             cols = list(zip(*mat))
             new_flat = []
             for u, row_u in enumerate(mat):
@@ -363,27 +355,29 @@ class SubgraphPolicy:
         return self.tag in ("node_marking", "ego_marking")
 
 
-def _policy_bag(g: Graph, policy: SubgraphPolicy):
-    """Adjacency of each generated subgraph G_v (one per node, node-aligned).
+def _policy_bag(g: Graph, policy: SubgraphPolicy) -> list[tuple[int, ...]]:
+    """The subgraph bag of g (one subgraph G_i per node i) as one adjacency
+    on n*n slots: slot i*n + u is node u of G_i, in the subgraph-major
+    order of the colors, and its neighbors are slots of G_i too.
 
-    Node deletion keeps every node but v, the ego policies the nodes within
-    distance k of v; a node left out stays in G_v, isolated.
+    Node marking keeps every node in G_i, node deletion every node but i,
+    and the ego policies the nodes within distance k of i; a node left out
+    stays in G_i, isolated.
     """
+    n = g.n
     if policy.tag == "node_marking":
-        return [g.adjacency] * g.n
-    if policy.tag == "node_deletion":
-        keeps = [[u != v for u in range(g.n)] for v in range(g.n)]
+        keeps = [[True] * n] * n
+    elif policy.tag == "node_deletion":
+        keeps = [[u != i for u in range(n)] for i in range(n)]
     else:
         keeps = [
             [d is not UNREACHABLE and d <= policy.k for d in row]
             for row in spd_matrix(g).rows
         ]
     return [
-        tuple(
-            tuple(w for w in nbrs if keep[w]) if keep[u] else ()
-            for u, nbrs in enumerate(g.adjacency)
-        )
-        for keep in keeps
+        tuple([offset + w for w in nbrs if keep[w]]) if kept else ()
+        for offset, keep in zip(count(0, n), keeps)
+        for kept, nbrs in zip(keep, g.adjacency)
     ]
 
 
@@ -439,13 +433,12 @@ def refine_dsswl(
                 tokens.setdefault((c_node, *sorted(map(node_of, nbrs))), len(tokens))
                 for c_node, nbrs in zip(node, g.adjacency)
             ]
-            new_flat = []
-            for sub_i, adj_i in zip(_rows(flat, n), bag):
-                color_of = sub_i.__getitem__
-                new_flat += [
-                    setdefault((c, t, *sorted(map(color_of, nbrs))), len(ids))
-                    for c, nbrs, t in zip(sub_i, adj_i, global_tokens)
-                ]
+            color_of = flat.__getitem__
+            # the bag's n*n slots stop the zip before the node colors
+            new_flat = [
+                setdefault((c, t, *sorted(map(color_of, nbrs))), len(ids))
+                for c, nbrs, t in zip(flat, bag, global_tokens * n)
+            ]
             new_flat.extend(node_colors(new_flat, n))
             out.append(new_flat)
         return out
@@ -460,26 +453,17 @@ def refine_dswl(
 ) -> list[Coloring]:
     """DS-WL: independent 1-WL in each subgraph, no cross-bag aggregation.
 
-    The state is one color list per subgraph, graph after graph. The output
-    color of node v is the whole-graph representation of its own subgraph G_v.
+    This is 1-WL on the n*n-slot graph of `_policy_bag`, in which no edge
+    joins two subgraphs. The output color of node v is the representation
+    of its own subgraph G_v: the sorted colors of slots v*n to v*n + n - 1.
     """
     ctx = InterningContext()
-    initial = [
-        sub
-        for g, flat in zip(graphs, _initial_subgraph_colors(graphs, policy, ctx))
-        for sub in _rows(flat, g.n)
-    ]
-    update = _wl_update(ctx, [adj for g in graphs for adj in _policy_bag(g, policy)])
-    # graph i owns its g.n subgraph lists, so an early exit compares the
-    # multisets of all of a graph's subgraph colors
-    state, rounds = _iterate(
-        update, initial, sum(g.n * g.n for g in graphs), early_exit, [g.n for g in graphs]
-    )
-    # node v's color is the representation of its own subgraph G_v
-    subs = iter(state)
+    initial = _initial_subgraph_colors(graphs, policy, ctx)
+    update = _wl_update(ctx, [_policy_bag(g, policy) for g in graphs])
+    state, rounds = _iterate(update, initial, sum(g.n * g.n for g in graphs), early_exit)
     reps = [
-        [ctx.intern(("dsrep", tuple(sorted(next(subs))))) for _ in range(g.n)]
-        for g in graphs
+        [ctx.intern(("dsrep", tuple(sorted(flat[v * g.n : (v + 1) * g.n])))) for v in range(g.n)]
+        for g, flat in zip(graphs, state)
     ]
     return _node_colorings(reps, rounds, ctx)
 

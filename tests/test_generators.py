@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from wlcheck import biconn
 from wlcheck import generators as gen
 from wlcheck.biconn import bce_tree, biconnectivity_report, brute_force_cut_sets
 from wlcheck.distances import distance_regular_profile
@@ -207,6 +208,11 @@ def test_regular_with_cuts_validation():
         gen.regular_with_cuts(2, 2, 6, 0)
     with pytest.raises(gen.GenerationError):
         gen.regular_with_cuts(4, 2, 3, 0)
+    # each block is vetted by the deletion oracle, which has a node cap
+    cap = biconn.BRUTE_FORCE_CUT_MAX_NODES
+    for d in (3, 4):
+        with pytest.raises(gen.GenerationError, match=f"block_size < {cap}"):
+            gen.regular_with_cuts(d, 2, cap, 0)
 
 
 def test_regular_with_cuts_states_how_many_attempts_failed(monkeypatch):
@@ -238,8 +244,22 @@ def test_regular_with_cuts_refuses_degree_2_mod_4_up_front(monkeypatch):
     assert calls == []
 
 
+def test_regular_with_cuts_does_not_run_the_lowpoint_dfs(monkeypatch):
+    # the harness corpora hold these graphs, so a broken DFS must not be
+    # able to change them or stop them from being built
+    args = [(3, 2, 6, 0), (3, 3, 4, 1), (4, 2, 6, 2), (5, 3, 8, 4), (8, 2, 10, 3)]
+    expected = [gen.regular_with_cuts(*a) for a in args]
+
+    def broken(g):
+        raise AssertionError("biconnectivity_report called")
+
+    monkeypatch.setattr(biconn, "biconnectivity_report", broken)
+    monkeypatch.setattr(gen, "biconnectivity_report", broken, raising=False)
+    assert [gen.regular_with_cuts(*a) for a in args] == expected
+
+
 def test_regular_with_cuts_has_the_promised_cut_structure():
-    # the deletion oracle, not the lowpoint DFS that vets each block
+    # the whole chain's cut sets, by the deletion oracle that vets each block
     built = 0
     for d in (3, 4, 5, 6):
         for blocks in (2, 3, 4):

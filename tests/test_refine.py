@@ -799,7 +799,20 @@ def _refined(spec, graphs):
 
 @pytest.mark.parametrize(
     "spec",
-    ["1wl", "dswl:nm", "dswl:nd", "dsswl:nm", "dsswl:nd", "dsswl:ego:1", "dsswl:egom:1"],
+    [
+        "1wl",
+        "dswl:nm",
+        "dswl:nd",
+        "dswl:ego:0",
+        "dswl:ego:1",
+        "dswl:egom:1",
+        "dsswl:nm",
+        "dsswl:nd",
+        "dsswl:ego:0",
+        "dsswl:ego:1",
+        "dsswl:ego:2",
+        "dsswl:egom:1",
+    ],
 )
 def test_1wl_dswl_and_dsswl_match_the_per_subgraph_tuple_key_formulas(spec):
     name, _, policy = spec.partition(":")
