@@ -20,8 +20,8 @@ from .harness import SUITES, run_suite
 from .refine import distinguishable, run_algorithm
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """Bad input; main turns it, like every ValueError, into exit code 2."""
 
 
 def read_graph_file(path: str) -> Graph:
@@ -66,34 +66,31 @@ def _generate(family: str, params: list[str]):
     """Returns a single Graph or a (Graph, Graph) pair."""
     aliases = {"tree_random": "tree", "random_gnp": "gnp"}
     family = aliases.get(family, family)
-    try:
-        if family in _INT_FAMILIES:
-            builder, arity = _INT_FAMILIES[family]
-            if len(params) != arity:
-                raise UsageError(f"{family} expects {arity} parameter(s), got {len(params)}")
-            try:
-                args = [int(p) for p in params]
-            except ValueError:
-                raise UsageError(f"{family}: non-integer parameter") from None
-            return builder(*args)
-        if family == "gnp":
-            if len(params) != 3:
-                raise UsageError("gnp expects: n p seed")
-            try:
-                n, seed = int(params[0]), int(params[2])
-            except ValueError:
-                raise UsageError("gnp: n and seed must be integers") from None
-            return gen.random_gnp(n, _parse_probability(params[1]), seed)
-        if family == "named":
-            if len(params) != 1:
-                raise UsageError("named expects one graph name")
-            return gen.named_graph(params[0])
-        if family in gen.NAMED_GRAPHS:
-            if params:
-                raise UsageError(f"{family} takes no parameters")
-            return gen.named_graph(family)
-    except gen.GenerationError as exc:
-        raise UsageError(str(exc)) from exc
+    if family in _INT_FAMILIES:
+        builder, arity = _INT_FAMILIES[family]
+        if len(params) != arity:
+            raise UsageError(f"{family} expects {arity} parameter(s), got {len(params)}")
+        try:
+            args = [int(p) for p in params]
+        except ValueError:
+            raise UsageError(f"{family}: non-integer parameter") from None
+        return builder(*args)
+    if family == "gnp":
+        if len(params) != 3:
+            raise UsageError("gnp expects: n p seed")
+        try:
+            n, seed = int(params[0]), int(params[2])
+        except ValueError:
+            raise UsageError("gnp: n and seed must be integers") from None
+        return gen.random_gnp(n, _parse_probability(params[1]), seed)
+    if family == "named":
+        if len(params) != 1:
+            raise UsageError("named expects one graph name")
+        return gen.named_graph(params[0])
+    if family in gen.NAMED_GRAPHS:
+        if params:
+            raise UsageError(f"{family} takes no parameters")
+        return gen.named_graph(family)
     raise UsageError(f"unknown family {family!r}")
 
 
@@ -174,10 +171,7 @@ def _distance_cell(value, as_json: bool):
 
 def cmd_distances(args) -> int:
     g = read_graph_file(args.file)
-    try:
-        matrix = spd_matrix(g) if args.kind == "spd" else rd_matrix(g)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    matrix = spd_matrix(g) if args.kind == "spd" else rd_matrix(g)
     rows = [
         [_distance_cell(matrix[u, v], args.json) for v in range(g.n)]
         for u in range(g.n)
@@ -192,10 +186,7 @@ def cmd_distances(args) -> int:
 
 def cmd_refine(args) -> int:
     graphs = [read_graph_file(path) for path in args.files]
-    try:
-        result = run_algorithm(args.algo, graphs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    result = run_algorithm(args.algo, graphs)
     if args.json:
         payload = {
             "algo": args.algo,
@@ -228,19 +219,12 @@ def cmd_refine(args) -> int:
 def cmd_distinguish(args) -> int:
     g = read_graph_file(args.file1)
     h = read_graph_file(args.file2)
-    try:
-        separated = distinguishable(g, h, args.algo)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    print("distinguishable" if separated else "indistinguishable")
+    print("distinguishable" if distinguishable(g, h, args.algo) else "indistinguishable")
     return 0
 
 
 def cmd_check(args) -> int:
-    try:
-        reports, table = run_suite(args.suite, args.seeds)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    reports, table = run_suite(args.suite, args.seeds)
     ok = all(r.passed for r in reports)
     if args.json:
         payload = {
@@ -326,7 +310,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

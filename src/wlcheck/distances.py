@@ -202,9 +202,10 @@ def rd_matrix(g: Graph) -> RdMatrix:
     denominator. Blocks meet at cut vertices in series (Klein & Randic
     1993), so R(u, v) is the sum of the block terms along the path from u
     to v in the block cut tree. The blocks of a component are placed one at
-    a time along that tree: a block entered at cut vertex c fills its own
-    pairs from its solve, and each of its other nodes w is at
-    R(x, c) + R_B(c, w) from every node x placed before it. So a component
+    a time along that tree, joined at the nodes they share, so only the
+    report's blocks and components are read: a block entered at cut vertex
+    c fills its own pairs from its solve, and each of its other nodes w is
+    at R(x, c) + R_B(c, w) from every node x placed before it. So a component
     that is one block is filled straight from its solve. The integers equal
     those of one solve of the whole component. Entries across components
     are UNREACHABLE. A component over RD_MAX_COMPONENT_NODES nodes is
@@ -222,8 +223,8 @@ def rd_matrix(g: Graph) -> RdMatrix:
     blocks_in: list[list[tuple[int, ...]]] = [[] for _ in components.classes]
     for block in report.vertex_bccs:
         blocks_in[components.class_of[block[0]]].append(block)
-    # blocks_at[c] lists the blocks of cut vertex c, by index in its component
-    blocks_at: dict[int, list[int]] = {c: [] for c in report.cut_vertices}
+    # blocks_at[v] lists the blocks holding node v, by index in its component
+    blocks_at: list[list[int]] = [[] for _ in range(g.n)]
     for comp, blocks in zip(components.classes, blocks_in):
         solved = [_block_numerators(g, block) for block in blocks]
         tau = math.prod(tau_b for tau_b, _ in solved)
@@ -235,13 +236,12 @@ def rd_matrix(g: Graph) -> RdMatrix:
                 for row in block_nums:
                     row[:] = [x * (tau // tau_b) for x in row]
             for v in block:
-                if v in blocks_at:
-                    blocks_at[v].append(b)
+                blocks_at[v].append(b)
         _fill_pairs(nums, blocks[0], solved[0][1])
         placed = list(blocks[0])
-        # (block, cut vertex it is entered at): every node placed before it
-        # lies beyond that cut vertex, as the blocks follow the tree
-        stack = [(b, c) for c in blocks[0] if c in blocks_at for b in blocks_at[c] if b]
+        # (block, node it is entered at): every node placed before it lies
+        # beyond that node, a cut vertex, as the blocks follow the tree
+        stack = [(b, c) for c in blocks[0] for b in blocks_at[c] if b]
         while stack:
             b, c = stack.pop()
             block, block_nums = blocks[b], solved[b][1]
@@ -255,7 +255,7 @@ def rd_matrix(g: Graph) -> RdMatrix:
                     for x, y in zip(before, from_c):
                         nums_w[x] = nums[x][w] = y + k
                     placed.append(w)
-                    stack.extend((b2, w) for b2 in blocks_at.get(w, ()) if b2 != b)
+                    stack.extend((b2, w) for b2 in blocks_at[w] if b2 != b)
     return RdMatrix(n=g.n, taus=tuple(taus), nums=tuple(map(tuple, nums)))
 
 

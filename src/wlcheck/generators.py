@@ -286,9 +286,8 @@ def regular_with_cuts(d: int, blocks: int, block_size: int, seed: int) -> Graph:
             "degree sum d/2 + d*(block_size-1) is odd"
         )
     rng = random.Random(seed)
-    chain = _chain_by_bridges if d % 2 else _chain_by_shared_vertices
     for _ in range(REGULAR_WITH_CUTS_ATTEMPTS):
-        g = chain(rng, d, blocks, block_size)
+        g = _chain(rng, d, blocks, block_size)
         if g is not None:
             return g
     raise GenerationError(
@@ -297,55 +296,34 @@ def regular_with_cuts(d: int, blocks: int, block_size: int, seed: int) -> Graph:
     )
 
 
-def _chain_by_bridges(rng, d, blocks, block_size):
-    sizes = []
+def _chain(rng, d, blocks, block_size):
+    # block j is laid out after block j - 1, entered at its node 0 and left
+    # at an exit node. Even d: the next block starts on the exit node, which
+    # keeps d / 2 edges on each side. Odd d: a bridge joins the exit node to
+    # the next block's node 0, so it keeps d - 1 edges inside its block.
+    attached = d - 1 if d % 2 else d // 2
+    edges = []
+    start = 0
     for j in range(blocks):
-        stubs = 1 if j in (0, blocks - 1) else 2
-        size = block_size
-        if (d * size - stubs) % 2:
-            size += 1
-        sizes.append(size)
-    base = [0]
-    for s in sizes[:-1]:
-        base.append(base[-1] + s)
-    parts = []
-    for j, size in enumerate(sizes):
-        degrees = [d] * size
-        att = []
+        if d % 2:
+            exit_node = 1 if j > 0 else 0
+        else:
+            exit_node = block_size - 1
+        degrees = [d] * block_size
         if j > 0:
-            att.append(0)
+            degrees[0] = attached
         if j < blocks - 1:
-            att.append(1 if j > 0 else 0)
-        for a in att:
-            degrees[a] -= 1
+            degrees[exit_node] = attached
+        if d % 2 and sum(degrees) % 2:
+            degrees.append(d)  # a bridge side of an odd-d graph has odd order
         block = _random_biconnected_block(rng, degrees)
         if block is None:
             return None
-        parts.append(block)
-    edges = []
-    for j, block in enumerate(parts):
-        edges.extend((base[j] + u, base[j] + v) for u, v in block.edges)
-    # the bridge from block j's outgoing attachment node to block j + 1's node 0
-    edges.extend((base[j] + (1 if j > 0 else 0), base[j + 1]) for j in range(blocks - 1))
-    return Graph.from_edges(base[-1] + sizes[-1], edges)
-
-
-def _chain_by_shared_vertices(rng, d, blocks, block_size):
-    half = d // 2
-    # block j occupies nodes [j*(size-1), j*(size-1)+size); consecutive
-    # blocks overlap in exactly one node
-    size = block_size
-    n = blocks * size - (blocks - 1)
-    edges = []
-    for j in range(blocks):
-        offset = j * (size - 1)
-        degrees = [d] * size
-        if j > 0:
-            degrees[0] = half
-        if j < blocks - 1:
-            degrees[size - 1] = half
-        block = _random_biconnected_block(rng, degrees)
-        if block is None:
-            return None
-        edges.extend((offset + u, offset + v) for u, v in block.edges)
-    return Graph.from_edges(n, edges)
+        edges.extend((start + u, start + v) for u, v in block.edges)
+        if j == blocks - 1:
+            return Graph.from_edges(start + len(degrees), edges)
+        if d % 2:
+            edges.append((start + exit_node, start + len(degrees)))
+            start += len(degrees)
+        else:
+            start += exit_node

@@ -275,11 +275,6 @@ def induced_subgraph(g: Graph, nodes) -> tuple[Graph, tuple[int, ...]]:
     return Graph.from_edges(len(order), edges), order
 
 
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
-    return Graph.from_edges(a.n + b.n, edges)
-
-
 def relabel(g: Graph, perm) -> Graph:
     """Graph with node i renamed to perm[i]."""
     perm = tuple(perm)

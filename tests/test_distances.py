@@ -1,12 +1,13 @@
 import copy
+import dataclasses
 import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from wlcheck import distances, harness
 from wlcheck import generators as gen
-from wlcheck import harness
 from wlcheck.biconn import biconnectivity_report
 from wlcheck.distances import (
     UNREACHABLE,
@@ -378,6 +379,29 @@ def test_rd_equals_whole_component_solve_on_sparse_and_chain_graphs():
             break
         else:
             pytest.fail(f"no regular_with_cuts({d},{blocks},{size}) in 20 seeds")
+
+
+def test_rd_joins_blocks_at_their_shared_nodes_not_at_reported_cut_vertices(monkeypatch):
+    # rd_matrix reads only the report's components and blocks, so a report
+    # that misses every cut vertex must not change a single integer
+    paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    graphs = [gen.example1(4, 1)[1], paw]
+    graphs += [gen.regular_with_cuts(*args) for args in ((3, 3, 6, 0), (4, 3, 6, 1))]
+    assert all(biconnectivity_report(g).cut_vertices for g in graphs)
+    rd_matrix.cache_clear()
+    expected = [rd_matrix(g) for g in graphs]
+    real = distances.biconnectivity_report
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            distances,
+            "biconnectivity_report",
+            lambda g: dataclasses.replace(real(g), cut_vertices=()),
+        )
+        rd_matrix.cache_clear()
+        try:
+            assert [rd_matrix(g) for g in graphs] == expected
+        finally:
+            rd_matrix.cache_clear()
 
 
 def test_rd_equals_whole_component_solve_on_glued_blocks():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -217,13 +218,13 @@ def test_regular_with_cuts_validation():
 
 def test_regular_with_cuts_states_how_many_attempts_failed(monkeypatch):
     calls = []
-    chain = gen._chain_by_shared_vertices
+    chain = gen._chain
 
     def counted(*args):
         calls.append(args)
         return chain(*args)
 
-    monkeypatch.setattr(gen, "_chain_by_shared_vertices", counted)
+    monkeypatch.setattr(gen, "_chain", counted)
     # a 5-node block whose shared vertex keeps d / 2 = 2 of its edges has the
     # degree sequence (4, 4, 4, 4, 2), which is not graphical: every attempt fails
     attempts = gen.REGULAR_WITH_CUTS_ATTEMPTS
@@ -236,7 +237,7 @@ def test_regular_with_cuts_refuses_degree_2_mod_4_up_front(monkeypatch):
     # the shared vertex keeps d / 2 edges, an odd number, so an end block's
     # degree sum d/2 + d*(size-1) is odd and no attempt could succeed
     calls = []
-    monkeypatch.setattr(gen, "_chain_by_shared_vertices", lambda *args: calls.append(args))
+    monkeypatch.setattr(gen, "_chain", lambda *args: calls.append(args))
     for d in (2, 6, 10):
         for size in (d + 1, d + 2, 2 * d):
             with pytest.raises(gen.GenerationError, match=f"d = {d} .* is odd$"):
@@ -280,6 +281,24 @@ def test_regular_with_cuts_has_the_promised_cut_structure():
                         assert bridges == (), (d, blocks, size, seed)
                         assert len(cut_vertices) == blocks - 1, (d, blocks, size, seed)
     assert built >= 60
+
+
+def test_regular_with_cuts_output_is_pinned():
+    # every graph and every refusal on a fixed grid, byte for byte: the chain
+    # builder must draw from the seeded generator in one fixed order
+    digest = hashlib.md5()
+    grid = ((3, (4, 5, 6, 7)), (4, (5, 6, 7, 8)), (5, (6, 7, 8)), (7, (8, 10)), (8, (9, 10, 12)))
+    for d, sizes in grid:
+        for blocks in (2, 3, 4):
+            for size in sizes:
+                for seed in range(3):
+                    try:
+                        g = gen.regular_with_cuts(d, blocks, size, seed)
+                        line = repr((d, blocks, size, seed, g.n, g.edges))
+                    except gen.GenerationError as err:
+                        line = repr((d, blocks, size, seed, str(err)))
+                    digest.update(line.encode())
+    assert digest.hexdigest() == "2cb17b713c94d4ac48693c2c38d1949c"
 
 
 def test_generalized_petersen_sizes():

@@ -9,7 +9,6 @@ from wlcheck.graphs import (
     GraphFormatError,
     brute_force_isomorphic,
     connected_components,
-    disjoint_union,
     encode_edge_list,
     encode_graph6,
     induced_embeddings,
@@ -167,14 +166,6 @@ def test_degree_sum_is_twice_edges():
     for seed in range(20):
         g = gen.random_gnp(10, 0.3, seed)
         assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m
-
-
-def test_disjoint_union_component_additivity():
-    a, b = gen.cycle(4), two_triangles()
-    u = disjoint_union(a, b)
-    assert len(connected_components(u).classes) == len(
-        connected_components(a).classes
-    ) + len(connected_components(b).classes)
 
 
 def test_brute_force_isomorphic():
