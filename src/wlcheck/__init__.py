@@ -3,12 +3,9 @@ and a corpus-based expressivity checking harness."""
 
 from .biconn import (
     BiconnectivityReport,
-    BlockCutTree,
-    bce_tree,
-    bcv_tree,
     biconnectivity_report,
     brute_force_cut_sets,
-    tree_canonical_form,
+    per_component_forms,
 )
 from .distances import (
     UNREACHABLE,
@@ -42,13 +39,13 @@ from .refine import (
 )
 
 __all__ = [
-    "AlgoResult", "BiconnectivityReport", "BlockCutTree", "Coloring",
+    "AlgoResult", "BiconnectivityReport", "Coloring",
     "DistanceRegularProfile", "Graph", "GraphFormatError", "Partition",
-    "RdMatrix", "SpdMatrix", "SubgraphPolicy", "UNREACHABLE", "bce_tree",
-    "bcv_tree", "biconnectivity_report", "brute_force_cut_sets",
+    "RdMatrix", "SpdMatrix", "SubgraphPolicy", "UNREACHABLE",
+    "biconnectivity_report", "brute_force_cut_sets",
     "brute_force_isomorphic", "connected_components",
     "distance_regular_profile", "distinguishable", "encode_edge_list",
     "encode_graph6", "hitting_time_matrix", "induced_subgraph",
-    "parse_edge_list", "parse_graph6", "rd_from_intersection_array",
-    "rd_matrix", "run_algorithm", "spd_matrix", "tree_canonical_form",
+    "parse_edge_list", "parse_graph6", "per_component_forms",
+    "rd_from_intersection_array", "rd_matrix", "run_algorithm", "spd_matrix",
 ]

@@ -2,14 +2,16 @@
 
 The lowpoint DFS here is the ground truth against which every refinement
 verdict in the harness is judged, so it is paired with a literal
-deletion-based oracle for cross-checking.
+deletion-based oracle for cross-checking. The block cut-vertex and block
+cut-edge trees are read straight off its report and compared only through
+their canonical forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, Partition, is_connected
+from .graphs import Graph, Partition
 
 
 @dataclass(frozen=True)
@@ -164,74 +166,11 @@ def brute_force_cut_sets(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, in
     return tuple(cut_vertices), tuple(sorted(cut_edges))
 
 
-COMPONENT = "component"
-CUT_VERTEX = "cut_vertex"
-
-
-@dataclass(frozen=True)
-class BlockCutTree:
-    """Typed tree over component nodes and cut-vertex nodes.
-
-    node_kind[i] is COMPONENT or CUT_VERTEX; node_payload[i] is the sorted
-    member tuple for components and the original vertex id for cut
-    vertices. tree_edges index into the node arrays.
-    """
-
-    node_kind: tuple[str, ...]
-    node_payload: tuple[object, ...]
-    tree_edges: tuple[tuple[int, int], ...]
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.node_kind)
-
-
-def _bcv_tree(blocks, cut_vertices) -> BlockCutTree:
-    cut_index = {v: len(blocks) + i for i, v in enumerate(cut_vertices)}
-    edges = [(i, cut_index[v]) for i, block in enumerate(blocks) for v in block if v in cut_index]
-    return BlockCutTree(
-        (COMPONENT,) * len(blocks) + (CUT_VERTEX,) * len(cut_vertices),
-        tuple(blocks) + tuple(cut_vertices),
-        tuple(sorted(edges)),
-    )
-
-
-def _bce_tree(classes, cut_edges) -> BlockCutTree:
-    index = {v: i for i, cls in enumerate(classes) for v in cls}
-    edges = [tuple(sorted((index[u], index[v]))) for u, v in cut_edges]
-    return BlockCutTree((COMPONENT,) * len(classes), tuple(classes), tuple(sorted(edges)))
-
-
-def bcv_tree(g: Graph) -> BlockCutTree:
-    """Block cut-vertex tree: vertex-BCCs linked through their cut vertices."""
-    rep = biconnectivity_report(g)
-    if len(rep.components.classes) > 1:
-        raise ValueError("bcv_tree requires a connected graph")
-    return _bcv_tree(rep.vertex_bccs, rep.cut_vertices)
-
-
-def bce_tree(g: Graph) -> BlockCutTree:
-    """Block cut-edge tree: edge-BCC classes joined by cut edges."""
-    rep = biconnectivity_report(g)
-    if len(rep.components.classes) > 1:
-        raise ValueError("bce_tree requires a connected graph")
-    return _bce_tree(rep.edge_bccs.classes, rep.cut_edges)
-
-
-def _node_label(tree: BlockCutTree, i: int) -> str:
-    # payload reduced to kind + component size; cut-vertex ids are dropped
-    if tree.node_kind[i] == COMPONENT:
-        return f"C{len(tree.node_payload[i])}"
-    return "V"
-
-
-def _tree_centers(adj: tuple[tuple[int, ...], ...]) -> list[int]:
-    n = len(adj)
-    if n <= 2:
-        return list(range(n))
-    deg = [len(a) for a in adj]
-    layer = [v for v in range(n) if deg[v] <= 1]
-    remaining = n
+def _tree_centers(adj: list[list[int]], nodes: list[int]) -> list[int]:
+    # peel leaf layers of the tree over `nodes` until at most two are left
+    deg = {v: len(adj[v]) for v in nodes}
+    layer = [v for v in nodes if deg[v] <= 1]
+    remaining = len(nodes)
     while remaining > 2:
         remaining -= len(layer)
         nxt = []
@@ -246,7 +185,7 @@ def _tree_centers(adj: tuple[tuple[int, ...], ...]) -> list[int]:
     return layer
 
 
-def _rooted_code(root: int, tree: BlockCutTree, adj: tuple[tuple[int, ...], ...]) -> str:
+def _rooted_code(root: int, labels: list[str], adj: list[list[int]]) -> str:
     # iterative post-order AHU; children codes sorted before concatenation
     done: dict[tuple[int, int], str] = {}
     stack: list[tuple[int, int, bool]] = [(root, -1, False)]
@@ -254,7 +193,7 @@ def _rooted_code(root: int, tree: BlockCutTree, adj: tuple[tuple[int, ...], ...]
         u, par, expanded = stack.pop()
         if expanded:
             codes = sorted(done[(w, u)] for w in adj[u] if w != par)
-            done[(u, par)] = "(" + _node_label(tree, u) + "".join(codes) + ")"
+            done[(u, par)] = "(" + labels[u] + "".join(codes) + ")"
         else:
             stack.append((u, par, True))
             for w in adj[u]:
@@ -263,45 +202,38 @@ def _rooted_code(root: int, tree: BlockCutTree, adj: tuple[tuple[int, ...], ...]
     return done[(root, -1)]
 
 
-def tree_canonical_form(tree: BlockCutTree) -> str:
-    """AHU canonical encoding; equal strings iff tag-respecting isomorphism.
-
-    Rooted at the tree center (min over both codes when there are two
-    centers). Rejects forests and tree edges that are not node index pairs.
-    """
-    n = tree.num_nodes
-    if n == 0:
-        raise ValueError("empty tree")
-    if len(tree.tree_edges) != n - 1:
-        raise ValueError("not a tree: edge count != node count - 1")
-    # GraphFormatError, a ValueError, on an index outside 0..n-1
-    shape = Graph.from_edges(n, tree.tree_edges)
-    if not is_connected(shape):
-        raise ValueError("not a tree: disconnected")
-    adj = shape.adjacency
-    return min(_rooted_code(c, tree, adj) for c in _tree_centers(adj))
-
-
 def per_component_forms(report: BiconnectivityReport, which: str) -> tuple[str, ...]:
-    """Sorted per-component canonical forms; `which` is 'bcv' or 'bce'.
+    """Sorted canonical forms of the block cut trees of the components.
 
-    Disconnected graphs are handled component by component, so two graphs
-    compare equal exactly when the multisets of component tree shapes
-    match. Each component's tree is cut out of the whole graph's report,
-    whose blocks, edge classes and cut sets each lie inside one component.
+    `which` is 'bcv' (blocks labelled C<size>, linked through cut vertices
+    labelled V) or 'bce' (edge classes labelled C<size>, joined by the
+    bridges). Each form is the AHU code of one component's tree, the least
+    over its centres, so equal forms mean label-respecting isomorphic
+    trees. Graphs compare equal exactly when their multisets of component
+    trees match.
     """
-    if which not in ("bcv", "bce"):
-        raise ValueError(f"unknown block cut tree {which!r}, expected 'bcv' or 'bce'")
-    component_of = report.components.class_of
     if which == "bcv":
-        groups, cuts, build = report.vertex_bccs, report.cut_vertices, _bcv_tree
+        groups, cuts = report.vertex_bccs, report.cut_vertices
+        cut_node = {v: len(groups) + i for i, v in enumerate(cuts)}
+        edges = [(i, cut_node[v]) for i, group in enumerate(groups) for v in group if v in cut_node]
+    elif which == "bce":
+        groups, cuts = report.edge_bccs.classes, ()
+        class_of = report.edge_bccs.class_of
+        edges = [(class_of[u], class_of[v]) for u, v in report.cut_edges]
     else:
-        groups, cuts, build = report.edge_bccs.classes, report.cut_edges, _bce_tree
-    # per component: its blocks and cut vertices, or its edge classes and bridges
-    parts: dict[int, tuple[list, list]] = {}
-    for group in groups:
-        parts.setdefault(component_of[group[0]], ([], []))[0].append(group)
-    for cut in cuts:
-        v = cut if which == "bcv" else cut[0]
-        parts[component_of[v]][1].append(cut)
-    return tuple(sorted(tree_canonical_form(build(*part)) for part in parts.values()))
+        raise ValueError(f"unknown block cut tree {which!r}, expected 'bcv' or 'bce'")
+    # tree nodes: the groups, then one per cut vertex
+    labels = [f"C{len(group)}" for group in groups] + ["V"] * len(cuts)
+    adj: list[list[int]] = [[] for _ in labels]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    trees: dict[int, list[int]] = {}
+    component_of = report.components.class_of
+    for node, v in enumerate([group[0] for group in groups] + list(cuts)):
+        trees.setdefault(component_of[v], []).append(node)
+    forms = (
+        min(_rooted_code(c, labels, adj) for c in _tree_centers(adj, nodes))
+        for nodes in trees.values()
+    )
+    return tuple(sorted(forms))

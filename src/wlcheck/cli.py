@@ -25,7 +25,7 @@ class UsageError(ValueError):
 
 
 def read_graph_file(path: str) -> Graph:
-    """Edge list by default; a single token line without spaces is graph6."""
+    """Edge list by default; a file whose one line is a single token is graph6."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -35,7 +35,7 @@ def read_graph_file(path: str) -> Graph:
         line for line in text.splitlines() if line.strip() and not line.lstrip().startswith("#")
     ]
     try:
-        if len(stripped) == 1 and " " not in stripped[0].strip():
+        if len(stripped) == 1 and len(stripped[0].split()) == 1:
             return parse_graph6(stripped[0])
         return parse_edge_list(text)
     except GraphFormatError as exc:

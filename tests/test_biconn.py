@@ -5,17 +5,7 @@ from fractions import Fraction
 import pytest
 
 from wlcheck import generators as gen
-from wlcheck.biconn import (
-    COMPONENT,
-    CUT_VERTEX,
-    BlockCutTree,
-    bce_tree,
-    bcv_tree,
-    biconnectivity_report,
-    brute_force_cut_sets,
-    per_component_forms,
-    tree_canonical_form,
-)
+from wlcheck.biconn import biconnectivity_report, brute_force_cut_sets, per_component_forms
 from wlcheck.graphs import (
     Graph,
     brute_force_isomorphic,
@@ -140,160 +130,124 @@ def test_removing_cut_edge_increases_components_by_one():
         assert delta == (1 if e in set(rep.cut_edges) else 0)
 
 
-def test_bcv_tree_shapes():
-    t = bcv_tree(gen.cycle(6))
-    assert t.node_kind == (COMPONENT,) and t.tree_edges == ()
+def _forms(g: Graph, which: str) -> tuple[str, ...]:
+    return per_component_forms(biconnectivity_report(g), which)
 
-    t = bcv_tree(gen.path(3))
-    assert sorted(t.node_kind) == [COMPONENT, COMPONENT, CUT_VERTEX]
-    comp_payloads = {t.node_payload[i] for i in range(3) if t.node_kind[i] == COMPONENT}
-    assert comp_payloads == {(0, 1), (1, 2)}
-    assert len(t.tree_edges) == 2
+
+def _decode(form: str) -> tuple[list[str], Graph]:
+    """The labelled tree a form spells: node labels in preorder, and the
+    tree over those node indices."""
+    labels: list[str] = []
+    edges = []
+    open_nodes: list[int] = []
+    for ch in form:
+        if ch == "(":
+            if open_nodes:
+                edges.append((open_nodes[-1], len(labels)))
+            open_nodes.append(len(labels))
+            labels.append("")
+        elif ch == ")":
+            open_nodes.pop()
+        else:
+            labels[open_nodes[-1]] += ch
+    return labels, Graph.from_edges(len(labels), edges)
+
+
+def test_bcv_tree_shapes():
+    assert _forms(gen.cycle(6), "bcv") == ("(C6)",)
+    # two edge blocks joined through the middle node
+    assert _forms(gen.path(3), "bcv") == ("(V(C2)(C2))",)
 
 
 def test_bcv_tree_example1_41_matches_hand_expansion():
-    # blocks: two 4-cycles, two bridge edges; cuts 3, 7, 8; definition says
-    # one tree edge per (block, contained cut vertex) pair
+    # blocks: two 4-cycles and the bridges (3, 8), (7, 8); cuts 3, 7, 8. The
+    # tree is the path C4-V-C2-V-C2-V-C4, centred on the hub 8
     _, g2 = gen.example1(4, 1)
-    t = bcv_tree(g2)
-    comps = [t.node_payload[i] for i in range(t.num_nodes) if t.node_kind[i] == COMPONENT]
-    assert sorted(comps) == [(0, 1, 2, 3), (3, 8), (4, 5, 6, 7), (7, 8)]
-    cut_nodes = [i for i in range(t.num_nodes) if t.node_kind[i] == CUT_VERTEX]
-    assert sorted(t.node_payload[i] for i in cut_nodes) == [3, 7, 8]
-    assert len(t.tree_edges) == 6  # blocks contain 2+2+1+1 cut vertices
-    degree = [0] * t.num_nodes
-    for a, b in t.tree_edges:
-        degree[a] += 1
-        degree[b] += 1
-    for i in cut_nodes:
-        assert degree[i] >= 2
+    (form,) = _forms(g2, "bcv")
+    assert form == "(V(C2(V(C4)))(C2(V(C4))))"
+    # one tree edge per (block, contained cut vertex) pair: 2+2+1+1
+    assert _decode(form)[1].m == 6
 
 
 def test_bcv_leaf_components_contain_one_cut_vertex():
+    checked = 0
     for seed in range(20):
         g = gen.random_gnp(10, 0.3, seed)
-        comp = connected_components(g).classes
-        if len(comp) != 1:
-            continue
         rep = biconnectivity_report(g)
-        if not rep.cut_vertices:
+        if len(rep.components.classes) != 1 or not rep.cut_vertices:
             continue
-        t = bcv_tree(g)
-        degree = [0] * t.num_nodes
-        for a, b in t.tree_edges:
-            degree[a] += 1
-            degree[b] += 1
+        checked += 1
         cuts = set(rep.cut_vertices)
-        for i in range(t.num_nodes):
-            if t.node_kind[i] == COMPONENT and degree[i] <= 1:
-                assert len(set(t.node_payload[i]) & cuts) <= 1
+        # a cut vertex lies in two or more blocks, so every leaf is a block
+        assert min(Counter(v for b in rep.vertex_bccs for v in b if v in cuts).values()) >= 2
+        held = [len(cuts.intersection(b)) for b in rep.vertex_bccs]
+        assert min(held) == 1
+        labels, tree = _decode(*per_component_forms(rep, "bcv"))
+        leaves = [labels[v] for v in range(tree.n) if tree.degree(v) == 1]
+        assert len(leaves) == held.count(1) >= 2
+        assert all(label.startswith("C") for label in leaves)
+    assert checked
 
 
 def test_bce_tree_of_tree_is_the_tree_itself():
-    t = gen.tree_random(8, 1)
-    bct = bce_tree(t)
-    assert bct.num_nodes == 8 and len(bct.tree_edges) == 7
-    rebuilt = Graph.from_edges(8, bct.tree_edges)
-    original = Graph.from_edges(
-        8, [(bct.node_payload.index((u,)), bct.node_payload.index((v,))) for u, v in t.edges]
-    )
-    assert rebuilt == original
+    for seed in range(8):
+        t = gen.tree_random(8, seed)
+        labels, tree = _decode(*_forms(t, "bce"))
+        assert set(labels) == {"C1"}
+        assert brute_force_isomorphic(tree, t), seed
 
 
 def test_bce_tree_shapes():
-    assert bce_tree(gen.cycle(6)).num_nodes == 1
+    assert _forms(gen.cycle(6), "bce") == ("(C6)",)
     _, g2 = gen.example1(4, 1)
-    t = bce_tree(g2)
-    assert t.num_nodes == 3 and len(t.tree_edges) == 2
-    degree = [0] * 3
-    for a, b in t.tree_edges:
-        degree[a] += 1
-        degree[b] += 1
-    assert sorted(degree) == [1, 1, 2]  # a path of three class-nodes
+    # a path of three class nodes: the 4-cycles hang off the hub 8
+    assert _forms(g2, "bce") == ("(C1(C4)(C4))",)
 
 
 def test_bce_tree_edge_count_equals_bridge_count():
     for seed in range(20):
         g = gen.random_gnp(9, 0.3, seed)
-        if len(connected_components(g).classes) != 1:
-            continue
         rep = biconnectivity_report(g)
-        t = bce_tree(g)
-        assert len(t.tree_edges) == len(rep.cut_edges)
-        assert t.num_nodes == len(rep.edge_bccs.classes)
+        if len(rep.components.classes) != 1:
+            continue
+        labels, tree = _decode(*per_component_forms(rep, "bce"))
+        assert tree.m == len(rep.cut_edges)
+        assert sorted(labels) == sorted(f"C{len(c)}" for c in rep.edge_bccs.classes)
 
 
-def test_tree_ops_reject_disconnected_input():
-    two = Graph.from_edges(4, [(0, 1), (2, 3)])
-    with pytest.raises(ValueError):
-        bcv_tree(two)
-    with pytest.raises(ValueError):
-        bce_tree(two)
+def _plain_trees():
+    rng = random.Random(7)
+    return [gen.tree_random(rng.randrange(2, 10), seed) for seed in range(16)]
 
 
 def test_canonical_form_equal_for_relabelings():
+    rng = random.Random(3)
+    for t in _plain_trees():
+        perm = list(range(t.n))
+        rng.shuffle(perm)
+        assert _forms(relabel(t, perm), "bce") == _forms(t, "bce")
     _, g2 = gen.example1(4, 1)
-    perm = [5, 2, 7, 0, 8, 3, 1, 6, 4]
-    h = relabel(g2, perm)
-    assert (
-        tree_canonical_form(bcv_tree(g2))
-        == tree_canonical_form(bcv_tree(h))
-    )
+    h = relabel(g2, [5, 2, 7, 0, 8, 3, 1, 6, 4])
+    assert _forms(h, "bcv") == _forms(g2, "bcv")
 
 
 def test_canonical_form_separates_star_and_path():
-    star_form = tree_canonical_form(bce_tree(gen.star(4)))
-    path_form = tree_canonical_form(bce_tree(gen.path(4)))
-    assert star_form != path_form
-
-
-def test_canonical_form_rejects_forests():
-    forest = BlockCutTree(
-        node_kind=(COMPONENT, COMPONENT),
-        node_payload=((0,), (1,)),
-        tree_edges=(),
-    )
-    with pytest.raises(ValueError):
-        tree_canonical_form(forest)
-
-
-def test_canonical_form_rejects_bad_tree_edge_indices():
-    def two_nodes(edges):
-        return BlockCutTree((COMPONENT, COMPONENT), ((0,), (1, 2)), edges)
-
-    assert tree_canonical_form(two_nodes(((0, 1),))) == "(C1(C2))"
-    # -1 would index the last node, 5 no node at all
-    for edges in (((0, -1),), ((0, 5),)):
-        with pytest.raises(ValueError, match="out of range"):
-            tree_canonical_form(two_nodes(edges))
-
-
-def _plain_tree_as_bct(g: Graph) -> BlockCutTree:
-    return BlockCutTree(
-        node_kind=tuple(COMPONENT for _ in range(g.n)),
-        node_payload=tuple((v, g.n + v) for v in range(g.n)),  # uniform size-2 payloads
-        tree_edges=g.edges,
-    )
+    assert _forms(gen.star(4), "bce") != _forms(gen.path(4), "bce")
 
 
 def test_canonical_form_agrees_with_isomorphism_oracle():
-    rng = random.Random(7)
-    trees = [gen.tree_random(rng.randrange(2, 10), seed) for seed in range(16)]
+    # every class of a plain tree is one node, so every label is C1
+    trees = _plain_trees()
     for a in trees:
         for b in trees:
-            if a.n > 10 or b.n > 10:
-                continue
-            same_form = (
-                tree_canonical_form(_plain_tree_as_bct(a))
-                == tree_canonical_form(_plain_tree_as_bct(b))
-            )
-            assert same_form == brute_force_isomorphic(a, b)
+            assert (_forms(a, "bce") == _forms(b, "bce")) == brute_force_isomorphic(a, b)
 
 
 def test_canonical_form_sees_component_sizes():
-    small = BlockCutTree((COMPONENT,), ((0, 1),), ())
-    large = BlockCutTree((COMPONENT,), ((0, 1, 2),), ())
-    assert tree_canonical_form(small) != tree_canonical_form(large)
+    # one block and one edge class each, of different sizes
+    for which in ("bcv", "bce"):
+        assert _forms(gen.cycle(3), which) == ("(C3)",)
+        assert _forms(gen.cycle(4), which) == ("(C4)",)
 
 
 def test_per_component_forms_on_disconnected_graph():
@@ -303,12 +257,12 @@ def test_per_component_forms_on_disconnected_graph():
 
 
 def _induced_subgraph_forms(g, which):
-    """Forms built the literal way: one tree per induced component subgraph."""
-    builder = bcv_tree if which == "bcv" else bce_tree
+    """Forms built the literal way: one report per induced component subgraph."""
     return tuple(
         sorted(
-            tree_canonical_form(builder(induced_subgraph(g, comp)[0]))
+            form
             for comp in connected_components(g).classes
+            for form in _forms(induced_subgraph(g, comp)[0], which)
         )
     )
 
@@ -321,8 +275,6 @@ def test_per_component_forms_match_the_induced_subgraph_forms():
         report = biconnectivity_report(g)
         for which in ("bcv", "bce"):
             expected = _induced_subgraph_forms(g, which)
-            fresh = per_component_forms(biconnectivity_report(g), which)
-            assert fresh == expected, (g.edges, which)
             assert per_component_forms(report, which) == expected, (g.edges, which)
     assert disconnected > 50
     with pytest.raises(ValueError, match="unknown block cut tree"):
@@ -339,14 +291,15 @@ def test_isolated_vertices_are_singleton_blocks():
 def test_bcv_edge_count_is_cut_membership_sum():
     for seed in range(15):
         g = gen.random_gnp(9, 0.3, seed)
-        if len(connected_components(g).classes) != 1:
-            continue
         rep = biconnectivity_report(g)
-        t = bcv_tree(g)
+        if len(rep.components.classes) != 1:
+            continue
+        labels, tree = _decode(*per_component_forms(rep, "bcv"))
         expected = sum(
             sum(1 for b in rep.vertex_bccs if v in b) for v in rep.cut_vertices
         )
-        assert len(t.tree_edges) == expected
+        assert tree.m == expected
+        assert labels.count("V") == len(rep.cut_vertices)
 
 
 def test_iterative_dfs_handles_deep_paths():
@@ -396,33 +349,54 @@ def test_deletion_oracle_matches_networkx_on_the_graph_atlas():
         assert brute_force_cut_sets(g) == _networkx_cut_sets(nx, g), i
 
 
-def _networkx_forest(nx, g, builder):
-    """The block cut trees of g's components as one labelled networkx forest:
-    a node is labelled by its kind and, for a block, its size."""
-    forest = nx.Graph()
-    for comp in connected_components(g).classes:
-        tree = builder(induced_subgraph(g, comp)[0])
-        base = forest.number_of_nodes()
-        for i, (kind, payload) in enumerate(zip(tree.node_kind, tree.node_payload)):
-            forest.add_node(base + i, label=(kind, len(payload) if kind == COMPONENT else 0))
-        forest.add_edges_from((base + a, base + b) for a, b in tree.tree_edges)
-    return forest
+def bcv_tree(nx, h):
+    """The block cut-vertex tree of the connected networkx graph h, built by
+    networkx: blocks labelled C<size>, cut vertices labelled V."""
+    tree = nx.Graph()
+    cuts = set(nx.articulation_points(h))
+    tree.add_nodes_from((("cut", v) for v in cuts), label="V")
+    # networkx gives a lone node no block
+    for i, block in enumerate(list(nx.biconnected_components(h)) or [set(h)]):
+        tree.add_node(("block", i), label=f"C{len(block)}")
+        tree.add_edges_from((("block", i), ("cut", v)) for v in block & cuts)
+    return tree
 
 
-@pytest.mark.parametrize("which, builder", [("bcv", bcv_tree), ("bce", bce_tree)])
-def test_tree_forms_match_networkx_isomorphism(which, builder):
+def bce_tree(nx, h):
+    """The block cut-edge tree of the connected networkx graph h, built by
+    networkx: the components left once the bridges are removed, labelled
+    C<size>, joined by the bridges."""
+    bridges = list(nx.bridges(h))
+    rest = h.copy()
+    rest.remove_edges_from(bridges)
+    tree = nx.Graph()
+    class_of = {}
+    for i, cls in enumerate(nx.connected_components(rest)):
+        tree.add_node(i, label=f"C{len(cls)}")
+        class_of.update(dict.fromkeys(cls, i))
+    tree.add_edges_from((class_of[u], class_of[v]) for u, v in bridges)
+    return tree
+
+
+@pytest.mark.parametrize("which, nx_tree", [("bcv", bcv_tree), ("bce", bce_tree)])
+def test_tree_forms_match_networkx_isomorphism(which, nx_tree):
+    # every connected graph on 1 to 7 nodes: equal forms must go with
+    # label-respecting isomorphic trees, and different forms must not
     nx = pytest.importorskip("networkx")
     same_label = nx.algorithms.isomorphism.categorical_node_match("label", None)
-    graphs = [
-        gen.random_gnp(3 + seed % 6, Fraction(1 + seed % 3, 4), seed) for seed in range(48)
-    ]
-    forms = [per_component_forms(biconnectivity_report(g), which) for g in graphs]
-    forests = [_networkx_forest(nx, g, builder) for g in graphs]
-    verdicts = Counter()
-    for i in range(len(graphs)):
-        for j in range(i + 1, len(graphs)):
-            iso = nx.is_isomorphic(forests[i], forests[j], node_match=same_label)
-            assert (forms[i] == forms[j]) == iso, (graphs[i].edges, graphs[j].edges)
-            verdicts[iso] += 1
-    # both verdicts occur, so neither direction holds vacuously
-    assert verdicts[True] and verdicts[False]
+    representative = {}
+    for h in nx.graph_atlas_g()[1:]:
+        if not nx.is_connected(h):
+            continue
+        g = Graph.from_edges(h.number_of_nodes(), list(h.edges()))
+        (form,) = _forms(g, which)
+        tree = nx_tree(nx, h)
+        first = representative.setdefault(form, tree)
+        assert nx.is_isomorphic(tree, first, node_match=same_label), (form, g.edges)
+    forms = list(representative)
+    for i, a in enumerate(forms):
+        for b in forms[i + 1:]:
+            assert not nx.is_isomorphic(
+                representative[a], representative[b], node_match=same_label
+            ), (a, b)
+    assert len(forms) > 50

@@ -235,6 +235,21 @@ def test_graph6_file_roundtrip(tmp_path, capsys):
     assert json.loads(out)["n"] == 16
 
 
+@pytest.mark.parametrize(
+    "text, n, m",
+    [("3\t0\n", 3, 0), ("3 0\n", 3, 0), ("\tDhc\n", 5, 5)],
+    ids=["tab-separated", "space-separated", "graph6"],
+)
+def test_one_line_file_is_graph6_only_when_it_is_one_token(tmp_path, capsys, text, n, m):
+    # a one-line edge list whose tokens are tab-separated is no graph6 string
+    path = tmp_path / "g.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "biconnect", str(path), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["n"], payload["m"]) == (n, m)
+
+
 def assert_one_line_usage_error(code, out, err):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1

@@ -6,7 +6,7 @@ import pytest
 
 from wlcheck import biconn
 from wlcheck import generators as gen
-from wlcheck.biconn import bce_tree, biconnectivity_report, brute_force_cut_sets
+from wlcheck.biconn import biconnectivity_report, brute_force_cut_sets, per_component_forms
 from wlcheck.distances import distance_regular_profile
 from wlcheck.graphs import connected_components
 from wlcheck.refine import distinguishable
@@ -185,8 +185,9 @@ def test_regular_with_cuts_bridge_chain():
     assert len(rep.cut_edges) == 1
     assert len(rep.cut_vertices) in (0, 2)
     assert degree_histogram(g) == {3: g.n}
-    t = bce_tree(g)
-    assert t.num_nodes == 2 and len(t.tree_edges) == 1
+    # two edge classes joined by the bridge
+    (form,) = per_component_forms(rep, "bce")
+    assert form.count("(") == 2
 
 
 def test_regular_with_cuts_even_degree_uses_cut_vertices():
