@@ -1,0 +1,157 @@
+"""Planted defects: each must make the checks aimed at it fail.
+
+A check that passes shows something only if it could have failed. Each
+case below plants one defect in-process, runs only the checks meant to
+catch it, at seeds=0 unless its row says otherwise, and pins which of
+them fail with how many violations. A one-line defect is planted by
+executing the edited source of its function in a copy of its module's
+namespace; either way the planted function replaces every binding of the
+original in the wlcheck modules. Both distance caches are cleared before
+and after each case, so no matrix outlives the defect that built it.
+"""
+
+import inspect
+import sys
+import textwrap
+
+import pytest
+
+from wlcheck import biconn, distances, harness, refine
+
+
+def _edited(module, name, old, new):
+    """module.name rebuilt from its own source, with old replaced by new."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, (name, old)
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[name]
+
+
+def _oblivious_2wl(graphs, *, early_exit=False):
+    """Oblivious 2-WL in place of folklore 2-FWL: a pair's key holds its
+    row and its column as two separate multisets, not the (c(u,w), c(w,v))
+    pairs."""
+    ctx = refine.InterningContext()
+    initial = [
+        [ctx.intern(("2fwl0", u == v, g.has_edge(u, v))) for u in range(g.n) for v in range(g.n)]
+        for g in graphs
+    ]
+
+    def update(state):
+        out = []
+        for g, flat in zip(graphs, state):
+            n = g.n
+            rows = [tuple(sorted(flat[u * n : (u + 1) * n])) for u in range(n)]
+            cols = [tuple(sorted(flat[v::n])) for v in range(n)]
+            out.append(
+                [ctx.intern((flat[u * n + v], rows[u], cols[v])) for u in range(n) for v in range(n)]
+            )
+        return out
+
+    state, rounds = refine._iterate(update, initial, sum(g.n * g.n for g in graphs), early_exit)
+    return [
+        refine.Coloring(tuple(flat[:: g.n + 1]), tuple(sorted(flat)), rounds, ctx)
+        for g, flat in zip(graphs, state)
+    ]
+
+
+# case -> (module, function, planted function or (old, new) source edit,
+# seeds of the standard corpus, {check id: violation count})
+MUTANTS = {
+    "gdwl_reads_spd_only": (
+        refine, "_refine", ('"gdwl": "spdrd"', '"gdwl": "spd"'), 0,
+        {"positive[gdwl]": 2, "expressivity_table": 2},
+    ),
+    "rdwl_and_gdwl_read_spd": (
+        refine, "_refine", ('"rdwl": "rd", "gdwl": "spdrd"', '"rdwl": "spd", "gdwl": "spd"'), 0,
+        {"positive[rdwl]": 2, "positive[gdwl]": 2, "distance_regular": 1, "expressivity_table": 4},
+    ),
+    # SPD-WL too strong: the negative pair and the DRG verdict must notice
+    "spdwl_reads_spd_rd_pair": (
+        refine, "_refine", ('"spdwl": "spd"', '"spdwl": "spdrd"'), 0,
+        {"negative_counterexamples": 1, "distance_regular": 1, "expressivity_table": 2},
+    ),
+    "gdwl_one_constant_token": (
+        refine, "_distance_token", ("return (value[0], Fraction(value[1], tau))", "return ()"), 0,
+        {"positive[gdwl]": 44, "expressivity_table": 4},
+    ),
+    "dsswl_without_node_mark": (
+        refine, "_initial_subgraph_colors", ("own = c1 if policy.marks else c0", "own = c0"), 0,
+        {"positive[dsswl:nm]": 45, "expressivity_table": 4},
+    ),
+    "oblivious_2wl_for_2fwl": (
+        refine, "refine_2fwl", _oblivious_2wl, 0,
+        {"positive[2fwl]": 45, "distance_regular": 1, "hierarchy": 69, "expressivity_table": 4},
+    ),
+    "conflicts_find_nothing": (
+        harness, "_conflicts", lambda entries: [], 0,
+        {"expressivity_table": 11},
+    ),
+    "rd_series_step_off_by_one": (
+        distances, "rd_matrix", ("= y + k", "= y + k + 1"), 0,
+        {"rd_properties": 12382},
+    ),
+    "rd_block_numerators_unscaled": (
+        distances, "rd_matrix", ("x * (tau // tau_b)", "x"), 0,
+        {"rd_properties": 1306},
+    ),
+    # only graphs that share a representation compare forms, and no two
+    # family members with cut vertices do: 40 seeds are the fewest that kill it
+    "tree_forms_carry_cut_vertex_ids": (
+        biconn, "per_component_forms", ('["V"] * len(cuts)', '[f"V{v}" for v in cuts]'), 40,
+        {"positive[gdwl]": 1},
+    ),
+    "wl_round_hashes_degrees": (
+        refine, "_wl_update", ("*sorted(map(color_of, nbrs))", "len(nbrs)"), 0,
+        {"wl_condition": 4},
+    ),
+    "bridge_test_ge": (
+        biconn, "biconnectivity_report", ("if low[u] > disc[p]:", "if low[u] >= disc[p]:"), 0,
+        {"oracle_equivalence": 34},
+    ),
+    "dfs_root_rule_three_children": (
+        biconn, "biconnectivity_report", ("root_children >= 2", "root_children >= 3"), 0,
+        {"oracle_equivalence": 4, "rd_properties": 20},
+    ),
+}
+
+
+def _run(check_id: str, corpus: harness.Corpus) -> harness.CheckReport:
+    if check_id.startswith("positive["):
+        return harness.check_positive_expressivity(check_id[len("positive[") : -1], corpus)
+    return {
+        "oracle_equivalence": lambda: harness.check_oracle_equivalence(corpus),
+        "rd_properties": lambda: harness.check_rd_properties(corpus, harness.tree_corpus()),
+        "negative_counterexamples": harness.check_negative_suite,
+        "distance_regular": harness.check_distance_regular_suite,
+        "hierarchy": harness.check_refinement_hierarchy,
+        "wl_condition": lambda: harness.check_wl_condition(corpus),
+        "expressivity_table": lambda: harness.build_expressivity_table()[0],
+    }[check_id]()
+
+
+@pytest.fixture
+def cold_distance_caches():
+    for matrix in (distances.spd_matrix, distances.rd_matrix):
+        matrix.cache_clear()
+    yield
+    for matrix in (distances.spd_matrix, distances.rd_matrix):
+        matrix.cache_clear()
+
+
+@pytest.mark.parametrize("case", list(MUTANTS))
+def test_planted_defect_fails_its_checks(case, monkeypatch, cold_distance_caches):
+    module, name, plant, seeds, expected = MUTANTS[case]
+    original = getattr(module, name)
+    planted = _edited(module, name, *plant) if isinstance(plant, tuple) else plant
+    bound = [
+        mod
+        for key, mod in list(sys.modules.items())
+        if key.split(".")[0] == "wlcheck" and getattr(mod, name, None) is original
+    ]
+    assert module in bound
+    for mod in bound:
+        monkeypatch.setattr(mod, name, planted)
+    corpus = harness.standard_corpus(seeds)
+    assert {check_id: len(_run(check_id, corpus).violations) for check_id in expected} == expected
