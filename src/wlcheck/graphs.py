@@ -13,6 +13,11 @@ class GraphFormatError(ValueError):
     """Malformed graph input (edge list or graph6)."""
 
 
+# The most nodes a Graph may have: the largest size graph6's four-byte size
+# field encodes, and far more than any check here can process
+GRAPH_MAX_NODES = 258047
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on nodes 0..n-1.
@@ -55,6 +60,9 @@ class Graph:
 
     def __post_init__(self):
         n, edges = self.n, self.edges
+        # checked first: the adjacency below takes memory linear in n
+        if n > GRAPH_MAX_NODES:
+            raise GraphFormatError(f"{n} nodes: a graph has at most {GRAPH_MAX_NODES}")
         # edges == the sorted tuple of the distinct edges also rejects lists
         if n < 0 or edges != tuple(sorted(set(edges))) or not all(0 <= u < v < n for u, v in edges):
             raise GraphFormatError(
@@ -68,9 +76,6 @@ class Graph:
             adj[v].append(u)
         object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
         object.__setattr__(self, "_edge_set", frozenset(edges))
-
-    def __hash__(self):
-        return hash((self.n, self.edges))
 
 
 @dataclass(frozen=True)
@@ -215,10 +220,10 @@ def encode_graph6(g: Graph) -> str:
     n = g.n
     if n <= 62:
         head = [n + 63]
-    elif n <= 258047:
+    elif n <= GRAPH_MAX_NODES:
         head = [126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
     else:
-        raise GraphFormatError("graph6 supports at most 258047 nodes here")
+        raise GraphFormatError(f"graph6 supports at most {GRAPH_MAX_NODES} nodes here")
     bits = []
     for v in range(1, n):
         for u in range(v):

@@ -14,7 +14,6 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 
 from . import generators as gen
 from .biconn import (
@@ -32,7 +31,7 @@ from .distances import (
     rd_matrix,
     spd_matrix,
 )
-from .graphs import Graph, Partition, induced_subgraph
+from .graphs import Graph, induced_subgraph
 from .refine import AlgoResult, run_algorithm
 
 
@@ -462,33 +461,21 @@ NEGATIVE_SUITE = (
 
 
 def _negative_violations(algo: str, pairs, node: int | None = None) -> list:
-    """The pairs that algo separates, all refined jointly."""
+    """The pairs that algo separates, all refined jointly: the pair index
+    must determine the representation, or node's color."""
     corpus = _pairs_corpus(pairs)
     result = corpus.refined(algo)
-    violations = []
-    for i in range(0, len(corpus.members), 2):
-        graphs = corpus.ids[i : i + 2]
-        if node is None:
-            if result.representations[i] != result.representations[i + 1]:
-                violations.append(
-                    {
-                        "algo": algo,
-                        "graphs": graphs,
-                        "expected": "equal graph representations",
-                        "observed": "distinguished",
-                    }
-                )
-        elif result.node_colors[i][node] != result.node_colors[i + 1][node]:
-            violations.append(
-                {
-                    "algo": algo,
-                    "graphs": graphs,
-                    "items": [node, node],
-                    "expected": f"equal colors for node {node}",
-                    "observed": "different colors",
-                }
-            )
-    return violations
+    if node is None:
+        values, items = result.representations, {}
+        expected, observed = "equal graph representations", "distinguished"
+    else:
+        values, items = [colors[node] for colors in result.node_colors], {"items": [node, node]}
+        expected, observed = f"equal colors for node {node}", "different colors"
+    entries = ((i // 2, value, gid) for i, (gid, value) in enumerate(zip(corpus.ids, values)))
+    return [
+        {"algo": algo, "graphs": [a, b], **items, "expected": expected, "observed": observed}
+        for a, b in _conflicts(entries)
+    ]
 
 
 def check_negative_suite() -> CheckReport:
@@ -547,17 +534,17 @@ def _girth(g: Graph) -> int | None:
 # distance-regular suite
 
 
-PAPER_INTERSECTION_ARRAYS = {
-    "dodecahedron": ((3, 2, 1, 1, 1), (1, 1, 1, 2, 3)),
-    "desargues": ((3, 2, 2, 1, 1), (1, 1, 2, 2, 3)),
-    "rook4x4": ((6, 3), (1, 2)),
-    "shrikhande": ((6, 3), (1, 2)),
+# The paper's arrays per graph: iota as (b, c), and kappa
+PAPER_DRG_ARRAYS = {
+    "dodecahedron": {"iota": ((3, 2, 1, 1, 1), (1, 1, 1, 2, 3)), "kappa": (3, 6, 6, 3, 1)},
+    "desargues": {"iota": ((3, 2, 2, 1, 1), (1, 1, 2, 2, 3)), "kappa": (3, 6, 6, 3, 1)},
+    "rook4x4": {"iota": ((6, 3), (1, 2))},
+    "shrikhande": {"iota": ((6, 3), (1, 2))},
 }
 
-PAPER_KHOP_ARRAYS = {
-    "dodecahedron": (3, 6, 6, 3, 1),
-    "desargues": (3, 6, 6, 3, 1),
-}
+
+def _show_array(invariant: str, value) -> str:
+    return f"iota={{{value[0]};{value[1]}}}" if invariant == "iota" else f"kappa={value}"
 
 
 def check_distance_regular_suite() -> CheckReport:
@@ -572,58 +559,47 @@ def check_distance_regular_suite() -> CheckReport:
     members += [("cycle(6)", gen.cycle(6)), ("complete(6)", gen.complete(6))]
     corpus = Corpus(members, ", ".join(gid for gid, _ in members))
     profiles = {gid: distance_regular_profile(g) for gid, g in members}
+    invariants = {
+        gid: {"kappa": prof.kappa, "iota": (prof.iota_b, prof.iota_c)}
+        for gid, prof in profiles.items()
+    }
 
     for gid, prof in profiles.items():
         if not prof.is_drg:
             violations.append(
                 {"graphs": [gid], "expected": "distance-regular", "observed": "not"}
             )
-    for gid, (b, c) in PAPER_INTERSECTION_ARRAYS.items():
-        prof = profiles[gid]
-        if (prof.iota_b, prof.iota_c) != (b, c):
-            violations.append(
-                {
-                    "graphs": [gid],
-                    "expected": f"iota={{{b};{c}}}",
-                    "observed": f"iota={{{prof.iota_b};{prof.iota_c}}}",
-                }
-            )
-    for gid, kappa in PAPER_KHOP_ARRAYS.items():
-        if profiles[gid].kappa != kappa:
-            violations.append(
-                {
-                    "graphs": [gid],
-                    "expected": f"kappa={kappa}",
-                    "observed": f"kappa={profiles[gid].kappa}",
-                }
-            )
-
-    invariants = {
-        "kappa": [prof.kappa for prof in profiles.values()],
-        "iota": [(prof.iota_b, prof.iota_c) for prof in profiles.values()],
-    }
-    # a pair's verdict must say whether its invariants differ; 2-FWL's only
-    # between graphs of equal size
-    for spec, name, invariant, equal_n_only in (
-        ("spdwl", "SPD-WL", "kappa", False),
-        ("rdwl", "RD-WL", "iota", False),
-        ("2fwl", "2-FWL", "iota", True),
-    ):
-        reps = corpus.refined(spec).representations
-        values = invariants[invariant]
-        for (i, (gid_i, g_i)), (j, (gid_j, g_j)) in combinations(enumerate(members), 2):
-            if equal_n_only and g_i.n != g_j.n:
-                continue
-            verdict = reps[i] != reps[j]
-            differ = values[i] != values[j]
-            if verdict != differ:
+    for gid, arrays in PAPER_DRG_ARRAYS.items():
+        for invariant, paper in arrays.items():
+            if invariants[gid][invariant] != paper:
                 violations.append(
                     {
-                        "graphs": [gid_i, gid_j],
-                        "expected": f"{name} verdict == {invariant} differ ({differ})",
-                        "observed": str(verdict),
+                        "graphs": [gid],
+                        "expected": _show_array(invariant, paper),
+                        "observed": _show_array(invariant, invariants[gid][invariant]),
                     }
                 )
+
+    # a pair's verdict must say whether its invariants differ, so the
+    # representation determines the invariant and the invariant the
+    # representation; 2-FWL's only between graphs of equal size
+    for spec, name, invariant in (
+        ("spdwl", "SPD-WL", "kappa"),
+        ("rdwl", "RD-WL", "iota"),
+        ("2fwl", "2-FWL", "iota"),
+    ):
+        reps = corpus.refined(spec).representations
+        values = [invariants[gid][invariant] for gid in corpus.ids]
+        sizes = [g.n if spec == "2fwl" else 0 for g in corpus.graphs]
+        for differ, keys, determined in ((True, reps, values), (False, values, reps)):
+            violations += [
+                {
+                    "graphs": [gid_a, gid_b],
+                    "expected": f"{name} verdict == {invariant} differ ({differ})",
+                    "observed": str(not differ),
+                }
+                for gid_a, gid_b in _conflicts(zip(zip(sizes, keys), determined, corpus.ids))
+            ]
 
     for gid, g in members:
         prof = profiles[gid]
@@ -693,21 +669,18 @@ def check_refinement_hierarchy() -> CheckReport:
     spd, rd = corpus.refined("spdwl"), corpus.refined("rdwl")
 
     # whether RD-WL strictly exceeds SPD-WL in general is open; record the
-    # observed per-graph relation without asserting anything about it
-    tally = Counter()
-    for idx in range(len(corpus.members)):
-        ps = Partition.from_labels(spd.node_colors[idx])
-        pr = Partition.from_labels(rd.node_colors[idx])
-        rd_finer = pr.refines(ps)
-        spd_finer = ps.refines(pr)
-        if rd_finer and spd_finer:
-            tally["equal"] += 1
-        elif rd_finer:
-            tally["rd_strictly_finer"] += 1
-        elif spd_finer:
-            tally["spd_strictly_finer"] += 1
-        else:
-            tally["incomparable"] += 1
+    # observed per-graph relation without asserting anything about it. One
+    # partition is finer when its color determines the other's.
+    relation = {
+        (True, True): "equal",
+        (True, False): "rd_strictly_finer",
+        (False, True): "spd_strictly_finer",
+        (False, False): "incomparable",
+    }
+    tally = Counter(
+        relation[not _conflicts(zip(r, s, r)), not _conflicts(zip(s, r, s))]
+        for s, r in zip(spd.node_colors, rd.node_colors)
+    )
     observed = ", ".join(f"{key}={tally[key]}" for key in sorted(tally))
     return _finish(
         "hierarchy",

@@ -255,6 +255,16 @@ def assert_one_line_usage_error(code, out, err):
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("header", ["258048 0", "1000000000 0"])
+def test_oversized_header_is_usage_error(tmp_path, capsys, header):
+    # refused before the adjacency of n nodes is allocated
+    path = tmp_path / "huge.el"
+    path.write_text(header, encoding="utf-8")
+    code, out, err = run_cli(capsys, "biconnect", str(path))
+    assert_one_line_usage_error(code, out, err)
+    assert f"{header.split()[0]} nodes: a graph has at most 258047" in err
+
+
 def test_gen_gnp_rejects_probability_above_one(capsys):
     assert_one_line_usage_error(*run_cli(capsys, "gen", "gnp", "5", "3/2", "1"))
 

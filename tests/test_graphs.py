@@ -5,6 +5,7 @@ import pytest
 
 from wlcheck import generators as gen
 from wlcheck.graphs import (
+    GRAPH_MAX_NODES,
     Graph,
     GraphFormatError,
     brute_force_isomorphic,
@@ -242,6 +243,18 @@ def test_graph_validation():
         Graph.from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(GraphFormatError):
         Graph.from_edges(2, [(0, 2)])
+
+
+def test_graph_rejects_more_nodes_than_the_cap_before_allocating():
+    # the cap is graph6's four-byte size form: one more node needs "~" as
+    # its first size byte
+    assert GRAPH_MAX_NODES == 258047 and (GRAPH_MAX_NODES + 1) >> 12 == 63
+    with pytest.raises(GraphFormatError, match="258048 nodes: a graph has at most 258047"):
+        Graph.from_edges(GRAPH_MAX_NODES + 1, [])
+    with pytest.raises(GraphFormatError, match="258048 nodes"):
+        Graph(GRAPH_MAX_NODES + 1, ())
+    with pytest.raises(GraphFormatError, match="258048 nodes"):
+        parse_edge_list("258048 0\n")
 
 
 def test_constructor_derives_adjacency_so_no_bad_graph_reaches_a_cache():
