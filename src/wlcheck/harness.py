@@ -571,12 +571,13 @@ def check_distance_regular_suite() -> CheckReport:
             )
     for gid, arrays in PAPER_DRG_ARRAYS.items():
         for invariant, paper in arrays.items():
-            if invariants[gid][invariant] != paper:
+            seen = invariants[gid][invariant]
+            if seen != paper:
                 violations.append(
                     {
                         "graphs": [gid],
                         "expected": _show_array(invariant, paper),
-                        "observed": _show_array(invariant, invariants[gid][invariant]),
+                        "observed": _show_array(invariant, seen),
                     }
                 )
 
