@@ -11,20 +11,21 @@ that is equal only to itself and has no order against numbers, so sorting
 it with finite values raises TypeError. GD-WL sorts the finite values of a
 row and appends the sentinel's token after them by hand.
 
-Resistance distances and hitting times both come from one fraction-free
-integer solver, `_fraction_free_solve`, which returns a determinant and an
-adjugate product; each hitting time is returned as one Fraction of the two.
-RD is solved once per vertex-biconnected block, not per component: a cut
-vertex joins its blocks in series, so resistances add along the path in the
-block cut tree, and a component's tau is the product of its blocks' taus.
-Hitting times never read the blocks, so the commute-time identity checks
-RD independently.
+Resistance distances and hitting times both come from `_grounded_solve`:
+the exact integer adjugate and determinant of a Laplacian grounded at one
+node, from the fraction-free solver `_fraction_free_solve`. RD is solved
+once per vertex-biconnected block, not per component: a cut vertex joins
+its blocks in series, so resistances add along the path in the block cut
+tree, and a component's tau is the product of its blocks' taus. Hitting
+times take one solve of the whole graph and read neither the blocks nor
+rd_matrix, so the commute-time identity checks RD independently.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -112,40 +113,60 @@ def spd_matrix(g: Graph) -> SpdMatrix:
     return SpdMatrix(n=g.n, rows=tuple(rows))
 
 
-def _fraction_free_solve(
-    a: list[list[int]], b: list[list[int]] | None = None
-) -> tuple[int, list[list[int]]]:
-    """Exact solve of an integer system: returns (det(A), adj(A) @ B).
+def _fraction_free_solve(a: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """Exact inverse of an integer matrix: returns (det(A), adj(A)).
 
-    Fraction-free Gauss-Jordan on [A | B]: step k replaces every other row
+    Fraction-free Gauss-Jordan on [A | I]: step k replaces every other row
     by a 2x2 determinant against the pivot row, divided exactly by the
-    previous pivot (Sylvester's identity), so every entry stays an integer.
-    Column k of A is dropped once it is eliminated. B defaults to the
-    identity, whose column k is not stored until step k: until then it is
-    the previous pivot in row k and 0 elsewhere, and step k turns it into
-    -f in each other row with multiplier f. So every row stays n wide.
-    The input must have nonzero leading principal minors, as a positive
-    definite matrix does; no pivoting is done.
+    previous pivot (Sylvester's identity), so every entry stays an integer;
+    a row whose multiplier f is 0 is only rescaled. Column k of A is
+    dropped once it is eliminated, and column k of I is not stored until
+    step k: until then it is the previous pivot in row k and 0 elsewhere,
+    and step k turns it into -f in each other row. So every row stays n
+    wide. The input must have nonzero leading principal minors, as a
+    positive definite matrix does; no pivoting is done.
     """
-    n = len(a)
-    identity = b is None
-    rows = [list(a[i]) if identity else list(a[i]) + list(b[i]) for i in range(n)]
+    rows = [list(row) for row in a]
     prev = 1
-    for k in range(n):
+    for k in range(len(rows)):
         pivot, *tail_k = rows[k]
         if pivot == 0:
             raise ArithmeticError("singular matrix in exact solve")
-        for i in range(n):
+        for i, (f, *tail_i) in enumerate(rows):
             if i != k:
-                f, *tail_i = rows[i]
-                rows[i] = [(x * pivot - f * y) // prev for x, y in zip(tail_i, tail_k)]
-                if identity:
-                    rows[i].append(-f)
-        if identity:
-            tail_k.append(prev)
+                if f:
+                    rows[i] = [(x * pivot - f * y) // prev for x, y in zip(tail_i, tail_k)]
+                else:
+                    rows[i] = [x * pivot // prev for x in tail_i]
+                rows[i].append(-f)
+        tail_k.append(prev)
         rows[k] = tail_k
         prev = pivot
     return prev, rows
+
+
+def _grounded_solve(g: Graph, nodes: Sequence[int]) -> tuple[int, list[list[int]]]:
+    """(det, adj) of the Laplacian of g's subgraph on nodes, grounded at the
+    last node (that row and column removed), for a connected subgraph.
+
+    det is the subgraph's spanning-tree count. adj is in the order of nodes,
+    padded with a zero row and column for the ground. The other nodes are
+    eliminated lowest degree (inside nodes) first, which keeps more
+    multipliers 0 for longer; a symmetric permutation of the matrix permutes
+    its adjugate alike, so the order changes no integer of the result.
+    """
+    s = len(nodes)
+    index = {v: i for i, v in enumerate(nodes)}
+    nbrs = [{index[w] for w in g.adjacency[v] if w in index} for v in nodes]
+    order = sorted(range(s - 1), key=lambda i: len(nbrs[i]))
+    at = sorted(range(s - 1), key=order.__getitem__)  # order[at[i]] == i
+    det, solved = _fraction_free_solve(
+        [[len(nbrs[i]) if i == j else -(j in nbrs[i]) for j in order] for i in order]
+    )
+    adj = [[0] * s for _ in range(s)]
+    for i, row in zip(order, solved):
+        adj[i][:-1] = [row[p] for p in at]
+    return det, adj
 
 
 RD_MAX_COMPONENT_NODES = 128
@@ -156,27 +177,15 @@ def _block_numerators(g: Graph, block: tuple[int, ...]) -> tuple[int, list[list[
     inside the block R_B(block[i], block[j]) = N[i][j] / tau_B.
 
     An isolated node or a bridge has one spanning tree and R = 1 across a
-    bridge. A larger block's Laplacian is grounded at its last node (that row
-    and column removed) and solved exactly for its integer adjugate and its
-    determinant tau_B, the block's spanning-tree count. With the grounded
-    node's row and column of the adjugate taken as 0, the numerator is
-    adj[i][i] + adj[j][j] - 2*adj[i][j]. Every edge between two nodes of a
-    block lies in that block, so the block's Laplacian is read off g.
+    bridge. A larger block is solved by `_grounded_solve` for its integer
+    adjugate and its determinant tau_B, the block's spanning-tree count; the
+    numerator is adj[i][i] + adj[j][j] - 2*adj[i][j]. Every edge between
+    two nodes of a block lies in that block, so its Laplacian is read off g.
     """
     s = len(block)
     if s <= 2:
         return 1, [[int(i != j) for j in range(s)] for i in range(s)]
-    index = {v: i for i, v in enumerate(block)}
-    grounded = [[0] * (s - 1) for _ in range(s - 1)]
-    for i, row in enumerate(grounded):
-        for w in g.adjacency[block[i]]:
-            j = index.get(w)
-            if j is not None:
-                row[i] += 1
-                if j < s - 1:
-                    row[j] = -1
-    tau, adj = _fraction_free_solve(grounded)
-    adj = [row + [0] for row in adj] + [[0] * s]
+    tau, adj = _grounded_solve(g, block)
     diag = [row[i] for i, row in enumerate(adj)]
     return tau, [[di + dj - 2 * x for dj, x in zip(diag, row)] for di, row in zip(diag, adj)]
 
@@ -265,35 +274,25 @@ HITTING_TIME_MAX_NODES = 30
 def hitting_time_matrix(g: Graph) -> tuple[tuple[Fraction, ...], ...]:
     """Exact expected hitting times h(u, v) of the simple random walk.
 
-    For each target v, h(., v) solves the linear system
-    h(u, v) = 1 + mean of h(w, v) over neighbors w of u, with h(v, v) = 0,
-    with each row scaled by deg(u) to stay integral. Every target gets its
-    own solve, independent of rd_matrix, so the commute-time identity
-    h(u, v) + h(v, u) = 2m * R(u, v) stays a real check. Dense, so guarded
-    small.
+    h(., v) solves L h = d - 2m e_v with h(v, v) = 0 (L the Laplacian, d
+    the degrees), so one grounded solve serves every target (Tetali 1991):
+    with (det, a) from `_grounded_solve` and s_u = sum over w of d_w a[u][w],
+    h(u, v) = (s_u - s_v + 2m (a[v][v] - a[u][v])) / det. It never reads
+    rd_matrix, so the commute-time identity h(u, v) + h(v, u) = 2m R(u, v)
+    stays a real check of RD. Dense, so guarded small.
     """
     n = g.n
     if n > HITTING_TIME_MAX_NODES:
         raise ValueError(f"hitting_time_matrix capped at {HITTING_TIME_MAX_NODES} nodes")
     if not is_connected(g):
         raise ValueError("hitting_time_matrix requires a connected graph")
-    result = [[Fraction(0)] * n for _ in range(n)]
-    for v in range(n):
-        others = [u for u in range(n) if u != v]
-        idx = {u: i for i, u in enumerate(others)}
-        m = len(others)
-        # deg(u) h(u) - sum over neighbors w != v of h(w) = deg(u)
-        mat: list[list[int]] = [[0] * m for _ in range(m)]
-        for u in others:
-            i = idx[u]
-            mat[i][i] = g.degree(u)
-            for w in g.adjacency[u]:
-                if w != v:
-                    mat[i][idx[w]] = -1
-        det, sol = _fraction_free_solve(mat, [[g.degree(u)] for u in others])
-        for u in others:
-            result[u][v] = Fraction(sol[idx[u]][0], det)
-    return tuple(tuple(r) for r in result)
+    det, a = _grounded_solve(g, range(n))
+    two_m = 2 * g.m
+    s = [sum(g.degree(w) * x for w, x in enumerate(row)) for row in a]
+    return tuple(
+        tuple(Fraction(s[u] - s[v] + two_m * (a[v][v] - a[u][v]), det) for v in range(n))
+        for u in range(n)
+    )
 
 
 @dataclass(frozen=True)

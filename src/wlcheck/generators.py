@@ -12,11 +12,19 @@ import random
 from fractions import Fraction
 
 from .biconn import BRUTE_FORCE_CUT_MAX_NODES, brute_force_cut_sets
-from .graphs import Graph, is_connected
+from .graphs import GRAPH_MAX_NODES, Graph, is_connected
 
 
 class GenerationError(ValueError):
     """Requested parameters cannot produce the promised structure."""
+
+
+def _check_nodes(family: str, n: int, least: int) -> None:
+    """Refuse n below least, or over the node cap before any edge is built."""
+    if n < least:
+        raise GenerationError(f"{family} requires n >= {least}")
+    if n > GRAPH_MAX_NODES:
+        raise GenerationError(f"{family}: {n} nodes, over the cap of {GRAPH_MAX_NODES}")
 
 
 def example1(m: int, k: int) -> tuple[Graph, Graph]:
@@ -56,34 +64,29 @@ def example2(m: int) -> tuple[Graph, Graph]:
 
 
 def path(n: int) -> Graph:
-    if n < 1:
-        raise GenerationError("path requires n >= 1")
+    _check_nodes("path", n, 1)
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
-    if n < 3:
-        raise GenerationError("cycle requires n >= 3")
+    _check_nodes("cycle", n, 3)
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n: int) -> Graph:
-    if n < 1:
-        raise GenerationError("complete requires n >= 1")
+    _check_nodes("complete", n, 1)
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def star(n: int) -> Graph:
     """Star on n nodes: center 0 plus n-1 leaves."""
-    if n < 1:
-        raise GenerationError("star requires n >= 1")
+    _check_nodes("star", n, 1)
     return Graph.from_edges(n, [(0, i) for i in range(1, n)])
 
 
 def tree_random(n: int, seed: int) -> Graph:
     """Uniform random labeled tree via a seeded Pruefer sequence."""
-    if n < 1:
-        raise GenerationError("tree_random requires n >= 1")
+    _check_nodes("tree_random", n, 1)
     if n == 1:
         return Graph.from_edges(1, [])
     rng = random.Random(seed)
@@ -113,8 +116,7 @@ _RANDOM_SCALE = 1 << _RANDOM_BITS
 def random_gnp(n: int, p, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) from a seeded generator; identical parameters
     give identical edge sets on every platform."""
-    if n < 1:
-        raise GenerationError("random_gnp requires n >= 1")
+    _check_nodes("random_gnp", n, 1)
     if not 0 <= p <= 1:
         raise GenerationError(f"random_gnp requires 0 <= p <= 1, got {p}")
     # random() is k / 2**53 for an integer k, so x < p compares exactly

@@ -731,7 +731,8 @@ def check_wl_condition(corpus: Corpus) -> CheckReport:
 
 def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
     """Exact RD laws: metric axioms, rd <= spd with tree equality, the
-    additive-triple cut-vertex characterization, commute times, and range.
+    additive-triple cut-vertex characterization, commute times, hitting-time
+    substitution, and range.
 
     First, per member, an RD or SPD entry must be UNREACHABLE exactly when
     its two nodes lie in different components of the biconnectivity
@@ -747,9 +748,13 @@ def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
     rd_matrix sums block resistances across cut vertices, which makes the
     additive triple at a cut vertex hold by construction. The commute-time
     identity h(u, v) + h(v, u) = 2m * R(u, v) is the block-free cross-check:
-    the hitting times come from one solve per target on the whole
-    component, which never reads the block structure, so every entry,
-    including those across cut vertices, is tested against it.
+    the hitting times come from one grounded solve of the whole component,
+    which never reads the block structure or rd_matrix, so every entry,
+    including those across cut vertices, is tested against it. They are
+    checked against their own definition too, h(v, v) = 0 and
+    deg(u) h(u, v) - sum of h(w, v) over neighbours w != v of u = deg(u),
+    in O(n m) per component; so the identity tests rd_matrix against true
+    hitting times, not against any pair whose sums happen to agree.
     """
     started = time.monotonic()
     violations = []
@@ -837,6 +842,18 @@ def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
                     for j, v in enumerate(names):
                         if (h[i][j] + h[j][i]) * tau != two_m * r[u][v]:
                             bad(gid, "commute time == 2m * rd", [u, v])
+                # the hitting times against their definition, in O(n m)
+                for j, v in enumerate(names):
+                    for i, u in enumerate(names):
+                        nbrs = sub.adjacency[i]
+                        if i == j:
+                            solved = h[j][j] == 0
+                        else:
+                            step = sum(h[w][j] for w in nbrs if w != j)
+                            solved = len(nbrs) * (h[i][j] - h_scale) == step
+                        if not solved:
+                            bad(gid, "hitting times solve h(v, v) = 0 and deg(u) h(u, v)"
+                                " - sum of h(w, v) over w ~ u, w != v = deg(u)", [u, v])
 
     return _finish(
         "rd_properties",

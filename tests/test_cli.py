@@ -265,6 +265,22 @@ def test_oversized_header_is_usage_error(tmp_path, capsys, header):
     assert f"{header.split()[0]} nodes: a graph has at most 258047" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["path", "1000000000"],
+        ["cycle", "258048"],
+        ["complete", "1000000000"],
+        ["star", "258048"],
+        ["tree", "1000000000", "0"],
+        ["gnp", "1000000000", "1/2", "0"],
+    ],
+)
+def test_gen_over_the_node_cap_is_usage_error(capsys, argv):
+    # refused before the edge list of n nodes is built
+    assert_one_line_usage_error(*run_cli(capsys, "gen", *argv))
+
+
 def test_gen_gnp_rejects_probability_above_one(capsys):
     assert_one_line_usage_error(*run_cli(capsys, "gen", "gnp", "5", "3/2", "1"))
 

@@ -18,7 +18,7 @@ from wlcheck.distances import (
     rd_matrix,
     spd_matrix,
 )
-from wlcheck.graphs import Graph, connected_components, induced_subgraph
+from wlcheck.graphs import Graph, connected_components, induced_subgraph, is_connected
 
 
 def two_triangles():
@@ -203,6 +203,65 @@ def test_commute_time_identity():
         for u in range(g.n):
             for v in range(g.n):
                 assert h[u][v] + h[v][u] == 2 * g.m * rd[u, v]
+
+
+# Reference for hitting_time_matrix, which solves the whole graph once: one
+# exact solve per target v of deg(u) h(u, v) - sum of h(w, v) over the
+# neighbours w != v of u = deg(u), with h(v, v) = 0.
+
+
+def per_target_hitting_times(g):
+    result = [[Fraction(0)] * g.n for _ in range(g.n)]
+    for v in range(g.n):
+        others = [u for u in range(g.n) if u != v]
+        idx = {u: i for i, u in enumerate(others)}
+        mat = [[0] * len(others) for _ in others]
+        for u in others:
+            mat[idx[u]][idx[u]] = g.degree(u)
+            for w in g.adjacency[u]:
+                if w != v:
+                    mat[idx[u]][idx[w]] = -1
+        det, adj = _fraction_free_solve(mat)
+        degrees = [g.degree(w) for w in others]
+        for u, row in zip(others, adj):
+            result[u][v] = Fraction(sum(d * x for d, x in zip(degrees, row)), det)
+    return tuple(map(tuple, result))
+
+
+def test_hitting_times_equal_per_target_solves_on_the_atlas():
+    nx = pytest.importorskip("networkx")
+    connected = 0
+    for h in nx.graph_atlas_g()[1:]:
+        if nx.is_connected(h):
+            g = Graph.from_edges(h.number_of_nodes(), list(h.edges))
+            assert hitting_time_matrix(g) == per_target_hitting_times(g)
+            connected += 1
+    assert connected == 1 + 1 + 2 + 6 + 21 + 112 + 853
+
+
+@pytest.mark.parametrize("n", [16, 20, 24, 30])
+def test_hitting_times_equal_per_target_solves_on_random_graphs(n):
+    rng = random.Random(n)
+    g = gen.random_gnp(n, Fraction(1, 4), rng.randrange(2**32))
+    while not is_connected(g):
+        g = gen.random_gnp(n, Fraction(1, 4), rng.randrange(2**32))
+    assert hitting_time_matrix(g) == per_target_hitting_times(g)
+
+
+def test_rd_of_a_relabelled_graph_is_the_relabelled_rd():
+    # a random tree plus n/2 further edges, as in the rd_exact benchmark
+    rng, n = random.Random(64), 64
+    edges = {tuple(sorted(e)) for e in gen.tree_random(n, rng.randrange(2**32)).edges}
+    while len(edges) < n - 1 + n // 2:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    rd = rd_matrix(Graph.from_edges(n, edges))
+    for _ in range(3):
+        perm = rng.sample(range(n), n)
+        moved = rd_matrix(Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges]))
+        assert [moved.taus[perm[u]] for u in range(n)] == list(rd.taus)
+        assert [[moved.nums[perm[u]][perm[v]] for v in range(n)] for u in range(n)] == [
+            list(row) for row in rd.nums
+        ]
 
 
 def test_hitting_time_guards():

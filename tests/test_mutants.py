@@ -96,6 +96,12 @@ MUTANTS = {
         distances, "rd_matrix", ("x * (tau // tau_b)", "x"), 0,
         {"rd_properties": 1306},
     ),
+    # h(u, v) + h(v, u) cancels the dropped s_u - s_v: the commute-time
+    # identity still holds, and only the substitution law sees the defect
+    "hitting_times_drop_degree_sums": (
+        distances, "hitting_time_matrix", ("s[u] - s[v] + ", ""), 0,
+        {"rd_properties": 4026},
+    ),
     # only graphs that share a representation compare forms, and no two
     # family members with cut vertices do: 40 seeds are the fewest that kill it
     "tree_forms_carry_cut_vertex_ids": (
