@@ -42,56 +42,21 @@ def read_graph_file(path: str) -> Graph:
         raise UsageError(f"{path}: {exc}") from exc
 
 
-def _parse_probability(token: str) -> Fraction:
+def _parameter(family: str, kind: type, token: str):
     try:
-        return Fraction(token)
+        return kind(token)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"bad probability {token!r}") from None
-
-
-# families built from a fixed number of integer parameters
-_INT_FAMILIES = {
-    "path": (gen.path, 1),
-    "cycle": (gen.cycle, 1),
-    "complete": (gen.complete, 1),
-    "star": (gen.star, 1),
-    "tree": (gen.tree_random, 2),
-    "example1": (gen.example1, 2),
-    "example2": (gen.example2, 1),
-    "regular_with_cuts": (gen.regular_with_cuts, 4),
-}
+        raise UsageError(f"{family}: bad {kind.__name__} parameter {token!r}") from None
 
 
 def _generate(family: str, params: list[str]):
     """Returns a single Graph or a (Graph, Graph) pair."""
-    aliases = {"tree_random": "tree", "random_gnp": "gnp"}
-    family = aliases.get(family, family)
-    if family in _INT_FAMILIES:
-        builder, arity = _INT_FAMILIES[family]
-        if len(params) != arity:
-            raise UsageError(f"{family} expects {arity} parameter(s), got {len(params)}")
-        try:
-            args = [int(p) for p in params]
-        except ValueError:
-            raise UsageError(f"{family}: non-integer parameter") from None
-        return builder(*args)
-    if family == "gnp":
-        if len(params) != 3:
-            raise UsageError("gnp expects: n p seed")
-        try:
-            n, seed = int(params[0]), int(params[2])
-        except ValueError:
-            raise UsageError("gnp: n and seed must be integers") from None
-        return gen.random_gnp(n, _parse_probability(params[1]), seed)
-    if family == "named":
-        if len(params) != 1:
-            raise UsageError("named expects one graph name")
-        return gen.named_graph(params[0])
-    if family in gen.NAMED_GRAPHS:
-        if params:
-            raise UsageError(f"{family} takes no parameters")
-        return gen.named_graph(family)
-    raise UsageError(f"unknown family {family!r}")
+    if family not in gen.FAMILIES:
+        raise UsageError(f"unknown family {family!r}; choose from {', '.join(sorted(gen.FAMILIES))}")
+    builder, kinds = gen.FAMILIES[family]
+    if len(params) != len(kinds):
+        raise UsageError(f"{family} expects {len(kinds)} parameter(s), got {len(params)}")
+    return builder(*(_parameter(family, kind, token) for kind, token in zip(kinds, params)))
 
 
 def _render(g: Graph, fmt: str) -> str:
@@ -105,33 +70,27 @@ def _output_path(base: str, suffix: str) -> str:
     return f"{base}.{suffix}"
 
 
-def _write_graph(path: str, g: Graph, fmt: str) -> None:
+def _write_graph(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_render(g, fmt))
+            fh.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_gen(args) -> int:
     result = _generate(args.family, args.params)
-    if isinstance(result, tuple):
-        g1, g2 = result
-        if args.output:
-            for g, suffix in ((g1, "g1"), (g2, "g2")):
-                path = _output_path(args.output, suffix)
-                _write_graph(path, g, args.format)
-                print(path)
+    pair = isinstance(result, tuple)
+    for i, g in enumerate(result if pair else (result,), start=1):
+        text = _render(g, args.format)
+        if not args.output:
+            sys.stdout.write(f"# {args.family} graph {i} of 2\n{text}" if pair else text)
+        elif pair:
+            path = _output_path(args.output, f"g{i}")
+            _write_graph(path, text)
+            print(path)
         else:
-            print(f"# {args.family} graph 1 of 2")
-            sys.stdout.write(_render(g1, args.format))
-            print(f"# {args.family} graph 2 of 2")
-            sys.stdout.write(_render(g2, args.format))
-        return 0
-    if args.output:
-        _write_graph(args.output, result, args.format)
-    else:
-        sys.stdout.write(_render(result, args.format))
+            _write_graph(args.output, text)
     return 0
 
 

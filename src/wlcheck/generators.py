@@ -3,6 +3,10 @@
 The paired counterexample families are 1-based in their defining formulas;
 everything here converts to 0-based indexing (formula node i becomes node
 i-1), so "the cut vertex with node number n" is node n-1.
+
+`FAMILIES` declares the families `wlcheck gen` builds: each CLI name, its
+builder and one type per parameter. Every builder checks its node count
+against the caps in `graphs` before it builds an edge.
 """
 
 from __future__ import annotations
@@ -12,19 +16,19 @@ import random
 from fractions import Fraction
 
 from .biconn import BRUTE_FORCE_CUT_MAX_NODES, brute_force_cut_sets
-from .graphs import GRAPH_MAX_NODES, Graph, is_connected
+from .graphs import GRAPH_MAX_NODES, PAIR_SCAN_MAX_NODES, Graph, is_connected
 
 
 class GenerationError(ValueError):
     """Requested parameters cannot produce the promised structure."""
 
 
-def _check_nodes(family: str, n: int, least: int) -> None:
-    """Refuse n below least, or over the node cap before any edge is built."""
+def _check_nodes(family: str, n: int, least: int = 0, cap: int = GRAPH_MAX_NODES) -> None:
+    """Refuse n below least, or over cap before any edge is built."""
     if n < least:
         raise GenerationError(f"{family} requires n >= {least}")
-    if n > GRAPH_MAX_NODES:
-        raise GenerationError(f"{family}: {n} nodes, over the cap of {GRAPH_MAX_NODES}")
+    if n > cap:
+        raise GenerationError(f"{family}: {n} nodes, over the cap of {cap}")
 
 
 def example1(m: int, k: int) -> tuple[Graph, Graph]:
@@ -38,6 +42,7 @@ def example1(m: int, k: int) -> tuple[Graph, Graph]:
     if m < 1 or k < 1 or m * k < 3:
         raise GenerationError("example1 requires m,k >= 1 and mk >= 3")
     n = 2 * k * m + 1
+    _check_nodes("example1", n)
     hub = n - 1
     e1 = [((i - 1), (i % (2 * k * m))) for i in range(1, 2 * k * m + 1)]
     e1 += [(hub, i - 1) for i in range(1, 2 * k * m + 1) if i % m == 0]
@@ -55,6 +60,7 @@ def example2(m: int) -> tuple[Graph, Graph]:
     if m < 3:
         raise GenerationError("example2 requires m >= 3")
     n = 2 * m
+    _check_nodes("example2", n)
     e1 = [((i - 1), (i % n)) for i in range(1, n + 1)]
     e1.append((m - 1, 2 * m - 1))
     e2 = [((i - 1), (i % m)) for i in range(1, m + 1)]
@@ -74,7 +80,7 @@ def cycle(n: int) -> Graph:
 
 
 def complete(n: int) -> Graph:
-    _check_nodes("complete", n, 1)
+    _check_nodes("complete", n, 1, PAIR_SCAN_MAX_NODES)
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
@@ -116,7 +122,7 @@ _RANDOM_SCALE = 1 << _RANDOM_BITS
 def random_gnp(n: int, p, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) from a seeded generator; identical parameters
     give identical edge sets on every platform."""
-    _check_nodes("random_gnp", n, 1)
+    _check_nodes("random_gnp", n, 1, PAIR_SCAN_MAX_NODES)
     if not 0 <= p <= 1:
         raise GenerationError(f"random_gnp requires 0 <= p <= 1, got {p}")
     # random() is k / 2**53 for an integer k, so x < p compares exactly
@@ -287,6 +293,8 @@ def regular_with_cuts(d: int, blocks: int, block_size: int, seed: int) -> Graph:
             f"regular_with_cuts is infeasible for d = {d} (2 mod 4): an end block's "
             "degree sum d/2 + d*(block_size-1) is odd"
         )
+    # an upper bound: a block has at most block_size + 1 nodes
+    _check_nodes("regular_with_cuts", blocks * (block_size + 1))
     rng = random.Random(seed)
     for _ in range(REGULAR_WITH_CUTS_ATTEMPTS):
         g = _chain(rng, d, blocks, block_size)
@@ -329,3 +337,22 @@ def _chain(rng, d, blocks, block_size):
             start += len(degrees)
         else:
             start += exit_node
+
+
+# The families `wlcheck gen` builds: CLI name -> (builder, one type per
+# parameter). A pair family's builder returns a (Graph, Graph) pair.
+FAMILIES = {
+    "path": (path, (int,)),
+    "cycle": (cycle, (int,)),
+    "complete": (complete, (int,)),
+    "star": (star, (int,)),
+    "tree": (tree_random, (int, int)),
+    "tree_random": (tree_random, (int, int)),
+    "gnp": (random_gnp, (int, Fraction, int)),
+    "random_gnp": (random_gnp, (int, Fraction, int)),
+    "example1": (example1, (int, int)),
+    "example2": (example2, (int,)),
+    "regular_with_cuts": (regular_with_cuts, (int, int, int, int)),
+    "named": (named_graph, (str,)),
+    **{name: (build, ()) for name, build in _NAMED.items()},
+}

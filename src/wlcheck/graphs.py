@@ -17,6 +17,10 @@ class GraphFormatError(ValueError):
 # field encodes, and far more than any check here can process
 GRAPH_MAX_NODES = 258047
 
+# The most nodes for a builder that visits all n(n-1)/2 node pairs (the
+# complete graph, G(n, p)): about half a million pairs, seconds of work
+PAIR_SCAN_MAX_NODES = 1024
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -116,7 +120,6 @@ def parse_edge_list(text: str) -> Graph:
     offending 1-based line number.
     """
     header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
     edge_set: set[tuple[int, int]] = set()
     n = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -149,14 +152,14 @@ def parse_edge_list(text: str) -> Graph:
         if e in edge_set:
             raise GraphFormatError(f"line {lineno}: duplicate edge {{{u},{v}}}")
         edge_set.add(e)
-        edges.append(e)
     if header is None:
         raise GraphFormatError("empty input: missing 'n m' header")
-    if len(edges) != header[1]:
+    if len(edge_set) != header[1]:
         raise GraphFormatError(
-            f"expected {header[1]} edges, found {len(edges)}"
+            f"expected {header[1]} edges, found {len(edge_set)}"
         )
-    return Graph.from_edges(header[0], edges)
+    # every edge is checked above, so the constructor takes them directly
+    return Graph(n, tuple(sorted(edge_set)))
 
 
 def encode_edge_list(g: Graph) -> str:

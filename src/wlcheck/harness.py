@@ -168,25 +168,26 @@ def _pairs(*labels: str) -> tuple:
     return tuple(by_label[label] for label in labels)
 
 
+# the family corpus members after the pairs and the named graphs, as
+# (builder, args), each labelled like a pair: 'path(1)', 'tree_random(8,0)'
+FAMILY_MEMBERS = (
+    *((gen.path, (n,)) for n in (1, 2, 5, 8)),
+    *((gen.cycle, (n,)) for n in (3, 4, 6, 8)),
+    *((gen.complete, (n,)) for n in (2, 4, 5)),
+    *((gen.star, (n,)) for n in (4, 6)),
+    *((gen.tree_random, (8, seed)) for seed in (0, 1, 2)),
+    (gen.tree_random, (12, 3)),
+    (gen.regular_with_cuts, (3, 2, 6, 0)),
+    (gen.regular_with_cuts, (3, 3, 4, 1)),
+    (gen.regular_with_cuts, (4, 2, 6, 2)),
+)
+
+
 def family_corpus() -> Corpus:
     """All generator families at the parameters the checks exercise."""
     members = _pairs_corpus(COUNTEREXAMPLE_PAIRS).members
-    for name in gen.NAMED_GRAPHS:
-        members.append((name, gen.named_graph(name)))
-    for n in (1, 2, 5, 8):
-        members.append((f"path({n})", gen.path(n)))
-    for n in (3, 4, 6, 8):
-        members.append((f"cycle({n})", gen.cycle(n)))
-    for n in (2, 4, 5):
-        members.append((f"complete({n})", gen.complete(n)))
-    for n in (4, 6):
-        members.append((f"star({n})", gen.star(n)))
-    for seed in (0, 1, 2):
-        members.append((f"tree_random(8,{seed})", gen.tree_random(8, seed)))
-    members.append(("tree_random(12,3)", gen.tree_random(12, 3)))
-    members.append(("regular_with_cuts(3,2,6,0)", gen.regular_with_cuts(3, 2, 6, 0)))
-    members.append(("regular_with_cuts(3,3,4,1)", gen.regular_with_cuts(3, 3, 4, 1)))
-    members.append(("regular_with_cuts(4,2,6,2)", gen.regular_with_cuts(4, 2, 6, 2)))
+    members += [(name, gen.named_graph(name)) for name in gen.NAMED_GRAPHS]
+    members += [(_pair_label(builder, args), builder(*args)) for builder, args in FAMILY_MEMBERS]
     return Corpus(
         members=members,
         provenance="example1/example2 pairs, named DRGs, basic families, regular_with_cuts",

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from wlcheck import biconn, cli
+from wlcheck import generators as gen
 from wlcheck.cli import main
 from wlcheck.generators import cycle
 from wlcheck.graphs import Graph, encode_edge_list, parse_edge_list, parse_graph6
@@ -265,20 +266,39 @@ def test_oversized_header_is_usage_error(tmp_path, capsys, header):
     assert f"{header.split()[0]} nodes: a graph has at most 258047" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["path", "1000000000"],
-        ["cycle", "258048"],
-        ["complete", "1000000000"],
-        ["star", "258048"],
-        ["tree", "1000000000", "0"],
-        ["gnp", "1000000000", "1/2", "0"],
-    ],
-)
+# argv over a node cap for every family with an integer parameter; a family
+# added to gen.FAMILIES without a size guard fails
+# test_every_sized_family_is_tried_over_the_cap or the refusal test
+OVER_THE_CAP_ARGV = [
+    ["path", "1000000000"],
+    ["cycle", "258048"],
+    ["complete", "1000000000"],
+    ["star", "258048"],
+    ["tree", "1000000000", "0"],
+    ["gnp", "1000000000", "1/2", "0"],
+    ["example1", "1000000000", "1"],
+    ["example2", "1000000000"],
+    ["regular_with_cuts", "3", "1000000000", "12", "0"],
+    ["complete", "258047"],
+    ["gnp", "258047", "1/2", "0"],
+    ["tree_random", "258048", "0"],
+    ["random_gnp", "1025", "0", "0"],
+    ["complete", "1025"],
+]
+
+
+def test_every_sized_family_is_tried_over_the_cap():
+    sized = {family for family, (_, kinds) in gen.FAMILIES.items() if int in kinds}
+    assert sized == {argv[0] for argv in OVER_THE_CAP_ARGV}
+
+
+@pytest.mark.parametrize("argv", OVER_THE_CAP_ARGV)
 def test_gen_over_the_node_cap_is_usage_error(capsys, argv):
-    # refused before the edge list of n nodes is built
-    assert_one_line_usage_error(*run_cli(capsys, "gen", *argv))
+    # refused before the edge list of n nodes is built, or the n(n-1)/2 node
+    # pairs are visited
+    code, out, err = run_cli(capsys, "gen", *argv)
+    assert_one_line_usage_error(code, out, err)
+    assert "over the cap of" in err
 
 
 def test_gen_gnp_rejects_probability_above_one(capsys):
@@ -315,3 +335,51 @@ def test_refine_rejects_negative_ego_radius(tmp_path, capsys, algo):
     path = tmp_path / "c6.el"
     path.write_text(encode_edge_list(cycle(6)), encoding="utf-8")
     assert_one_line_usage_error(*run_cli(capsys, "refine", "--algo", algo, str(path)))
+
+
+# valid argv for every family, alias and named graph
+GEN_PIN_ARGV = (
+    ["path", "1"],
+    ["path", "5"],
+    ["cycle", "3"],
+    ["cycle", "6"],
+    ["complete", "1"],
+    ["complete", "5"],
+    ["star", "1"],
+    ["star", "6"],
+    ["tree", "1", "0"],
+    ["tree", "8", "3"],
+    ["tree_random", "9", "4"],
+    ["gnp", "8", "1/2", "0"],
+    ["gnp", "7", "0.3", "1"],
+    ["gnp", "5", "1", "2"],
+    ["gnp", "5", "0", "2"],
+    ["random_gnp", "8", "3/10", "5"],
+    ["example1", "3", "1"],
+    ["example1", "2", "2"],
+    ["example2", "3"],
+    ["example2", "5"],
+    ["regular_with_cuts", "3", "2", "6", "0"],
+    ["regular_with_cuts", "4", "2", "6", "2"],
+    ["named", "petersen"],
+    ["named", "rook4x4"],
+    ["dodecahedron"],
+    ["desargues"],
+    ["petersen"],
+    ["rook4x4"],
+    ["shrikhande"],
+)
+
+
+def test_gen_output_is_pinned(capsys):
+    # stdout and exit code of every valid family argv in both formats, byte
+    # for byte: a change to how gen looks up or builds a family must not
+    # change what it prints
+    assert {argv[0] for argv in GEN_PIN_ARGV} == set(gen.FAMILIES)
+    digest = hashlib.md5()
+    for argv in GEN_PIN_ARGV:
+        for fmt in ("edgelist", "graph6"):
+            code, out, err = run_cli(capsys, "gen", *argv, "--format", fmt)
+            assert err == ""
+            digest.update(f"{' '.join(argv)} {fmt} {code}\n{out}".encode())
+    assert digest.hexdigest() == "46a9d5100e5e1328411caad52fcf3296"
