@@ -17,8 +17,8 @@ class GraphFormatError(ValueError):
 # field encodes, and far more than any check here can process
 GRAPH_MAX_NODES = 258047
 
-# The most nodes for a builder that visits all n(n-1)/2 node pairs (the
-# complete graph, G(n, p)): about half a million pairs, seconds of work
+# The most nodes for code that visits all n(n-1)/2 node pairs (the complete
+# graph, G(n, p), graph6 output): about half a million pairs, seconds of work
 PAIR_SCAN_MAX_NODES = 1024
 
 
@@ -220,26 +220,22 @@ def parse_graph6(text: str) -> Graph:
 
 
 def encode_graph6(g: Graph) -> str:
+    """Encode g as graph6: the size field, then one bit per node pair, pair
+    (u, v) with u < v at index v(v-1)/2 + u, six bits to a byte, each byte
+    offset by 63. A bit per pair is why n is capped at PAIR_SCAN_MAX_NODES."""
     n = g.n
+    if n > PAIR_SCAN_MAX_NODES:
+        raise GraphFormatError(f"graph6: {n} nodes, over the cap of {PAIR_SCAN_MAX_NODES}")
     if n <= 62:
         head = [n + 63]
-    elif n <= GRAPH_MAX_NODES:
-        head = [126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
     else:
-        raise GraphFormatError(f"graph6 supports at most {GRAPH_MAX_NODES} nodes here")
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = bytearray(head)
-    for i in range(0, len(bits), 6):
-        v = 0
-        for b in bits[i : i + 6]:
-            v = (v << 1) | b
-        out.append(v + 63)
-    return out.decode("ascii")
+        head = [126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
+    # every byte starts at 63, all bits clear; each pair's bit is added once
+    body = bytearray([63]) * ((n * (n - 1) // 2 + 5) // 6)
+    for u, v in g.edges:
+        i = v * (v - 1) // 2 + u
+        body[i // 6] += 32 >> (i % 6)
+    return (bytes(head) + body).decode("ascii")
 
 
 def connected_components(g: Graph) -> Partition:

@@ -20,9 +20,9 @@ SC-WL counts per node of each pattern, not per orbit of its automorphism
 group; both give the same colors (see `refine_scwl`).
 
 Each round interns one key per element with a single `dict.setdefault` on
-the context's table, and its inner loop runs in C builtins (`map`, `zip`,
-`sorted` over ints). Round keys are flat tuples of ints, with c the
-element's color from the round before:
+the context's table for that round, and its inner loop runs in C builtins
+(`map`, `zip`, `sorted` over ints). Round keys are flat tuples of ints, with
+c the element's color from the round before:
 
 - 1-WL and DS-WL: (c, *sorted neighbor colors);
 - GD-WL: the sorted packed (distance token id, color) pairs over all nodes;
@@ -47,12 +47,22 @@ every round, and the map is well defined; on a miss the key is computed and
 both directions are recorded. A hit skips a key interned before, so no id
 moves.
 
+A context keeps the keys of the current round only, and counts every id it
+has issued. Each round starts a fresh table (`InterningContext.next_round`)
+and drops the one before, with the set-up keys at round 1; a key's id is the
+count of ids issued before the round plus its position in the table, so
+every id is the one a table that kept all keys would give. Dropping cannot
+merge or move an id, because no dropped key can recur: set-up keys start
+with a str, and a round-r key holds a color from round r-1's id range. So a
+call holds one round of keys at a time, not all of them; for 2-FWL and
+DSS-WL, with n^2 keys per graph and round, that is most of its memory.
+
 The packed pairs put a high id (distance token, count vector, or 2-FWL's
 c(u,w)) above a color, `high << 32 | color`, so sorting the ints
 sorts the pairs: a packed key is in one-to-one correspondence with the
 sorted tuple of pairs. It needs every color id below 2^32
-(`PACKED_ID_LIMIT`); a run whose context outgrows that raises `OverflowError`
-rather than let two keys collide.
+(`PACKED_ID_LIMIT`); a run whose context has issued more ids than that raises
+`OverflowError` rather than let two keys collide.
 """
 
 from __future__ import annotations
@@ -67,16 +77,31 @@ from .graphs import Graph, induced_embeddings, is_connected
 
 
 class InterningContext:
-    """Injective mapping from canonical encodings to dense color ids."""
+    """Injective mapping from canonical encodings to dense color ids.
+
+    The table holds the current round's keys only: `next_round` drops the
+    keys before it and keeps their count. A key's id is that count plus its
+    position in the table, the id a table that kept every key would give;
+    no dropped key can recur (see the module docstring). len() counts every
+    id issued.
+    """
 
     def __init__(self):
         self._ids: dict[object, int] = {}
+        self._issued_before = 0
 
     def intern(self, key) -> int:
-        return self._ids.setdefault(key, len(self._ids))
+        return self._ids.setdefault(key, self._issued_before + len(self._ids))
+
+    def next_round(self) -> tuple[dict[object, int], int]:
+        """Start a round's table: returns it and the count of ids issued
+        before it, the id of its first key."""
+        self._issued_before += len(self._ids)
+        self._ids = {}
+        return self._ids, self._issued_before
 
     def __len__(self):
-        return len(self._ids)
+        return self._issued_before + len(self._ids)
 
 
 @dataclass(frozen=True)
@@ -167,16 +192,16 @@ def _iterate(update, initial, total_elements, early_exit=False):
 def _wl_update(ctx: InterningContext, adjacencies):
     """The 1-WL round over a state of one color list per adjacency: key
     each node by its own color and its neighbors' sorted colors."""
-    ids = ctx._ids
 
     def update(state):
+        ids, base = ctx.next_round()
         setdefault = ids.setdefault
         out = []
         for colors, adjacency in zip(state, adjacencies):
             color_of = colors.__getitem__
             out.append(
                 [
-                    setdefault((c, *sorted(map(color_of, nbrs))), len(ids))
+                    setdefault((c, *sorted(map(color_of, nbrs))), base + len(ids))
                     for c, nbrs in zip(colors, adjacency)
                 ]
             )
@@ -261,13 +286,12 @@ def refine_gdwl(
             highs.append(list(map(high_of.__getitem__, row)))
         highs_per_graph.append(highs)
 
-    ids = ctx._ids
-
     def update(state):
         _check_packable(ctx)
+        ids, base = ctx.next_round()
         setdefault = ids.setdefault
         return [
-            [setdefault(tuple(sorted(map(add, high, colors))), len(ids)) for high in highs]
+            [setdefault(tuple(sorted(map(add, high, colors))), base + len(ids)) for high in highs]
             for highs, colors in zip(highs_per_graph, state)
         ]
 
@@ -298,10 +322,9 @@ def refine_2fwl(graphs: list[Graph], *, early_exit: bool = False) -> list[Colori
         for g in graphs
     ]
 
-    ids = ctx._ids
-
     def update(state):
         _check_packable(ctx)
+        ids, base = ctx.next_round()
         setdefault = ids.setdefault
         # id of K(v,u) -> id of K(u,v), over all graphs: well defined, since
         # the color of (v,u) is a function of that of (u,v)
@@ -319,9 +342,9 @@ def refine_2fwl(graphs: list[Graph], *, early_exit: bool = False) -> list[Colori
                 row = list(map(transpose.get, above))
                 for v, c in enumerate(row):
                     if c is None:
-                        c = row[v] = setdefault(tuple(sorted(map(add, high, cols[v]))), len(ids))
+                        c = row[v] = setdefault(tuple(sorted(map(add, high, cols[v]))), base + len(ids))
                         transpose[above[v]], transpose[c] = c, above[v]
-                row += [setdefault(tuple(sorted(map(add, high, col_v))), len(ids)) for col_v in cols[u:]]
+                row += [setdefault(tuple(sorted(map(add, high, col_v))), base + len(ids)) for col_v in cols[u:]]
                 new_flat += row
             out.append(new_flat)
         return out
@@ -417,9 +440,8 @@ def refine_dsswl(
             for v in range(n)
         ]
 
-    ids = ctx._ids
-
     def update(state):
+        ids, base = ctx.next_round()
         setdefault = ids.setdefault
         # (node color, sorted global neighbor colors) -> this round's token
         tokens = {}
@@ -436,7 +458,7 @@ def refine_dsswl(
             color_of = flat.__getitem__
             # the bag's n*n slots stop the zip before the node colors
             new_flat = [
-                setdefault((c, t, *sorted(map(color_of, nbrs))), len(ids))
+                setdefault((c, t, *sorted(map(color_of, nbrs))), base + len(ids))
                 for c, nbrs, t in zip(flat, bag, global_tokens * n)
             ]
             new_flat.extend(node_colors(new_flat, n))
@@ -520,7 +542,6 @@ def refine_scwl(
     and the colors depend only on which vectors are equal.
     """
     ctx = InterningContext()
-    ids = ctx._ids
     c0 = ctx.intern(("init",))
     initial = [[c0] * g.n for g in graphs]
     # each distinct count vector of the call gets an id, packed as the high
@@ -534,10 +555,11 @@ def refine_scwl(
 
     def update(state):
         _check_packable(ctx)
+        ids, base = ctx.next_round()
         setdefault = ids.setdefault
         return [
             [
-                setdefault((c, x_v, *sorted(map(add, high, map(colors.__getitem__, nbrs)))), len(ids))
+                setdefault((c, x_v, *sorted(map(add, high, map(colors.__getitem__, nbrs)))), base + len(ids))
                 for c, x_v, high, nbrs in zip(colors, x, g_highs, g.adjacency)
             ]
             for g, x, g_highs, colors in zip(graphs, xs, highs, state)

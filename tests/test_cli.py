@@ -284,6 +284,8 @@ OVER_THE_CAP_ARGV = [
     ["tree_random", "258048", "0"],
     ["random_gnp", "1025", "0", "0"],
     ["complete", "1025"],
+    # graph6 carries one bit per node pair
+    ["path", "1025", "--format", "graph6"],
 ]
 
 

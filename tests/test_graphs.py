@@ -87,7 +87,7 @@ def test_graph6_errors():
         parse_graph6("D\x07\x07")
 
 
-@pytest.mark.parametrize("n", [63, 100])
+@pytest.mark.parametrize("n", [63, 100, 1024])
 def test_graph6_round_trips_with_the_four_byte_size_form(n):
     g = gen.random_gnp(n, 0.1, n)
     s = encode_graph6(g)

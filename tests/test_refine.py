@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -847,30 +848,104 @@ def test_scwl_matches_the_tuple_key_formula(names):
 
 # the str tags of the keys each refine_* call interns before its rounds
 SET_UP_TAGS = {"init", "mark", "dtok", "2fwl0", "dssbag", "dsrep"}
+# the str-tagged keys a round's table may hold: DSS-WL's node colors of the
+# round, and DS-WL's representations, interned after the last round
+ROUND_TAGS = {"dssbag", "dsrep"}
+
+SMALL_GRAPHS = [gen.path(4), gen.cycle(5), two_triangles(), gen.complete(1), gen.named_graph("petersen")]
+
+
+def _record_tables(monkeypatch):
+    """Patch InterningContext.next_round so that each table a context drops
+    at a round boundary is appended, with its ids, to the list returned."""
+    tables = []
+    next_round = InterningContext.next_round
+
+    def recording(ctx):
+        tables.append(dict(ctx._ids))
+        return next_round(ctx)
+
+    monkeypatch.setattr(InterningContext, "next_round", recording)
+    return tables
 
 
 @pytest.mark.parametrize("spec", SPEC_FORMS)
-def test_round_keys_hold_only_ints_and_set_up_keys_start_with_a_str(spec):
-    graphs = [gen.path(4), gen.cycle(5), two_triangles(), gen.complete(1), gen.named_graph("petersen")]
-    keys = list(_refine_directly(spec, graphs)[0].ctx._ids)
-    assert all(type(key) is tuple and key for key in keys)
-    set_up = [key for key in keys if type(key[0]) is str]
-    round_keys = [key for key in keys if type(key[0]) is not str]
+def test_round_keys_hold_only_ints_and_set_up_keys_start_with_a_str(spec, monkeypatch):
+    tables = _record_tables(monkeypatch)
+    ctx = _refine_directly(spec, SMALL_GRAPHS)[0].ctx
+    set_up, *rounds = tables + [ctx._ids]
+    assert rounds
+    for table in [set_up, *rounds]:
+        assert all(type(key) is tuple and key for key in table)
+    assert all(type(key[0]) is str for key in set_up)
     assert {key[0] for key in set_up} <= SET_UP_TAGS
-    assert round_keys and all(type(x) is int for key in round_keys for x in key)
+    for table in rounds:
+        round_keys = [key for key in table if type(key[0]) is not str]
+        assert {key[0] for key in table if type(key[0]) is str} <= ROUND_TAGS
+        assert round_keys and all(type(x) is int for key in round_keys for x in key)
 
 
-def _token_ids(ctx):
-    return [(key, cid) for key, cid in ctx._ids.items() if key[0] == "dtok"]
+# len(ctx) of each SPEC_FORMS call on SMALL_GRAPHS, measured when every
+# context still kept the keys of all its rounds
+ISSUED_IDS = {
+    "1wl": 15,
+    "spdwl": 18,
+    "rdwl": 22,
+    "gdwl": 23,
+    "2fwl": 39,
+    "dsswl:nm": 77,
+    "dsswl:nd": 74,
+    "dsswl:ego:1": 71,
+    "dsswl:ego:2": 72,
+    "dsswl:egom:1": 75,
+    "dsswl:egom:2": 78,
+    "dswl:nm": 71,
+    "dswl:nd": 38,
+    "scwl:tri": 18,
+}
 
 
-def test_gdwl_kinds_in_one_shared_context_match_the_tuple_key_formulas():
+@pytest.mark.parametrize("spec", SPEC_FORMS)
+def test_a_context_keeps_one_round_of_keys_and_counts_every_id_issued(spec, monkeypatch):
+    tables = _record_tables(monkeypatch)
+    colorings = _refine_directly(spec, SMALL_GRAPHS)
+    ctx = colorings[0].ctx
+    assert len(ctx) == ISSUED_IDS[spec]
+    # one table is dropped per round, so the one left holds the last round's
+    # keys, plus DS-WL's representations
+    assert len(tables) == colorings[0].rounds
+    assert all(type(key[0]) is not str or key[0] in ROUND_TAGS for key in ctx._ids)
+    # every id was issued once, in table order, and the ids of the table left
+    # are the last ones issued
+    ids = [cid for table in tables + [ctx._ids] for cid in table.values()]
+    assert ids == list(range(len(ctx)))
+
+
+def test_2fwl_on_the_hierarchy_corpus_keeps_its_memory_peak_low():
+    graphs = harness.hierarchy_corpus().graphs
+    tracemalloc.start()
+    try:
+        run_algorithm("2fwl", graphs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 37 MB when every round's keys were kept to the end of the call
+    assert peak < 20_000_000
+
+
+def _token_ids(tables):
+    return [(key, cid) for table in tables for key, cid in table.items() if key[0] == "dtok"]
+
+
+def test_gdwl_kinds_in_one_shared_context_match_the_tuple_key_formulas(monkeypatch):
     # a triangle beside a path: numerator 2 stands for 2/3 in one component
     # (tau 3) and for 2 in the other (tau 1)
     mixed = [Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)]), gen.path(3)]
+    tables = _record_tables(monkeypatch)
     for name, graphs in _reference_inputs() + [("mixed taus", mixed)]:
         for kind in ("spd", "rd", "spdrd"):
             expected, reference_ctx = _reference_gdwl(graphs, kind)
+            tables.clear()
             colorings = refine_gdwl(graphs, kind)
             got = (
                 tuple(c.colors for c in colorings),
@@ -879,10 +954,10 @@ def test_gdwl_kinds_in_one_shared_context_match_the_tuple_key_formulas():
             )
             assert got == expected, (name, kind)
             # the same distance tokens under the same ids, and as many keys,
-            # in the context the call's colorings carry
+            # in the context the call's colorings carry, over all its tables
             ctx = colorings[0].ctx
             assert all(c.ctx is ctx for c in colorings), (name, kind)
-            assert _token_ids(ctx) == _token_ids(reference_ctx), (name, kind)
+            assert _token_ids(tables + [ctx._ids]) == _token_ids([reference_ctx._ids]), (name, kind)
             assert len(ctx) == len(reference_ctx), (name, kind)
 
 
