@@ -13,9 +13,12 @@ row and appends the sentinel's token after them by hand.
 
 Resistance distances and hitting times both come from `_grounded_solve`:
 the exact integer adjugate and determinant of a Laplacian grounded at one
-node, from the fraction-free solver `_fraction_free_solve`. RD is solved
-once per vertex-biconnected block, not per component: a cut vertex joins
-its blocks in series, so resistances add along the path in the block cut
+node, from the fraction-free solver `_fraction_free_solve`. That solver
+takes only symmetric matrices: it stores the upper triangle, reads the
+rest by the sweep operator's sign rule, and defers rescaling a row whose
+multiplier is 0 until the row is next read. RD is solved once per
+vertex-biconnected block, not per component: a cut vertex joins its
+blocks in series, so resistances add along the path in the block cut
 tree, and a component's tau is the product of its blocks' taus. Hitting
 times take one solve of the whole graph and read neither the blocks nor
 rd_matrix, so the commute-time identity checks RD independently.
@@ -114,35 +117,68 @@ def spd_matrix(g: Graph) -> SpdMatrix:
 
 
 def _fraction_free_solve(a: list[list[int]]) -> tuple[int, list[list[int]]]:
-    """Exact inverse of an integer matrix: returns (det(A), adj(A)).
+    """Exact inverse of a symmetric integer matrix: returns (det(A), adj(A)).
 
-    Fraction-free Gauss-Jordan on [A | I]: step k replaces every other row
-    by a 2x2 determinant against the pivot row, divided exactly by the
-    previous pivot (Sylvester's identity), so every entry stays an integer;
-    a row whose multiplier f is 0 is only rescaled. Column k of A is
-    dropped once it is eliminated, and column k of I is not stored until
-    step k: until then it is the previous pivot in row k and 0 elsewhere,
-    and step k turns it into -f in each other row. So every row stays n
-    wide. The input must have nonzero leading principal minors, as a
-    positive definite matrix does; no pivoting is done.
+    Fraction-free Gauss-Jordan on [A | I] (Bareiss 1968): step k replaces
+    every other row by a 2x2 determinant against the pivot row, divided
+    exactly by the previous pivot (Sylvester's identity), so every entry
+    stays an integer. The matrix M being reduced keeps n columns: column j
+    is A's column j until step j and I's column j after it (until then
+    that is the previous pivot in row j and 0 elsewhere, and step j turns
+    it into -f in each other row, f that row's multiplier).
+
+    A symmetric A keeps M symmetric up to sign, as the sweep operator
+    does: after step k, M[i][j] = M[j][i] when i and j are both at most k
+    or both above it, and M[i][j] = -M[j][i] otherwise. So row i holds only
+    its entries j >= i. At step k the pivot row's entries left of the
+    diagonal are column k of the rows above it, negated, and a row below k
+    reads its multiplier from the pivot row.
+
+    Step k only multiplies a row whose multiplier is 0 by p_k / p_{k-1},
+    the ratio of the pivots of steps k and k - 1, so a run of such steps
+    telescopes to one factor. Each row records the previous pivot of the
+    step it was last brought up to date at, and takes its pending factor
+    in one go: when its multiplier is next nonzero, when it becomes the
+    pivot row, and at the end.
+
+    A must be symmetric (ValueError otherwise) with nonzero leading
+    principal minors, as a positive definite matrix has (ArithmeticError on
+    a zero pivot); no pivoting is done. The check is O(n^2), the solve
+    O(n^3).
     """
-    rows = [list(row) for row in a]
-    prev = 1
-    for k in range(len(rows)):
-        pivot, *tail_k = rows[k]
+    n = len(a)
+    if list(zip(*a)) != list(map(tuple, a)):
+        raise ValueError("exact solve needs a symmetric matrix")
+    upper = [list(row[i:]) for i, row in enumerate(a)]  # upper[i][j - i] is M[i][j]
+    prev = 1  # the previous pivot, 1 before step 0
+    held = [1] * n  # row i is now upper[i] * prev / held[i]
+    for k, row_k in enumerate(upper):
+        if held[k] != prev:
+            row_k[:] = [x * prev // held[k] for x in row_k]
+        pivot = row_k[0]
         if pivot == 0:
             raise ArithmeticError("singular matrix in exact solve")
-        for i, (f, *tail_i) in enumerate(rows):
-            if i != k:
-                if f:
-                    rows[i] = [(x * pivot - f * y) // prev for x, y in zip(tail_i, tail_k)]
-                else:
-                    rows[i] = [x * pivot // prev for x in tail_i]
-                rows[i].append(-f)
-        tail_k.append(prev)
-        rows[k] = tail_k
-        prev = pivot
-    return prev, rows
+        # column k, the multipliers: the rows above hold it, the rows below
+        # read it from row k; row k left of the diagonal is it negated
+        column = [u[k - i] * prev // h for i, (u, h) in enumerate(zip(upper, held[:k]))]
+        full_k = [-f for f in column] + row_k
+        column += row_k
+        for i, f in enumerate(column):
+            if f and i != k:
+                h = held[i]
+                # the row's pending factor prev / h, folded into this step
+                p, q, d = (pivot, f, prev) if h == prev else (pivot * prev, f * h, prev * h)
+                u = upper[i]
+                u[:] = [(x * p - y * q) // d for x, y in zip(u, full_k[i:])]
+                if i < k:
+                    u[k - i] = -f
+                held[i] = pivot
+        row_k[0] = prev
+        held[k] = prev = pivot
+    for i, (u, h) in enumerate(zip(upper, held)):
+        if h != prev:
+            upper[i] = [x * prev // h for x in u]
+    return prev, [[v[i - j] for j, v in enumerate(upper[:i])] + u for i, u in enumerate(upper)]
 
 
 def _grounded_solve(g: Graph, nodes: Sequence[int]) -> tuple[int, list[list[int]]]:

@@ -6,7 +6,9 @@ so values can be shared freely between threads and cached by identity.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from math import isqrt
 
 
 class GraphFormatError(ValueError):
@@ -185,6 +187,10 @@ def _graph6_decode_size(data: bytes) -> tuple[int, int]:
     return n, end
 
 
+# a graph6 body byte other than "?" (63) has at least one bit set
+_GRAPH6_SET_BITS = re.compile(b"[^?]")
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode a graph6 string (offset-63 printable bytes, upper triangle)."""
     s = text.strip()
@@ -205,17 +211,16 @@ def parse_graph6(text: str) -> Graph:
         raise GraphFormatError(
             f"graph6 body length {len(body)} != expected {nbytes} for n={n}"
         )
-    bits: list[int] = []
-    for b in body:
-        v = b - 63
-        bits.extend((v >> k) & 1 for k in (5, 4, 3, 2, 1, 0))
+    # only the bytes with a bit set; bit i is pair (u, v), u < v, with
+    # i = v(v-1)/2 + u, and the padding bits past nbits are ignored
     edges = []
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.append((u, v))
-            idx += 1
+    for byte in _GRAPH6_SET_BITS.finditer(body):
+        pos, bits = byte.start(), body[byte.start()] - 63
+        for k in range(6):
+            i = 6 * pos + k
+            if bits & (32 >> k) and i < nbits:
+                v = (1 + isqrt(8 * i + 1)) // 2
+                edges.append((i - v * (v - 1) // 2, v))
     return Graph.from_edges(n, edges)
 
 

@@ -205,6 +205,113 @@ def test_commute_time_identity():
                 assert h[u][v] + h[v][u] == 2 * g.m * rd[u, v]
 
 
+# Reference for the exact solver: the eager fraction-free Gauss-Jordan
+# method for any matrix with nonzero leading principal minors, which
+# rescales every row at every step and reads no symmetry.
+
+
+def eager_fraction_free_solve(a: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """Exact inverse of an integer matrix: returns (det(A), adj(A)).
+
+    Fraction-free Gauss-Jordan on [A | I]: step k replaces every other row
+    by a 2x2 determinant against the pivot row, divided exactly by the
+    previous pivot (Sylvester's identity), so every entry stays an integer;
+    a row whose multiplier f is 0 is only rescaled. Column k of A is
+    dropped once it is eliminated, and column k of I is not stored until
+    step k: until then it is the previous pivot in row k and 0 elsewhere,
+    and step k turns it into -f in each other row. So every row stays n
+    wide. The input must have nonzero leading principal minors, as a
+    positive definite matrix does; no pivoting is done.
+    """
+    rows = [list(row) for row in a]
+    prev = 1
+    for k in range(len(rows)):
+        pivot, *tail_k = rows[k]
+        if pivot == 0:
+            raise ArithmeticError("singular matrix in exact solve")
+        for i, (f, *tail_i) in enumerate(rows):
+            if i != k:
+                if f:
+                    rows[i] = [(x * pivot - f * y) // prev for x, y in zip(tail_i, tail_k)]
+                else:
+                    rows[i] = [x * pivot // prev for x in tail_i]
+                rows[i].append(-f)
+        tail_k.append(prev)
+        rows[k] = tail_k
+        prev = pivot
+    return prev, rows
+
+
+def assert_solves(a):
+    """_fraction_free_solve(a) equals the eager reference and is an exact
+    inverse: A adj(A) == det(A) I."""
+    det, adj = _fraction_free_solve(a)
+    assert (det, adj) == eager_fraction_free_solve(a)
+    n = len(a)
+    product = [[sum(x * adj[t][j] for t, x in enumerate(row)) for j in range(n)] for row in a]
+    assert product == [[det * (i == j) for j in range(n)] for i in range(n)]
+
+
+def grounded_laplacian(g):
+    """g's Laplacian without the row and column of its last node."""
+    s = g.n - 1
+    lap = [[0] * s for _ in range(s)]
+    for i in range(s):
+        lap[i][i] = g.degree(i)
+    for u, v in g.edges:
+        if v < s:
+            lap[u][v] = lap[v][u] = -1
+    return lap
+
+
+def test_solver_equals_the_eager_reference_on_the_atlas():
+    nx = pytest.importorskip("networkx")
+    connected = 0
+    for h in nx.graph_atlas_g()[1:]:
+        if nx.is_connected(h):
+            g = Graph.from_edges(h.number_of_nodes(), list(h.edges))
+            lap = grounded_laplacian(g)
+            assert_solves(lap)
+            assert _fraction_free_solve(lap)[0] == round(nx.number_of_spanning_trees(h))
+            connected += 1
+    assert connected == 1 + 1 + 2 + 6 + 21 + 112 + 853
+
+
+def test_solver_equals_the_eager_reference_on_random_positive_definite_matrices():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def positive_definite(draw):
+        # symmetric, with each diagonal entry above its row's absolute sum
+        # off the diagonal; mostly zeros, so many multipliers are 0
+        n = draw(st.integers(0, 12))
+        off = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3])
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i):
+                a[i][j] = a[j][i] = draw(off)
+        for i, row in enumerate(a):
+            row[i] = sum(map(abs, row)) + draw(st.integers(1, 4))
+        return a
+
+    @hypothesis.settings(max_examples=200, derandomize=True, deadline=None)
+    @hypothesis.given(positive_definite())
+    def check(a):
+        assert_solves(a)
+
+    check()
+
+
+def test_solver_contract():
+    assert _fraction_free_solve([]) == (1, [])
+    for asymmetric in ([[2, 1], [0, 2]], [[1, 2]], [[3, -1, 0], [-1, 3, 0], [0, -1, 3]]):
+        with pytest.raises(ValueError, match="symmetric"):
+            _fraction_free_solve(asymmetric)
+    with pytest.raises(ArithmeticError, match="singular"):
+        _fraction_free_solve([[0, 1], [1, 0]])
+
+
 # Reference for hitting_time_matrix, which solves the whole graph once: one
 # exact solve per target v of deg(u) h(u, v) - sum of h(w, v) over the
 # neighbours w != v of u = deg(u), with h(v, v) = 0.
@@ -221,7 +328,7 @@ def per_target_hitting_times(g):
             for w in g.adjacency[u]:
                 if w != v:
                     mat[idx[u]][idx[w]] = -1
-        det, adj = _fraction_free_solve(mat)
+        det, adj = eager_fraction_free_solve(mat)
         degrees = [g.degree(w) for w in others]
         for u, row in zip(others, adj):
             result[u][v] = Fraction(sum(d * x for d, x in zip(degrees, row)), det)
@@ -377,13 +484,7 @@ def whole_component_rd(g):
     for comp in connected_components(g).classes:
         s = len(comp)
         sub, names = induced_subgraph(g, comp)
-        grounded = [[0] * (s - 1) for _ in range(s - 1)]
-        for i in range(s - 1):
-            grounded[i][i] = sub.degree(i)
-        for u, v in sub.edges:
-            if v < s - 1:
-                grounded[u][v] = grounded[v][u] = -1
-        tau, adj = _fraction_free_solve(grounded)
+        tau, adj = eager_fraction_free_solve(grounded_laplacian(sub))
         adj = [row + [0] for row in adj] + [[0] * s]
         for i in range(s):
             taus[names[i]] = tau

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -103,6 +104,36 @@ def test_graph6_truncated_size_field(text):
 
 def test_graph6_eight_byte_size_form():
     assert parse_graph6("~~?????@") == Graph(1, ())
+
+
+def test_graph6_parses_4000_nodes_in_memory_linear_in_its_input():
+    # encode_graph6 refuses n over PAIR_SCAN_MAX_NODES, so the text is built
+    # here: pair (u, v), u < v, is bit v(v-1)/2 + u of the body
+    n = 4000
+    rng = random.Random(n)
+    edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(3000)} | {(0, 1), (n - 2, n - 1)}
+    body = bytearray([63]) * ((n * (n - 1) // 2 + 5) // 6)
+    for u, v in edges:
+        i = v * (v - 1) // 2 + u
+        body[i // 6] += 32 >> (i % 6)
+    size = bytes([126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
+    assert parse_graph6((size + body).decode("ascii")) == Graph.from_edges(n, edges)
+    edgeless = (size + b"?" * len(body)).decode("ascii")
+    tracemalloc.start()
+    try:
+        g = parse_graph6(edgeless)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == Graph(n, ())
+    # a list of n(n-1)/2 bits took about 56 bytes per input byte
+    assert peak < 4 * len(edgeless)
+
+
+def test_graph6_ignores_the_padding_bits():
+    # n = 2 has one pair bit; the byte's other five bits are padding
+    assert parse_graph6("A_") == Graph(2, ((0, 1),))
+    assert parse_graph6("A@") == parse_graph6("A?") == Graph(2, ())
 
 
 def test_edge_list_round_trip():

@@ -102,6 +102,16 @@ MUTANTS = {
         distances, "hitting_time_matrix", ("s[u] - s[v] + ", ""), 0,
         {"rd_properties": 4026},
     ),
+    # the exact solver's pivot row, gathered from column k of the rows above:
+    # without the sign flip, or without each row's pending scale
+    "solver_gathers_pivot_row_unsigned": (
+        distances, "_fraction_free_solve", ("[-f for f in column]", "column"), 0,
+        {"rd_properties": 10434, "distance_regular": 1377, "hierarchy": 74},
+    ),
+    "solver_gathers_column_unscaled": (
+        distances, "_fraction_free_solve", ("u[k - i] * prev // h", "u[k - i]"), 0,
+        {"rd_properties": 2192, "hierarchy": 52},
+    ),
     # only graphs that share a representation compare forms, and no two
     # family members with cut vertices do: 40 seeds are the fewest that kill it
     "tree_forms_carry_cut_vertex_ids": (
