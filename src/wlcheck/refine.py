@@ -8,13 +8,31 @@ color list per graph: its node colors; for 2-FWL its pair colors in
 row-major order; for DS-WL the colors of the n*n slots of its subgraph bag,
 subgraph-major, which `_policy_bag` joins into one graph, so that DS-WL is
 the 1-WL round of `_wl_update` on that graph; for DSS-WL the same slots
-followed by its n node colors. All graphs advance in lockstep and iterate
-until the joint partition survives a full round unchanged; exceeding the
-theoretical stabilization bound indicates an interning bug and raises.
-With `early_exit`, which only `distinguishable` sets, the loop also stops
-at the first round (round 0 included) where two graphs' multisets of state
-entries differ; the colorings it then returns are partial, and good only
-for telling the graphs apart.
+followed by its n node colors. The call stops at the first round whose
+joint partition, over all entries of all graphs, equals the one before it;
+exceeding the theoretical stabilization bound indicates an interning bug
+and raises. With `early_exit`, which only `distinguishable` sets, the loop
+also stops at the first round (round 0 included) where two graphs' multisets
+of state entries differ; the colorings it then returns are partial, and
+good only for telling the graphs apart.
+
+The loop advances a graph only while its group can still change. A group is
+a set of graphs of the call linked by shared colors. A round's partition of
+any set of graphs depends only on that set's partition in the round before,
+since a key reads colors of its own graph only; and every round's key holds
+the element's previous color (GD-WL through its zero-distance token, 2-FWL
+through its w = u term). So once a round leaves a group's partition
+unchanged, the partition never changes again and the group never again
+shares a color with another graph: the group is frozen, and its class count
+carries forward. When the last groups freeze in a round that still changed
+the joint partition, the next round would change nothing; it is counted,
+not run. The returned ids are those of a run that advanced every graph
+every round, because those depend only on the per-round partitions: the
+state after round r is the number of ids issued before round r plus each
+entry's first-appearance rank in the state (graph order, then element
+order), and that number is the set-up ids plus the class counts of rounds 1
+to r-1. So once a group has frozen, `_iterate` relabels the final state by
+that rule and the context skips to the count such a run ends at.
 
 SC-WL counts per node of each pattern, not per orbit of its automorphism
 group; both give the same colors (see `refine_scwl`).
@@ -55,14 +73,17 @@ every id is the one a table that kept all keys would give. Dropping cannot
 merge or move an id, because no dropped key can recur: set-up keys start
 with a str, and a round-r key holds a color from round r-1's id range. So a
 call holds one round of keys at a time, not all of them; for 2-FWL and
-DSS-WL, with n^2 keys per graph and round, that is most of its memory.
+DSS-WL, with n^2 keys per graph and round, that is most of its memory. A
+frozen group interns nothing, so the ids issued fall short of a full run's;
+the relabelling that ends such a call skips the context to a full run's
+count (`InterningContext.skip_to`), which is what len() then reports.
 
 The packed pairs put a high id (distance token, count vector, or 2-FWL's
 c(u,w)) above a color, `high << 32 | color`, so sorting the ints
 sorts the pairs: a packed key is in one-to-one correspondence with the
-sorted tuple of pairs. It needs every color id below 2^32
-(`PACKED_ID_LIMIT`); a run whose context has issued more ids than that raises
-`OverflowError` rather than let two keys collide.
+sorted tuple of pairs. It needs every color id it packs below 2^32
+(`PACKED_ID_LIMIT`); a round that starts with more ids issued than that
+raises `OverflowError` rather than let two keys collide.
 """
 
 from __future__ import annotations
@@ -83,7 +104,7 @@ class InterningContext:
     keys before it and keeps their count. A key's id is that count plus its
     position in the table, the id a table that kept every key would give;
     no dropped key can recur (see the module docstring). len() counts every
-    id issued.
+    id issued, or after `skip_to` the count it was given.
     """
 
     def __init__(self):
@@ -99,6 +120,12 @@ class InterningContext:
         self._issued_before += len(self._ids)
         self._ids = {}
         return self._ids, self._issued_before
+
+    def skip_to(self, issued: int) -> None:
+        """Drop the table, as `next_round` does, and count `issued` ids: the
+        count of a run that advanced every graph (see `_iterate`)."""
+        self.next_round()
+        self._issued_before = issued
 
     def __len__(self):
         return self._issued_before + len(self._ids)
@@ -154,38 +181,122 @@ def _multisets_differ(state) -> bool:
     return len({tuple(sorted(colors)) for colors in state}) > 1
 
 
-def _iterate(update, initial, total_elements, early_exit=False):
-    """Run lockstep rounds until the joint partition stabilizes.
+def _linked_groups(lists, sig) -> list[list[int]]:
+    """Positions in lists grouped by shared colors: two lists are in one
+    group when a chain of lists, each sharing a color with the next, joins
+    them. sig is the `_partition_sig` of lists. Groups come in the order of
+    their first members."""
+    holder = list(chain.from_iterable([m] * len(colors) for m, colors in enumerate(lists)))
+    # (list of an entry, list where the entry's color first appears)
+    links = set(zip(holder, map(holder.__getitem__, sig)))
+    parent = list(range(len(lists)))
 
-    This is the stabilization loop of every refine_* function.
-    update(state) -> state; a state holds one flat color list per graph,
-    and the partition compared between rounds is that of all entries of
-    all lists together. Returns (state, rounds). The partition can strictly
-    refine at most total_elements - 1 times, so the round cap is
-    total_elements + 1.
+    def root(m):
+        while parent[m] != m:
+            parent[m] = parent[parent[m]]
+            m = parent[m]
+        return m
+
+    for m, k in links:
+        a, b = root(m), root(k)
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    groups = {}
+    for m in range(len(lists)):
+        groups.setdefault(root(m), []).append(m)
+    return list(groups.values())
+
+
+def _iterate(ctx: InterningContext, update, initial, total_elements, early_exit=False):
+    """Run rounds until the joint partition stabilizes, advancing only the
+    groups of graphs that can still change (see the module docstring).
+
+    This is the stabilization loop of every refine_* function. A state
+    holds one flat color list per graph; update(active, state) advances the
+    graphs at the sorted indices active by one round, interning into ctx,
+    and returns their new lists. Returns (state, rounds), with the colors,
+    rounds and len(ctx) of a run that advances every graph until the
+    partition of all entries of all lists together survives a round. The
+    partition can strictly refine at most total_elements - 1 times, so the
+    round cap is total_elements + 1.
+
+    After each round a changed group is split into the groups its lists now
+    form, and a new group whose partition that round left unchanged is
+    frozen; partitions are compared by `_partition_sig` over the group's own
+    lists.
 
     With early_exit the loop also stops, before round 1 and after every
     round, as soon as two graphs' multisets of state entries differ. That
     verdict is final: every round's key holds the element's previous
     color, so each round's joint partition refines the one before, and
     multisets that differ at one round differ at every later one, the
-    stable coloring included.
+    stable coloring included. The graphs then stay one group: two graphs
+    with entries that share no color have different multisets already.
     """
-    state = initial
-    sig = _partition_sig(state)
+    state = list(initial)
+    groups = [list(range(len(state)))]
+    sigs = [_partition_sig(state)]
+    active = groups[0]
+    frozen = 0  # the classes of the frozen groups
+    skipped = 0  # the ids of frozen groups that a full run would have issued
     rounds = 0
     cap = total_elements + 1
     while not (early_exit and _multisets_differ(state)):
-        state = update(state)
+        previous = state[:]
+        for i, colors in zip(active, update(active, state)):
+            state[i] = colors
         rounds += 1
-        new_sig = _partition_sig(state)
-        if new_sig == sig:
+        skipped += frozen
+        changed = regrouped = False
+        live, live_sigs = [], []
+        for group, sig in zip(groups, sigs):
+            lists = [state[i] for i in group]
+            new_sig = _partition_sig(lists)
+            if new_sig == sig:
+                frozen += len(set(new_sig))
+                regrouped = True
+                continue
+            changed = True
+            pieces = [group]
+            if not early_exit and len(group) > 1:
+                pieces = [[group[m] for m in members] for members in _linked_groups(lists, new_sig)]
+            if len(pieces) == 1:
+                live.append(group)
+                live_sigs.append(new_sig)
+                continue
+            regrouped = True
+            for piece in pieces:
+                piece_sig = _partition_sig([state[i] for i in piece])
+                if piece_sig == _partition_sig([previous[i] for i in piece]):
+                    frozen += len(set(piece_sig))
+                else:
+                    live.append(piece)
+                    live_sigs.append(piece_sig)
+        if not changed:
             break
-        sig = new_sig
         if rounds > cap:
             raise StabilizationError(
                 f"no stabilization after {rounds} rounds (cap {cap})"
             )
+        groups, sigs = live, live_sigs
+        if not groups:
+            # every group froze in a round that changed the joint
+            # partition: the next round changes nothing, counted, not run
+            rounds += 1
+            skipped += frozen
+            break
+        if regrouped:
+            active = sorted(chain.from_iterable(groups))
+    if skipped:
+        # the ids of a run that advanced every graph: those issued before
+        # the last round plus each entry's first-appearance rank
+        issued = len(ctx) + skipped
+        first_seen = dict.fromkeys(chain.from_iterable(state))
+        rank = dict(zip(first_seen, count(issued - len(first_seen)))).__getitem__
+        state = [list(map(rank, colors)) for colors in state]
+        ctx.skip_to(issued)
     return state, rounds
 
 
@@ -193,16 +304,17 @@ def _wl_update(ctx: InterningContext, adjacencies):
     """The 1-WL round over a state of one color list per adjacency: key
     each node by its own color and its neighbors' sorted colors."""
 
-    def update(state):
+    def update(active, state):
         ids, base = ctx.next_round()
         setdefault = ids.setdefault
         out = []
-        for colors, adjacency in zip(state, adjacencies):
+        for i in active:
+            colors = state[i]
             color_of = colors.__getitem__
             out.append(
                 [
                     setdefault((c, *sorted(map(color_of, nbrs))), base + len(ids))
-                    for c, nbrs in zip(colors, adjacency)
+                    for c, nbrs in zip(colors, adjacencies[i])
                 ]
             )
         return out
@@ -216,7 +328,7 @@ def refine_1wl(graphs: list[Graph], *, early_exit: bool = False) -> list[Colorin
     c0 = ctx.intern(("init",))
     initial = [[c0] * g.n for g in graphs]
     update = _wl_update(ctx, [g.adjacency for g in graphs])
-    state, rounds = _iterate(update, initial, sum(g.n for g in graphs), early_exit)
+    state, rounds = _iterate(ctx, update, initial, sum(g.n for g in graphs), early_exit)
     return _node_colorings(state, rounds, ctx)
 
 
@@ -264,38 +376,39 @@ def refine_gdwl(
     # u) pair, with v's tokens interned in token order; only colors change
     # per round
     highs_per_graph = []
+    # tau -> value -> high, over the call: each distinct (tau, value) is
+    # interned once, so the per-row work sorts and hashes ints, not Fractions
+    high_by_tau: dict[int | None, dict] = {}
     for g in graphs:
         rows, far = _distance_values(g, distance_kind)
-        # each distinct (tau, value) of the graph is interned once, so the
-        # per-row work sorts and hashes ints, not Fractions
-        high_of_value: dict[tuple, int] = {}
         highs = []
         for tau, row in rows:
-            distinct = set(row)
-            order = sorted(distinct - {far})
-            if far in distinct:
-                order.append(far)
-            high_of = {}
-            for value in order:
-                high = high_of_value.get((tau, value))
-                if high is None:
-                    token = far if value is far else _distance_token(tau, value)
-                    high = ctx.intern(("dtok", token)) << _PACK_BITS
-                    high_of_value[tau, value] = high
-                high_of[value] = high
+            high_of = high_by_tau.get(tau)
+            if high_of is None:
+                high_of = high_by_tau[tau] = {}
+            new = set(row).difference(high_of)
+            if new:
+                # the row's new values in token order, the far one last
+                for value in sorted(new - {far}):
+                    high_of[value] = ctx.intern(("dtok", _distance_token(tau, value))) << _PACK_BITS
+                if far in new:
+                    high_of[far] = ctx.intern(("dtok", far)) << _PACK_BITS
             highs.append(list(map(high_of.__getitem__, row)))
         highs_per_graph.append(highs)
 
-    def update(state):
+    def update(active, state):
         _check_packable(ctx)
         ids, base = ctx.next_round()
         setdefault = ids.setdefault
-        return [
-            [setdefault(tuple(sorted(map(add, high, colors))), base + len(ids)) for high in highs]
-            for highs, colors in zip(highs_per_graph, state)
-        ]
+        out = []
+        for i in active:
+            colors = state[i]
+            out.append(
+                [setdefault(tuple(sorted(map(add, high, colors))), base + len(ids)) for high in highs_per_graph[i]]
+            )
+        return out
 
-    state, rounds = _iterate(update, initial, sum(g.n for g in graphs), early_exit)
+    state, rounds = _iterate(ctx, update, initial, sum(g.n for g in graphs), early_exit)
     return _node_colorings(state, rounds, ctx)
 
 
@@ -322,16 +435,16 @@ def refine_2fwl(graphs: list[Graph], *, early_exit: bool = False) -> list[Colori
         for g in graphs
     ]
 
-    def update(state):
+    def update(active, state):
         _check_packable(ctx)
         ids, base = ctx.next_round()
         setdefault = ids.setdefault
-        # id of K(v,u) -> id of K(u,v), over all graphs: well defined, since
-        # the color of (v,u) is a function of that of (u,v)
+        # id of K(v,u) -> id of K(u,v), over the graphs advanced: well
+        # defined, since the color of (v,u) is a function of that of (u,v)
         transpose = {}
         out = []
-        for g, flat in zip(graphs, state):
-            n = g.n
+        for i in active:
+            n, flat = graphs[i].n, state[i]
             mat = [flat[u * n : (u + 1) * n] for u in range(n)]
             cols = list(zip(*mat))
             new_flat = []
@@ -349,7 +462,7 @@ def refine_2fwl(graphs: list[Graph], *, early_exit: bool = False) -> list[Colori
             out.append(new_flat)
         return out
 
-    state, rounds = _iterate(update, initial, sum(g.n * g.n for g in graphs), early_exit)
+    state, rounds = _iterate(ctx, update, initial, sum(g.n * g.n for g in graphs), early_exit)
     # entry u * (n + 1) of the row-major flat list is the diagonal pair (u, u)
     return [
         Coloring(tuple(flat[:: g.n + 1]), tuple(sorted(flat)), rounds, ctx)
@@ -440,13 +553,14 @@ def refine_dsswl(
             for v in range(n)
         ]
 
-    def update(state):
+    def update(active, state):
         ids, base = ctx.next_round()
         setdefault = ids.setdefault
         # (node color, sorted global neighbor colors) -> this round's token
         tokens = {}
         out = []
-        for g, bag, flat in zip(graphs, bags, state):
+        for i in active:
+            g, bag, flat = graphs[i], bags[i], state[i]
             n = g.n
             node = flat[n * n :]
             node_of = node.__getitem__
@@ -466,7 +580,7 @@ def refine_dsswl(
         return out
 
     initial = [flat + node_colors(flat, g.n) for g, flat in zip(graphs, subs)]
-    state, rounds = _iterate(update, initial, sum(g.n * g.n for g in graphs), early_exit)
+    state, rounds = _iterate(ctx, update, initial, sum(g.n * g.n for g in graphs), early_exit)
     return _node_colorings([flat[g.n * g.n :] for g, flat in zip(graphs, state)], rounds, ctx)
 
 
@@ -482,7 +596,7 @@ def refine_dswl(
     ctx = InterningContext()
     initial = _initial_subgraph_colors(graphs, policy, ctx)
     update = _wl_update(ctx, [_policy_bag(g, policy) for g in graphs])
-    state, rounds = _iterate(update, initial, sum(g.n * g.n for g in graphs), early_exit)
+    state, rounds = _iterate(ctx, update, initial, sum(g.n * g.n for g in graphs), early_exit)
     reps = [
         [ctx.intern(("dsrep", tuple(sorted(flat[v * g.n : (v + 1) * g.n])))) for v in range(g.n)]
         for g, flat in zip(graphs, state)
@@ -553,19 +667,22 @@ def refine_scwl(
     ]
     highs = [[[x[w] << _PACK_BITS for w in nbrs] for nbrs in g.adjacency] for g, x in zip(graphs, xs)]
 
-    def update(state):
+    def update(active, state):
         _check_packable(ctx)
         ids, base = ctx.next_round()
         setdefault = ids.setdefault
-        return [
-            [
-                setdefault((c, x_v, *sorted(map(add, high, map(colors.__getitem__, nbrs)))), base + len(ids))
-                for c, x_v, high, nbrs in zip(colors, x, g_highs, g.adjacency)
-            ]
-            for g, x, g_highs, colors in zip(graphs, xs, highs, state)
-        ]
+        out = []
+        for i in active:
+            colors = state[i]
+            out.append(
+                [
+                    setdefault((c, x_v, *sorted(map(add, high, map(colors.__getitem__, nbrs)))), base + len(ids))
+                    for c, x_v, high, nbrs in zip(colors, xs[i], highs[i], graphs[i].adjacency)
+                ]
+            )
+        return out
 
-    state, rounds = _iterate(update, initial, sum(g.n for g in graphs), early_exit)
+    state, rounds = _iterate(ctx, update, initial, sum(g.n for g in graphs), early_exit)
     return _node_colorings(state, rounds, ctx)
 
 

@@ -38,10 +38,10 @@ def _oblivious_2wl(graphs, *, early_exit=False):
         for g in graphs
     ]
 
-    def update(state):
+    def update(active, state):
         out = []
-        for g, flat in zip(graphs, state):
-            n = g.n
+        for i in active:
+            n, flat = graphs[i].n, state[i]
             rows = [tuple(sorted(flat[u * n : (u + 1) * n])) for u in range(n)]
             cols = [tuple(sorted(flat[v::n])) for v in range(n)]
             out.append(
@@ -49,7 +49,7 @@ def _oblivious_2wl(graphs, *, early_exit=False):
             )
         return out
 
-    state, rounds = refine._iterate(update, initial, sum(g.n * g.n for g in graphs), early_exit)
+    state, rounds = refine._iterate(ctx, update, initial, sum(g.n * g.n for g in graphs), early_exit)
     return [
         refine.Coloring(tuple(flat[:: g.n + 1]), tuple(sorted(flat)), rounds, ctx)
         for g, flat in zip(graphs, state)
@@ -117,6 +117,13 @@ MUTANTS = {
     "tree_forms_carry_cut_vertex_ids": (
         biconn, "per_component_forms", ('["V"] * len(cuts)', '[f"V{v}" for v in cuts]'), 40,
         {"positive[gdwl]": 1},
+    ),
+    # each graph freezes once its own partition is stable, though it still
+    # shares colors with graphs that go on refining
+    "groups_ignore_shared_colors": (
+        refine, "_linked_groups", lambda lists, sig: [[m] for m in range(len(lists))], 0,
+        {"positive[2fwl]": 3, "negative_counterexamples": 2, "hierarchy": 6, "wl_condition": 8,
+         "expressivity_table": 1},
     ),
     "wl_round_hashes_degrees": (
         refine, "_wl_update", ("*sorted(map(color_of, nbrs))", "len(nbrs)"), 0,

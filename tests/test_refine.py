@@ -77,12 +77,12 @@ def _count_updates(monkeypatch):
     updates = []
     iterate = refine._iterate
 
-    def counting(update, *args):
-        def counted(state):
+    def counting(ctx, update, *args):
+        def counted(active, state):
             updates.append(None)
-            return update(state)
+            return update(active, state)
 
-        return iterate(counted, *args)
+        return iterate(ctx, counted, *args)
 
     monkeypatch.setattr(refine, "_iterate", counting)
     return updates
@@ -108,12 +108,12 @@ def test_iterate_raises_past_its_round_cap():
     flip = {0: [[0, 1, 1]], 1: [[0, 0, 1]]}
     updates = []
 
-    def update(state):
+    def update(active, state):
         updates.append(None)
         return flip[state[0][1]]
 
     with pytest.raises(refine.StabilizationError, match=r"^no stabilization after 5 rounds \(cap 4\)$"):
-        refine._iterate(update, [[0, 0, 1]], 3)
+        refine._iterate(InterningContext(), update, [[0, 0, 1]], 3)
     assert len(updates) == 5
 
 
@@ -857,7 +857,8 @@ SMALL_GRAPHS = [gen.path(4), gen.cycle(5), two_triangles(), gen.complete(1), gen
 
 def _record_tables(monkeypatch):
     """Patch InterningContext.next_round so that each table a context drops
-    at a round boundary is appended, with its ids, to the list returned."""
+    at a round boundary, or when it skips to its final count, is appended,
+    with its ids, to the list returned."""
     tables = []
     next_round = InterningContext.next_round
 
@@ -873,15 +874,19 @@ def _record_tables(monkeypatch):
 def test_round_keys_hold_only_ints_and_set_up_keys_start_with_a_str(spec, monkeypatch):
     tables = _record_tables(monkeypatch)
     ctx = _refine_directly(spec, SMALL_GRAPHS)[0].ctx
-    set_up, *rounds = tables + [ctx._ids]
+    # the table left holds the last round's keys, or none once the context
+    # skipped to its final count; DS-WL's representations join it
+    left = [ctx._ids] if any(type(key[0]) is not str for key in ctx._ids) else []
+    set_up, *rounds = tables + left
     assert rounds
-    for table in [set_up, *rounds]:
+    for table in [set_up, *rounds, ctx._ids]:
         assert all(type(key) is tuple and key for key in table)
     assert all(type(key[0]) is str for key in set_up)
     assert {key[0] for key in set_up} <= SET_UP_TAGS
+    for table in [*rounds, ctx._ids]:
+        assert {key[0] for key in table if type(key[0]) is str} <= ROUND_TAGS
     for table in rounds:
         round_keys = [key for key in table if type(key[0]) is not str]
-        assert {key[0] for key in table if type(key[0]) is str} <= ROUND_TAGS
         assert round_keys and all(type(x) is int for key in round_keys for x in key)
 
 
@@ -911,14 +916,19 @@ def test_a_context_keeps_one_round_of_keys_and_counts_every_id_issued(spec, monk
     colorings = _refine_directly(spec, SMALL_GRAPHS)
     ctx = colorings[0].ctx
     assert len(ctx) == ISSUED_IDS[spec]
-    # one table is dropped per round, so the one left holds the last round's
-    # keys, plus DS-WL's representations
-    assert len(tables) == colorings[0].rounds
+    # one table is dropped per round run, and at most every round counted is
+    # run; the table left holds the last round's keys, or none once the
+    # context skipped to its final count, plus DS-WL's representations
+    assert len(tables) <= colorings[0].rounds + 1
     assert all(type(key[0]) is not str or key[0] in ROUND_TAGS for key in ctx._ids)
-    # every id was issued once, in table order, and the ids of the table left
-    # are the last ones issued
-    ids = [cid for table in tables + [ctx._ids] for cid in table.values()]
-    assert ids == list(range(len(ctx)))
+    # every id interned was issued once, in table order, and the ids of the
+    # table left are the last ones counted
+    interned = [cid for table in tables for cid in table.values()]
+    assert interned == list(range(len(interned)))
+    left = list(ctx._ids.values())
+    assert left == list(range(len(ctx) - len(left), len(ctx)))
+    assert len(interned) + len(left) <= len(ctx)
+    assert all(c < len(ctx) for coloring in colorings for c in coloring.colors)
 
 
 def test_2fwl_on_the_hierarchy_corpus_keeps_its_memory_peak_low():
