@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .biconn import biconnectivity_report
-from .graphs import Graph, is_connected
+from .graphs import PAIR_SCAN_MAX_NODES, Graph, is_connected
 
 
 class _Unreachable:
@@ -100,7 +100,10 @@ class RdMatrix:
 
 @lru_cache(maxsize=None)
 def spd_matrix(g: Graph) -> SpdMatrix:
-    """BFS from every node, Theta(n(n+m))."""
+    """BFS from every node, Theta(n(n+m)). The output has n^2 entries, so
+    a graph over PAIR_SCAN_MAX_NODES nodes is refused before the first BFS."""
+    if g.n > PAIR_SCAN_MAX_NODES:
+        raise ValueError(f"SPD capped at {PAIR_SCAN_MAX_NODES} nodes")
     rows = []
     for s in range(g.n):
         dist: list[object] = [UNREACHABLE] * g.n
@@ -255,16 +258,20 @@ def rd_matrix(g: Graph) -> RdMatrix:
     those of one solve of the whole component. Entries across components
     are UNREACHABLE. A component over RD_MAX_COMPONENT_NODES nodes is
     refused, whatever its blocks, since its output alone is quadratic in
-    its size.
+    its size; so is a graph over PAIR_SCAN_MAX_NODES nodes, whatever its
+    components, since the output has n^2 entries. Both are refused before
+    the output is allocated.
     """
-    taus = [1] * g.n
-    nums: list[list[object]] = [[UNREACHABLE] * g.n for _ in range(g.n)]
     report = biconnectivity_report(g)
     components = report.components
     if any(len(comp) > RD_MAX_COMPONENT_NODES for comp in components.classes):
         raise ValueError(
             f"exact RD capped at components of {RD_MAX_COMPONENT_NODES} nodes"
         )
+    if g.n > PAIR_SCAN_MAX_NODES:
+        raise ValueError(f"exact RD capped at {PAIR_SCAN_MAX_NODES} nodes")
+    taus = [1] * g.n
+    nums: list[list[object]] = [[UNREACHABLE] * g.n for _ in range(g.n)]
     blocks_in: list[list[tuple[int, ...]]] = [[] for _ in components.classes]
     for block in report.vertex_bccs:
         blocks_in[components.class_of[block[0]]].append(block)

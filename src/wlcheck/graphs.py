@@ -20,7 +20,8 @@ class GraphFormatError(ValueError):
 GRAPH_MAX_NODES = 258047
 
 # The most nodes for code that visits all n(n-1)/2 node pairs (the complete
-# graph, G(n, p), graph6 output): about half a million pairs, seconds of work
+# graph, G(n, p), graph6 output, the SPD and RD matrices): about half a
+# million pairs, seconds of work
 PAIR_SCAN_MAX_NODES = 1024
 
 

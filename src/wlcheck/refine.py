@@ -21,18 +21,19 @@ a set of graphs of the call linked by shared colors. A round's partition of
 any set of graphs depends only on that set's partition in the round before,
 since a key reads colors of its own graph only; and every round's key holds
 the element's previous color (GD-WL through its zero-distance token, 2-FWL
-through its w = u term). So once a round leaves a group's partition
-unchanged, the partition never changes again and the group never again
-shares a color with another graph: the group is frozen, and its class count
-carries forward. When the last groups freeze in a round that still changed
-the joint partition, the next round would change nothing; it is counted,
-not run. The returned ids are those of a run that advanced every graph
-every round, because those depend only on the per-round partitions: the
-state after round r is the number of ids issued before round r plus each
-entry's first-appearance rank in the state (graph order, then element
-order), and that number is the set-up ids plus the class counts of rounds 1
-to r-1. So once a group has frozen, `_iterate` relabels the final state by
-that rule and the context skips to the count such a run ends at.
+through its w = u term; SC-WL's round 1, through the all-init round 0). So
+once a round leaves a group's partition unchanged, the partition never
+changes again and the group never again shares a color with another graph:
+the group is frozen, and its class count carries forward. When the last
+groups freeze in a round that still changed the joint partition, the next
+round would change nothing; it is counted, not run. The returned ids are
+those of a run that advanced every graph every round, because those depend
+only on the per-round partitions: the state after round r is the number of
+ids issued before round r plus each entry's first-appearance rank in the
+state (graph order, then element order), and that number is the set-up ids
+plus the class counts of rounds 1 to r-1. So once a group has frozen,
+`_iterate` relabels the final state by that rule and the context skips to
+the count such a run ends at.
 
 SC-WL counts per node of each pattern, not per orbit of its automorphism
 group; both give the same colors (see `refine_scwl`).
@@ -44,26 +45,26 @@ c the element's color from the round before:
 
 - 1-WL and DS-WL: (c, *sorted neighbor colors);
 - GD-WL: the sorted packed (distance token id, color) pairs over all nodes;
-- SC-WL: (c, x, *sorted packed (x, color) pairs over the neighbors), where
-  x is the call's id of a node's count vector;
+- SC-WL: the 1-WL round, whose round 1 reads the count ids (the call's id
+  of each node's count vector) in place of the all-init colors;
 - 2-FWL: K(u,v), the sorted packed (c(u,w), c(w,v)) pairs over all w;
 - DSS-WL: (c, t, *sorted subgraph-neighbor colors), where t is the round's
   token for (node color, sorted global neighbor colors), taken from a dict
   local to the round.
 
 These keys give the ids of the tagged tuple keys they replace, for three
-reasons. Set-up keys ("init", "mark", distance tokens, 2-FWL's initial
-pair classes, DSS-WL's bags, DS-WL's representations) start with a str,
-and round keys hold only ints. A round-r key holds a color from round
-r-1's id range, so no round key recurs in a later round. And x and t are
-bijections within their call and round. 2-FWL's key leaves c(u,v) out: the
-w = u term is the only one whose first color is a diagonal color, and its
-second color is c(u,v). Below the diagonal, 2-FWL reads c(u,v) from a
-per-round map from the id of K(v,u) to that of K(u,v). The initial colors
-are symmetric, so the color of (v,u) is a function of that of (u,v) in
-every round, and the map is well defined; on a miss the key is computed and
-both directions are recorded. A hit skips a key interned before, so no id
-moves.
+reasons. Set-up keys ("init", "mark", distance tokens, 2-FWL's initial pair
+classes, DSS-WL's bags, DS-WL's representations) start with a str, and round
+keys hold only ints. A round-r key holds a color from round r-1's id range,
+so no round key recurs in a later round (SC-WL's round 1 holds count ids
+instead; see `refine_scwl`). And t is a bijection within its round. 2-FWL's
+key leaves c(u,v) out: the w = u term is the only one whose first color is a
+diagonal color, and its second color is c(u,v). Below the diagonal, 2-FWL
+reads c(u,v) from a per-round map from the id of K(v,u) to that of K(u,v).
+The initial colors are symmetric, so the color of (v,u) is a function of
+that of (u,v) in every round, and the map is well defined; on a miss the key
+is computed and both directions are recorded. A hit skips a key interned
+before, so no id moves.
 
 A context keeps the keys of the current round only, and counts every id it
 has issued. Each round starts a fresh table (`InterningContext.next_round`)
@@ -71,19 +72,21 @@ and drops the one before, with the set-up keys at round 1; a key's id is the
 count of ids issued before the round plus its position in the table, so
 every id is the one a table that kept all keys would give. Dropping cannot
 merge or move an id, because no dropped key can recur: set-up keys start
-with a str, and a round-r key holds a color from round r-1's id range. So a
-call holds one round of keys at a time, not all of them; for 2-FWL and
-DSS-WL, with n^2 keys per graph and round, that is most of its memory. A
-frozen group interns nothing, so the ids issued fall short of a full run's;
-the relabelling that ends such a call skips the context to a full run's
-count (`InterningContext.skip_to`), which is what len() then reports.
+with a str, and a round-r key holds a color from round r-1's id range
+(SC-WL's round-1 keys may recur, but each round's ids follow from its
+partition alone). So a call holds one round of keys at a time, not all of
+them; for 2-FWL and DSS-WL, with n^2 keys per graph and round, that is most
+of its memory. A frozen group interns nothing, so the ids issued fall short
+of a full run's; the relabelling that ends such a call skips the context to
+a full run's count (`InterningContext.skip_to`), which is what len() then
+reports.
 
-The packed pairs put a high id (distance token, count vector, or 2-FWL's
-c(u,w)) above a color, `high << 32 | color`, so sorting the ints
-sorts the pairs: a packed key is in one-to-one correspondence with the
-sorted tuple of pairs. It needs every color id it packs below 2^32
-(`PACKED_ID_LIMIT`); a round that starts with more ids issued than that
-raises `OverflowError` rather than let two keys collide.
+The packed pairs put a high id (distance token or 2-FWL's c(u,w)) above a
+color, `high << 32 | color`, so sorting the ints sorts the pairs: a packed
+key is in one-to-one correspondence with the sorted tuple of pairs. It
+needs every color id it packs below 2^32 (`PACKED_ID_LIMIT`); a round that
+starts with more ids issued than that raises `OverflowError` rather than
+let two keys collide.
 """
 
 from __future__ import annotations
@@ -412,6 +415,12 @@ def refine_gdwl(
     return _node_colorings(state, rounds, ctx)
 
 
+def _check_cap(graphs: list[Graph], cap: int, name: str) -> None:
+    """Refuse a graph over cap nodes before the n^2 set-up allocates."""
+    if any(g.n > cap for g in graphs):
+        raise ValueError(f"{name} capped at {cap} nodes")
+
+
 TWO_FWL_MAX_NODES = 40
 
 
@@ -422,9 +431,7 @@ def refine_2fwl(graphs: list[Graph], *, early_exit: bool = False) -> list[Colori
     round update hashes the multiset of (color(u,w), color(w,v)) over all w.
     A graph's state is its pair colors in row-major order.
     """
-    for g in graphs:
-        if g.n > TWO_FWL_MAX_NODES:
-            raise ValueError(f"2-FWL capped at {TWO_FWL_MAX_NODES} nodes")
+    _check_cap(graphs, TWO_FWL_MAX_NODES, "2-FWL")
     ctx = InterningContext()
     initial = [
         [
@@ -539,9 +546,7 @@ def refine_dsswl(
     is its subgraph colors followed by its n node colors; the node colors
     are a function of the subgraph colors, so they never delay stabilization.
     """
-    for g in graphs:
-        if g.n > DSS_WL_MAX_NODES:
-            raise ValueError(f"DSS-WL capped at {DSS_WL_MAX_NODES} nodes")
+    _check_cap(graphs, DSS_WL_MAX_NODES, "DSS-WL")
     ctx = InterningContext()
     subs = _initial_subgraph_colors(graphs, policy, ctx)
     bags = [_policy_bag(g, policy) for g in graphs]
@@ -592,7 +597,9 @@ def refine_dswl(
     This is 1-WL on the n*n-slot graph of `_policy_bag`, in which no edge
     joins two subgraphs. The output color of node v is the representation
     of its own subgraph G_v: the sorted colors of slots v*n to v*n + n - 1.
+    Its bag has DSS-WL's n*n slots, so it has DSS-WL's cap.
     """
+    _check_cap(graphs, DSS_WL_MAX_NODES, "DS-WL")
     ctx = InterningContext()
     initial = _initial_subgraph_colors(graphs, policy, ctx)
     update = _wl_update(ctx, [_policy_bag(g, policy) for g in graphs])
@@ -654,33 +661,26 @@ def refine_scwl(
     onto v, so the nodes of one orbit get equal counts and the orbit's
     count is a fixed multiple of each. Either vector determines the other,
     and the colors depend only on which vectors are equal.
+
+    The rounds are 1-WL's, but round 1 reads the count ids in place of the
+    all-init colors (as round-0 colors they could cut a round). From round
+    2 a color refines its count id, so the partitions, and with them the
+    ids, are those of the key (c, x, *sorted (x_w, c_w)).
     """
     ctx = InterningContext()
     c0 = ctx.intern(("init",))
     initial = [[c0] * g.n for g in graphs]
-    # each distinct count vector of the call gets an id, packed as the high
-    # half of a neighbor's (count id, color) pair
+    # each distinct count vector of the call gets an id
     count_ids = {}
     xs = [
         [count_ids.setdefault(x, len(count_ids)) for x in substructure_counts(g, substructures)]
         for g in graphs
     ]
-    highs = [[[x[w] << _PACK_BITS for w in nbrs] for nbrs in g.adjacency] for g, x in zip(graphs, xs)]
+    wl_round = _wl_update(ctx, [g.adjacency for g in graphs])
+    pending = [xs]  # round 1, which advances every graph, reads the count ids
 
     def update(active, state):
-        _check_packable(ctx)
-        ids, base = ctx.next_round()
-        setdefault = ids.setdefault
-        out = []
-        for i in active:
-            colors = state[i]
-            out.append(
-                [
-                    setdefault((c, x_v, *sorted(map(add, high, map(colors.__getitem__, nbrs)))), base + len(ids))
-                    for c, x_v, high, nbrs in zip(colors, xs[i], highs[i], graphs[i].adjacency)
-                ]
-            )
-        return out
+        return wl_round(active, pending.pop() if pending else state)
 
     state, rounds = _iterate(ctx, update, initial, sum(g.n for g in graphs), early_exit)
     return _node_colorings(state, rounds, ctx)

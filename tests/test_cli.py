@@ -147,7 +147,14 @@ def test_distinguish_counterexample_pair(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "algo, big",
-    [("2fwl", cycle(41)), ("dsswl:nm", cycle(65)), ("rdwl", cycle(200)), ("scwl:k9", cycle(5))],
+    [
+        ("2fwl", cycle(41)),
+        ("dsswl:nm", cycle(65)),
+        ("rdwl", cycle(200)),
+        ("scwl:k9", cycle(5)),
+        ("dswl:nm", cycle(65)),
+        ("spdwl", gen.path(1025)),
+    ],
 )
 def test_distinguish_reports_set_up_errors_before_comparing(tmp_path, capsys, algo, big):
     # the node counts differ, so a comparison before set-up would answer
@@ -158,6 +165,17 @@ def test_distinguish_reports_set_up_errors_before_comparing(tmp_path, capsys, al
     code, out, err = run_cli(capsys, "distinguish", "--algo", algo, str(big_path), str(small_path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "capped" in err
+
+
+@pytest.mark.parametrize("kind", ["spd", "rd"])
+def test_distances_over_the_pair_cap_is_usage_error(tmp_path, capsys, kind):
+    # edgeless, so RD's component cap passes and only the n^2 output is refused
+    path = tmp_path / "e1025.el"
+    path.write_text("1025 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "distances", str(path), "--kind", kind)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "capped at 1024 nodes" in err
 
 
 def test_refine_json(tmp_path, capsys):

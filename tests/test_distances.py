@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -471,6 +472,26 @@ def test_rd_cap_is_on_components_not_blocks():
     # every block of a path is a 2-node bridge
     with pytest.raises(ValueError, match="components of 128 nodes"):
         rd_matrix(gen.path(200))
+
+
+@pytest.mark.parametrize(
+    "matrix, g",
+    [
+        (spd_matrix, gen.path(1025)),
+        (rd_matrix, Graph.from_edges(1025, [])),
+        (rd_matrix, gen.path(3000)),
+    ],
+)
+def test_distance_matrices_refuse_before_allocating_their_output(matrix, g):
+    # the n^2 output of any of these graphs takes over 8 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="capped at"):
+            matrix(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 # Reference for the block-by-block rd_matrix: one exact solve of each whole

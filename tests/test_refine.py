@@ -220,6 +220,17 @@ def test_scwl_orbit_attribution_on_paw():
     assert counts[3] == (2, 0, 2)
 
 
+def test_scwl_counts_enter_at_round_1_not_as_initial_colors():
+    # both graphs are regular and all-init at round 0; round 1 splits them
+    # by their count ids and round 2 leaves that partition as it is. Counts
+    # read as initial colors would stop after 1 round.
+    graphs = [gen.complete(3), gen.cycle(4)]
+    result = run_algorithm("scwl:tri", graphs)
+    assert result.rounds == 2
+    assert result.node_colors == ((3, 3, 3), (4, 4, 4, 4))
+    assert len(refine_scwl(graphs, [make_substructure("c3", gen.cycle(3))])[0].ctx) == 5
+
+
 def test_scwl_cannot_solve_biconnectivity_below_girth():
     g1, g2 = gen.example1(4, 1)
     assert not distinguishable(g1, g2, "scwl:tri")
@@ -971,7 +982,7 @@ def test_gdwl_kinds_in_one_shared_context_match_the_tuple_key_formulas(monkeypat
             assert len(ctx) == len(reference_ctx), (name, kind)
 
 
-@pytest.mark.parametrize("spec", ["2fwl", "spdwl", "rdwl", "gdwl", "scwl:tri"])
+@pytest.mark.parametrize("spec", ["2fwl", "spdwl", "rdwl", "gdwl"])
 def test_packing_overflow_raises_instead_of_colliding(spec, monkeypatch):
     graphs = [gen.random_gnp(9, Fraction(1, 3), 2), gen.path(5)]
     expected = run_algorithm(spec, graphs)
