@@ -20,8 +20,10 @@ multiplier is 0 until the row is next read. RD is solved once per
 vertex-biconnected block, not per component: a cut vertex joins its
 blocks in series, so resistances add along the path in the block cut
 tree, and a component's tau is the product of its blocks' taus. Hitting
-times take one solve of the whole graph and read neither the blocks nor
-rd_matrix, so the commute-time identity checks RD independently.
+times take one solve of the whole component and read neither the blocks
+nor rd_matrix, so the commute-time identity checks RD independently. They
+stay integers too, over that solve's determinant; `hitting_time_matrix`
+builds their Fractions at the public edge.
 """
 
 from __future__ import annotations
@@ -314,28 +316,42 @@ def rd_matrix(g: Graph) -> RdMatrix:
 HITTING_TIME_MAX_NODES = 30
 
 
-def hitting_time_matrix(g: Graph) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact expected hitting times h(u, v) of the simple random walk.
+def hitting_time_numerators(g: Graph, nodes: Sequence[int]) -> tuple[int, list[list[int]]]:
+    """Exact expected hitting times of the simple random walk on g's
+    subgraph on nodes, in integer form: (det, H) with
+    h(nodes[i], nodes[j]) = H[i][j] / det.
 
-    h(., v) solves L h = d - 2m e_v with h(v, v) = 0 (L the Laplacian, d
-    the degrees), so one grounded solve serves every target (Tetali 1991):
-    with (det, a) from `_grounded_solve` and s_u = sum over w of d_w a[u][w],
-    h(u, v) = (s_u - s_v + 2m (a[v][v] - a[u][v])) / det. It never reads
-    rd_matrix, so the commute-time identity h(u, v) + h(v, u) = 2m R(u, v)
-    stays a real check of RD. Dense, so guarded small.
+    h(., v) solves L h = d - 2m e_v with h(v, v) = 0 (L the subgraph's
+    Laplacian, d its degrees), so one grounded solve serves every target
+    (Tetali 1991): with (det, a) from `_grounded_solve` and
+    s_u = sum over w of d_w a[u][w], H[u][v] = s_u - s_v + 2m (a[v][v] - a[u][v]),
+    and det is the subgraph's spanning-tree count. It never reads rd_matrix,
+    so the commute-time identity H[u][v] + H[v][u] = 2m det R(u, v) stays a
+    real check of RD. The subgraph must be connected (ArithmeticError
+    otherwise, from the solver's zero pivot). Dense, so guarded small.
     """
-    n = g.n
-    if n > HITTING_TIME_MAX_NODES:
-        raise ValueError(f"hitting_time_matrix capped at {HITTING_TIME_MAX_NODES} nodes")
+    if len(nodes) > HITTING_TIME_MAX_NODES:
+        raise ValueError(f"hitting times capped at {HITTING_TIME_MAX_NODES} nodes")
+    inside = set(nodes)
+    d = [sum(w in inside for w in g.adjacency[v]) for v in nodes]
+    two_m = sum(d)
+    det, a = _grounded_solve(g, nodes)
+    s = [sum(d_w * x for d_w, x in zip(d, row)) for row in a]
+    return det, [
+        [s_u - s_v + two_m * (a_v[v] - a_u[v]) for v, (s_v, a_v) in enumerate(zip(s, a))]
+        for s_u, a_u in zip(s, a)
+    ]
+
+
+def hitting_time_matrix(g: Graph) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact expected hitting times h(u, v) of the simple random walk on a
+    connected graph of at most HITTING_TIME_MAX_NODES nodes, as Fractions
+    built from `hitting_time_numerators` of the whole graph.
+    """
     if not is_connected(g):
         raise ValueError("hitting_time_matrix requires a connected graph")
-    det, a = _grounded_solve(g, range(n))
-    two_m = 2 * g.m
-    s = [sum(g.degree(w) * x for w, x in enumerate(row)) for row in a]
-    return tuple(
-        tuple(Fraction(s[u] - s[v] + two_m * (a[v][v] - a[u][v]), det) for v in range(n))
-        for u in range(n)
-    )
+    det, h = hitting_time_numerators(g, range(g.n))
+    return tuple(tuple(Fraction(x, det) for x in row) for row in h)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ observed on the corpus, never as proofs.
 
 from __future__ import annotations
 
-import math
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -26,12 +25,12 @@ from .distances import (
     HITTING_TIME_MAX_NODES,
     UNREACHABLE,
     distance_regular_profile,
-    hitting_time_matrix,
+    hitting_time_numerators,
     rd_from_intersection_array,
     rd_matrix,
     spd_matrix,
 )
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph
 from .refine import AlgoResult, run_algorithm
 
 
@@ -57,6 +56,19 @@ class CheckReport:
             "violations": self.violations,
             "elapsed_ms": None,
         }
+
+
+def _violation(graphs, expected, observed, items=None, **tags) -> dict:
+    """One violation record, keyed in report order: the tags, graphs, items,
+    expected, observed. graphs and items are left out when None."""
+    record = dict(tags)
+    if graphs is not None:
+        record["graphs"] = graphs
+    if items is not None:
+        record["items"] = items
+    record["expected"] = expected
+    record["observed"] = observed
+    return record
 
 
 def _finish(check_id: str, population: str, violations: list, started: float) -> CheckReport:
@@ -242,12 +254,12 @@ def check_oracle_equivalence(corpus: Corpus) -> CheckReport:
         ):
             if observed != expected:
                 violations.append(
-                    {
-                        "graphs": [gid],
-                        "items": [item(x) for x in sorted(set(observed) ^ set(expected))],
-                        "expected": [item(x) for x in expected],
-                        "observed": [item(x) for x in observed],
-                    }
+                    _violation(
+                        [gid],
+                        [item(x) for x in expected],
+                        [item(x) for x in observed],
+                        [item(x) for x in sorted(set(observed) ^ set(expected))],
+                    )
                 )
     return _finish("oracle_equivalence", corpus.provenance, violations, started)
 
@@ -382,13 +394,7 @@ def _expressivity_violations(algo: str, corpus: Corpus, columns) -> list:
         for pair in _conflicts(cut_entries[column]):
             a, b = pair if pair[0][2] else pair[::-1]
             violations.append(
-                {
-                    "column": column,
-                    "graphs": [a[0], b[0]],
-                    "items": [a[1], b[1]],
-                    "expected": expected,
-                    "observed": observed,
-                }
+                _violation([a[0], b[0]], expected, observed, [a[1], b[1]], column=column)
             )
 
     # tree forms are only needed where a representation is shared
@@ -403,13 +409,13 @@ def _expressivity_violations(algo: str, corpus: Corpus, columns) -> list:
                 entries.append((rep, form, (gid, form)))
         for (gid_a, form_a), (gid_b, form_b) in _conflicts(entries):
             violations.append(
-                {
-                    "column": column,
-                    "graphs": [gid_a, gid_b],
-                    "items": [],
-                    "expected": "equal representations imply isomorphic trees",
-                    "observed": [list(form_a), list(form_b)],
-                }
+                _violation(
+                    [gid_a, gid_b],
+                    "equal representations imply isomorphic trees",
+                    [list(form_a), list(form_b)],
+                    [],
+                    column=column,
+                )
             )
     return violations
 
@@ -467,15 +473,14 @@ def _negative_violations(algo: str, pairs, node: int | None = None) -> list:
     corpus = _pairs_corpus(pairs)
     result = corpus.refined(algo)
     if node is None:
-        values, items = result.representations, {}
+        values, items = result.representations, None
         expected, observed = "equal graph representations", "distinguished"
     else:
-        values, items = [colors[node] for colors in result.node_colors], {"items": [node, node]}
+        values, items = [colors[node] for colors in result.node_colors], [node, node]
         expected, observed = f"equal colors for node {node}", "different colors"
     entries = ((i // 2, value, gid) for i, (gid, value) in enumerate(zip(corpus.ids, values)))
     return [
-        {"algo": algo, "graphs": [a, b], **items, "expected": expected, "observed": observed}
-        for a, b in _conflicts(entries)
+        _violation([a, b], expected, observed, items, algo=algo) for a, b in _conflicts(entries)
     ]
 
 
@@ -493,13 +498,7 @@ def check_negative_suite() -> CheckReport:
         for gid, g in _pair_members(builder, args):
             gi = _girth(g)
             if gi is not None and gi < m:
-                violations.append(
-                    {
-                        "graphs": [gid],
-                        "expected": f"girth >= {m}",
-                        "observed": str(gi),
-                    }
-                )
+                violations.append(_violation([gid], f"girth >= {m}", str(gi)))
 
     return _finish(
         "negative_counterexamples",
@@ -567,19 +566,13 @@ def check_distance_regular_suite() -> CheckReport:
 
     for gid, prof in profiles.items():
         if not prof.is_drg:
-            violations.append(
-                {"graphs": [gid], "expected": "distance-regular", "observed": "not"}
-            )
+            violations.append(_violation([gid], "distance-regular", "not"))
     for gid, arrays in PAPER_DRG_ARRAYS.items():
         for invariant, paper in arrays.items():
             seen = invariants[gid][invariant]
             if seen != paper:
                 violations.append(
-                    {
-                        "graphs": [gid],
-                        "expected": _show_array(invariant, paper),
-                        "observed": _show_array(invariant, seen),
-                    }
+                    _violation([gid], _show_array(invariant, paper), _show_array(invariant, seen))
                 )
 
     # a pair's verdict must say whether its invariants differ, so the
@@ -595,11 +588,11 @@ def check_distance_regular_suite() -> CheckReport:
         sizes = [g.n if spec == "2fwl" else 0 for g in corpus.graphs]
         for differ, keys, determined in ((True, reps, values), (False, values, reps)):
             violations += [
-                {
-                    "graphs": [gid_a, gid_b],
-                    "expected": f"{name} verdict == {invariant} differ ({differ})",
-                    "observed": str(not differ),
-                }
+                _violation(
+                    [gid_a, gid_b],
+                    f"{name} verdict == {invariant} differ ({differ})",
+                    str(not differ),
+                )
                 for gid_a, gid_b in _conflicts(zip(zip(sizes, keys), determined, corpus.ids))
             ]
 
@@ -608,11 +601,7 @@ def check_distance_regular_suite() -> CheckReport:
         r = rd_from_intersection_array(prof)
         if any(r[d] >= r[d + 1] for d in range(len(r) - 1)):
             violations.append(
-                {
-                    "graphs": [gid],
-                    "expected": "strictly increasing r_d",
-                    "observed": [str(x) for x in r],
-                }
+                _violation([gid], "strictly increasing r_d", [str(x) for x in r])
             )
         rd = rd_matrix(g)
         spd = spd_matrix(g)
@@ -620,12 +609,7 @@ def check_distance_regular_suite() -> CheckReport:
             for v in range(g.n):
                 if rd[u, v] != r[spd[u, v]]:
                     violations.append(
-                        {
-                            "graphs": [gid],
-                            "items": [u, v],
-                            "expected": str(r[spd[u, v]]),
-                            "observed": str(rd[u, v]),
-                        }
+                        _violation([gid], str(r[spd[u, v]]), str(rd[u, v]), [u, v])
                     )
     return _finish("distance_regular", corpus.provenance, violations, started)
 
@@ -650,13 +634,13 @@ def _refines_violations(corpus: Corpus, fine: str, coarse: str) -> list:
         for v in range(g.n)
     )
     return [
-        {
-            "pair": f"{fine} should refine {coarse}",
-            "graphs": [gid_a, gid_b],
-            "items": [a, b],
-            "expected": f"equal {coarse} colors",
-            "observed": "split",
-        }
+        _violation(
+            [gid_a, gid_b],
+            f"equal {coarse} colors",
+            "split",
+            [a, b],
+            pair=f"{fine} should refine {coarse}",
+        )
         for (gid_a, a), (gid_b, b) in _conflicts(entries)
     ]
 
@@ -710,13 +694,13 @@ def check_wl_condition(corpus: Corpus) -> CheckReport:
                 entries.append((colors[v], profile, (gid, v)))
         for (gid_a, a), (gid_b, b) in _conflicts(entries):
             violations.append(
-                {
-                    "algo": algo,
-                    "graphs": [gid_a, gid_b],
-                    "items": [a, b],
-                    "expected": "equal neighbor color histograms",
-                    "observed": "different",
-                }
+                _violation(
+                    [gid_a, gid_b],
+                    "equal neighbor color histograms",
+                    "different",
+                    [a, b],
+                    algo=algo,
+                )
             )
     return _finish(
         "wl_condition",
@@ -761,9 +745,7 @@ def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
     violations = []
 
     def bad(gid, what, items=()):
-        violations.append(
-            {"graphs": [gid], "items": list(items), "expected": what, "observed": "violated"}
-        )
+        violations.append(_violation([gid], what, "violated", list(items)))
 
     tree_count = len(trees.members)
     members = zip(trees.members + corpus.members, trees.reports + corpus.reports)
@@ -805,7 +787,8 @@ def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
                         if w != u and w != v and ruv + rv[w] < ru[w]:
                             bad(gid, "triangle inequality", [u, v, w])
             # rd == spd everywhere iff the component is a tree
-            is_tree = sum(g.degree(u) for u in cls) == 2 * (len(cls) - 1)
+            two_m = sum(map(g.degree, cls))
+            is_tree = two_m == 2 * (len(cls) - 1)
             all_equal = all(r[u][v] == d[u][v] * tau for u in cls for v in cls)
             if is_tree != all_equal:
                 bad(gid, "rd == spd on all pairs iff component is a tree", cls[:1])
@@ -831,27 +814,24 @@ def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
                         if r[u][v] != d[u][v] * tau:
                             bad(gid, "tree rd == spd", [u, v])
             elif 2 <= len(cls) <= HITTING_TIME_MAX_NODES:
-                # commute-time identity, solved on the component alone with
-                # its own edge count m; both sides times tau and the lcm of
-                # the hitting times' denominators
-                sub, names = induced_subgraph(g, cls)
-                h_rows = hitting_time_matrix(sub)
-                h_scale = math.lcm(*{x.denominator for row in h_rows for x in row})
-                h = [[x.numerator * (h_scale // x.denominator) for x in row] for row in h_rows]
-                two_m = 2 * sub.m * h_scale
-                for i, u in enumerate(names):
-                    for j, v in enumerate(names):
-                        if (h[i][j] + h[j][i]) * tau != two_m * r[u][v]:
+                # commute-time identity on the component alone, with its own
+                # edge count m; h(u, v) = h[i][j] / det, so both sides are
+                # times tau and det
+                det, h = hitting_time_numerators(g, cls)
+                for i, u in enumerate(cls):
+                    for j, v in enumerate(cls):
+                        if (h[i][j] + h[j][i]) * tau != two_m * det * r[u][v]:
                             bad(gid, "commute time == 2m * rd", [u, v])
                 # the hitting times against their definition, in O(n m)
-                for j, v in enumerate(names):
-                    for i, u in enumerate(names):
-                        nbrs = sub.adjacency[i]
+                at = {u: i for i, u in enumerate(cls)}
+                for j, v in enumerate(cls):
+                    for i, u in enumerate(cls):
+                        nbrs = g.adjacency[u]
                         if i == j:
                             solved = h[j][j] == 0
                         else:
-                            step = sum(h[w][j] for w in nbrs if w != j)
-                            solved = len(nbrs) * (h[i][j] - h_scale) == step
+                            step = sum(h[at[w]][j] for w in nbrs if w != v)
+                            solved = len(nbrs) * (h[i][j] - det) == step
                         if not solved:
                             bad(gid, "hitting times solve h(v, v) = 0 and deg(u) h(u, v)"
                                 " - sum of h(w, v) over w ~ u, w != v = deg(u)", [u, v])
@@ -889,7 +869,7 @@ def build_expressivity_table() -> tuple[CheckReport, dict]:
         for col, expected in expected_cells.items():
             if expected is not None and cells[col] != expected:
                 violations.append(
-                    {"row": row, "column": col, "expected": expected, "observed": cells[col]}
+                    _violation(None, expected, cells[col], row=row, column=col)
                 )
     report = _finish(
         "expressivity_table",

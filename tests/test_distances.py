@@ -15,6 +15,7 @@ from wlcheck.distances import (
     _fraction_free_solve,
     distance_regular_profile,
     hitting_time_matrix,
+    hitting_time_numerators,
     rd_from_intersection_array,
     rd_matrix,
     spd_matrix,
@@ -377,6 +378,43 @@ def test_hitting_time_guards():
         hitting_time_matrix(gen.path(31))
     with pytest.raises(ValueError):
         hitting_time_matrix(two_triangles())
+    with pytest.raises(ValueError):
+        hitting_time_numerators(gen.path(31), range(31))
+    with pytest.raises(ArithmeticError):
+        hitting_time_numerators(two_triangles(), range(6))
+
+
+def assert_component_hitting_numerators(g):
+    """For each component: H / det are the hitting times of the component
+    as a graph of its own, and det is its spanning-tree count, the tau of
+    its RD rows."""
+    taus = rd_matrix(g).taus
+    for cls in connected_components(g).classes:
+        det, h = hitting_time_numerators(g, cls)
+        assert det == taus[cls[0]]
+        sub = induced_subgraph(g, cls)[0]
+        assert tuple(tuple(Fraction(x, det) for x in row) for row in h) == hitting_time_matrix(sub)
+
+
+def test_hitting_numerators_per_component_of_disconnected_graphs():
+    # a path on 0, 2, 4, 6 beside a 5-cycle on the odd nodes, and node 8 alone
+    path_beside_cycle = Graph.from_edges(
+        10, [(0, 2), (2, 4), (4, 6), (1, 3), (3, 5), (5, 7), (7, 9), (9, 1)]
+    )
+    for g in (two_triangles(), path_beside_cycle):
+        assert_component_hitting_numerators(g)
+
+
+def test_hitting_numerators_per_component_on_the_atlas():
+    nx = pytest.importorskip("networkx")
+    disconnected = 0
+    for h in nx.graph_atlas_g():
+        g = Graph.from_edges(h.number_of_nodes(), list(h.edges))
+        if len(connected_components(g).classes) > 1:
+            assert_component_hitting_numerators(g)
+            disconnected += 1
+    # all but the connected graphs and the empty one
+    assert disconnected == 1253 - (1 + 1 + 2 + 6 + 21 + 112 + 853) - 1
 
 
 def test_profiles_of_named_graphs():

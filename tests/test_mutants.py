@@ -99,7 +99,7 @@ MUTANTS = {
     # h(u, v) + h(v, u) cancels the dropped s_u - s_v: the commute-time
     # identity still holds, and only the substitution law sees the defect
     "hitting_times_drop_degree_sums": (
-        distances, "hitting_time_matrix", ("s[u] - s[v] + ", ""), 0,
+        distances, "hitting_time_numerators", ("s_u - s_v + two_m", "two_m"), 0,
         {"rd_properties": 4026},
     ),
     # the exact solver's pivot row, gathered from column k of the rows above:
@@ -177,4 +177,12 @@ def test_planted_defect_fails_its_checks(case, monkeypatch, cold_distance_caches
     for mod in bound:
         monkeypatch.setattr(mod, name, planted)
     corpus = harness.standard_corpus(seeds)
-    assert {check_id: len(_run(check_id, corpus).violations) for check_id in expected} == expected
+    reports = {check_id: _run(check_id, corpus) for check_id in expected}
+    assert {check_id: len(report.violations) for check_id, report in reports.items()} == expected
+    # every record keys its tags first, then graphs, items, expected, observed
+    fields = ("graphs", "items", "expected", "observed")
+    for report in reports.values():
+        for record in report.violations:
+            tags = [key for key in record if key not in fields]
+            assert list(record) == tags + [key for key in fields if key in record]
+            assert list(record)[-2:] == ["expected", "observed"]
