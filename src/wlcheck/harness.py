@@ -9,7 +9,7 @@ observed on the corpus, never as proofs.
 from __future__ import annotations
 
 import time
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -30,7 +30,7 @@ from .distances import (
     rd_matrix,
     spd_matrix,
 )
-from .graphs import Graph
+from .graphs import Graph, induced_embeddings
 from .refine import AlgoResult, run_algorithm
 
 
@@ -492,13 +492,15 @@ def check_negative_suite() -> CheckReport:
     # reduction premise behind the lifting/overlap-subgraph negatives: every
     # cycle in the counterexample families has length >= m, so clique- and
     # short-cycle-based refinements collapse to plain 1-WL on them (vacuous
-    # for m <= 3)
+    # for m <= 3). A shortest cycle has no chord, so the least k with an
+    # induced k-cycle is the girth.
     for builder, args in COUNTEREXAMPLE_PAIRS:
         m = args[0]
         for gid, g in _pair_members(builder, args):
-            gi = _girth(g)
-            if gi is not None and gi < m:
-                violations.append(_violation([gid], f"girth >= {m}", str(gi)))
+            for k in range(3, m):
+                if induced_embeddings(gen.cycle(k), g, bool):
+                    violations.append(_violation([gid], f"girth >= {m}", str(k)))
+                    break
 
     return _finish(
         "negative_counterexamples",
@@ -506,28 +508,6 @@ def check_negative_suite() -> CheckReport:
         violations,
         started,
     )
-
-
-def _girth(g: Graph) -> int | None:
-    """Length of a shortest cycle, None for forests."""
-    best = None
-    for u, v in g.edges:
-        # shortest u-v path avoiding the edge itself
-        dist = [-1] * g.n
-        dist[u] = 0
-        dq = deque([u])
-        while dq:
-            x = dq.popleft()
-            for w in g.adjacency[x]:
-                if (x, w) in ((u, v), (v, u)) or dist[w] != -1:
-                    continue
-                dist[w] = dist[x] + 1
-                dq.append(w)
-        if dist[v] != -1:
-            length = dist[v] + 1
-            if best is None or length < best:
-                best = length
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +661,8 @@ WL_CONDITION_ALGOS = ("1wl", "spdwl", "dsswl:nm")
 
 def check_wl_condition(corpus: Corpus) -> CheckReport:
     """Stable colorings: same-colored nodes see identical per-color
-    neighbor counts (jointly across the whole corpus)."""
+    neighbor counts (jointly across the whole corpus), that is the same
+    sorted multiset of neighbor colors that a 1-WL round hashes."""
     started = time.monotonic()
     violations = []
     for algo in WL_CONDITION_ALGOS:
@@ -690,7 +671,7 @@ def check_wl_condition(corpus: Corpus) -> CheckReport:
         for idx, (gid, g) in enumerate(corpus.members):
             colors = result.node_colors[idx]
             for v in range(g.n):
-                profile = tuple(sorted(Counter(colors[w] for w in g.adjacency[v]).items()))
+                profile = tuple(sorted(colors[w] for w in g.adjacency[v]))
                 entries.append((colors[v], profile, (gid, v)))
         for (gid_a, a), (gid_b, b) in _conflicts(entries):
             violations.append(
@@ -731,8 +712,13 @@ def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
     and skips the rest.
 
     rd_matrix sums block resistances across cut vertices, which makes the
-    additive triple at a cut vertex hold by construction. The commute-time
-    identity h(u, v) + h(v, u) = 2m * R(u, v) is the block-free cross-check:
+    additive triple at a cut vertex hold by construction, so each component
+    also takes a block-free cross-check picked by its shape, whichever
+    corpus it came from. On a tree, R(u, v) equals the path distance
+    exactly (Klein & Randic 1993), so every entry is tested against
+    spd_matrix. On a component with a cycle and at most
+    HITTING_TIME_MAX_NODES nodes, the commute-time identity
+    h(u, v) + h(v, u) = 2m * R(u, v) is the cross-check:
     the hitting times come from one grounded solve of the whole component,
     which never reads the block structure or rd_matrix, so every entry,
     including those across cut vertices, is tested against it. They are
@@ -747,9 +733,8 @@ def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
     def bad(gid, what, items=()):
         violations.append(_violation([gid], what, "violated", list(items)))
 
-    tree_count = len(trees.members)
     members = zip(trees.members + corpus.members, trees.reports + corpus.reports)
-    for index, ((gid, g), rep) in enumerate(members):
+    for (gid, g), rep in members:
         rd = rd_matrix(g)
         r, taus, d = rd.nums, rd.taus, spd_matrix(g).rows
         class_of = rep.components.class_of
@@ -807,7 +792,7 @@ def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
                 )
                 if additive != (v in cuts):
                     bad(gid, "cut vertex iff additive RD triple", [v])
-            if index < tree_count:
+            if is_tree:
                 # trees: rd equals spd entrywise, exactly
                 for u in cls:
                     for v in cls:

@@ -212,6 +212,24 @@ def test_check_json_is_deterministic(capsys):
     assert payload["reports"][0]["check_id"] == "distance_regular"
 
 
+# check --json per suite and seed count, pinned byte for byte beside the
+# all-200 report of the acceptance test: a refactor must not change them
+@pytest.mark.parametrize(
+    "suite, seeds, md5",
+    [
+        ("all", 0, "6a95806512defabb731d6cafb2917bc2"),
+        ("positive", 24, "3ce6cdf5ddb2307b9d668fb2daf680be"),
+        ("negative", 0, "7ac442b6d31840860566d5bbb65b4b52"),
+        ("drg", 0, "53d435c74e71ecf51a34d75e0cf1dfc0"),
+        ("hierarchy", 24, "5232469d1c4ca7b604310c6116b169f9"),
+    ],
+)
+def test_check_json_is_byte_identical_per_suite(capsys, suite, seeds, md5):
+    code, out, _ = run_cli(capsys, "check", "--suite", suite, "--seeds", str(seeds), "--json")
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == md5
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "biconnect", "/nonexistent/file.el")
     assert code == 2 and "cannot read" in err

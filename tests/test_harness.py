@@ -84,6 +84,32 @@ def test_negative_suite_passes():
     assert report.passed, report.violations
 
 
+def test_girth_premise_reads_the_girth_of_networkx(monkeypatch):
+    # every atlas graph as a one-member "pair" for each m = 1..9: the premise
+    # reports exactly the graphs of girth < m, with their girth
+    nx = pytest.importorskip("networkx")
+    atlas = nx.graph_atlas_g()
+    graphs = [Graph.from_edges(h.number_of_nodes(), list(h.edges())) for h in atlas]
+    girths = [nx.girth(h) for h in atlas]
+
+    def atlas_graph(m, i):
+        return (graphs[i],)
+
+    pairs = [(atlas_graph, (m, i)) for m in range(1, 10) for i in range(len(atlas))]
+    monkeypatch.setattr(harness, "NEGATIVE_SUITE", ())
+    monkeypatch.setattr(harness, "COUNTEREXAMPLE_PAIRS", pairs)
+    report = harness.check_negative_suite()
+    assert report.violations == [
+        {
+            "graphs": [f"atlas_graph({m},{i}).g1"],
+            "expected": f"girth >= {m}",
+            "observed": str(girths[i]),
+        }
+        for _, (m, i) in pairs
+        if girths[i] < m
+    ]
+
+
 def test_negative_check_is_parametrized():
     pair = ((gen.example1, (1, 4)),)
     assert harness._negative_violations("spdwl", pair) == []
@@ -252,12 +278,15 @@ def test_run_suite_refines_each_corpus_once_per_spec(monkeypatch):
 
 
 # A paw (triangle 0-1-2 with pendant 3 at cut vertex 2), the same paw next
-# to a separate triangle, and the path 0-1-2-3, each with one planted entry.
+# to a separate triangle, the path 0-1-2-3, and the same path next to a
+# separate triangle, each with one planted entry.
 PAW_EDGES = [(0, 1), (0, 2), (1, 2), (2, 3)]
+TRIANGLE_EDGES = [(4, 5), (4, 6), (5, 6)]
 RD_GRAPHS = {
     "paw": Graph.from_edges(4, PAW_EDGES),
-    "split": Graph.from_edges(7, PAW_EDGES + [(4, 5), (4, 6), (5, 6)]),
+    "split": Graph.from_edges(7, PAW_EDGES + TRIANGLE_EDGES),
     "tree": gen.path(4),
+    "path_triangle": Graph.from_edges(7, [(0, 1), (1, 2), (2, 3)] + TRIANGLE_EDGES),
 }
 # entry (u, v) of the matrix moved by delta: rd[0, 1] breaks symmetry,
 # rd[0, 3] grows past rd[0, 2] + rd[2, 3], and rd[2, 3] shrinks so that no
@@ -312,7 +341,8 @@ RD_EXPECTED = {
         ("cut vertex iff additive RD triple", [2]),
         ("commute time == 2m * rd", [2, 3]),
     ],
-    # checked as a member of the tree corpus, so the tree laws apply too
+    # checked as a member of the tree corpus; a tree component takes the
+    # entrywise law, which sees every planted entry
     ("tree", "symmetry"): [
         ("symmetry", [0, 1]),
         ("rd <= spd", [0, 1]),
@@ -339,6 +369,18 @@ RD_EXPECTED = {
         (TREE_EQ, [0]),
         ("cut vertex iff additive RD triple", [2]),
         ("tree rd == spd", [2, 3]),
+    ],
+    # a tree component of a member outside the tree corpus: its shape, not
+    # its corpus, picks the entrywise law over the commute time
+    ("path_triangle", "triangle"): [
+        ("symmetry", [0, 3]),
+        ("0 < rd <= |component|-1 off-diagonal", [0, 3]),
+        ("rd <= spd", [0, 3]),
+        ("symmetry", [3, 0]),
+        ("triangle inequality", [0, 1, 3]),
+        ("triangle inequality", [0, 2, 3]),
+        (TREE_EQ, [0]),
+        ("tree rd == spd", [0, 3]),
     ],
 }
 

@@ -100,17 +100,17 @@ MUTANTS = {
     # identity still holds, and only the substitution law sees the defect
     "hitting_times_drop_degree_sums": (
         distances, "hitting_time_numerators", ("s_u - s_v + two_m", "two_m"), 0,
-        {"rd_properties": 4026},
+        {"rd_properties": 3604},
     ),
     # the exact solver's pivot row, gathered from column k of the rows above:
     # without the sign flip, or without each row's pending scale
     "solver_gathers_pivot_row_unsigned": (
         distances, "_fraction_free_solve", ("[-f for f in column]", "column"), 0,
-        {"rd_properties": 10434, "distance_regular": 1377, "hierarchy": 74},
+        {"rd_properties": 9708, "distance_regular": 1377, "hierarchy": 74},
     ),
     "solver_gathers_column_unscaled": (
         distances, "_fraction_free_solve", ("u[k - i] * prev // h", "u[k - i]"), 0,
-        {"rd_properties": 2192, "hierarchy": 52},
+        {"rd_properties": 1965, "hierarchy": 52},
     ),
     # only graphs that share a representation compare forms, and no two
     # family members with cut vertices do: 40 seeds are the fewest that kill it

@@ -14,10 +14,12 @@ compares the partitions of (graph, node) pairs:
   is 1-WL on the complete graph with distances as edge colors. SPD comes
   from networkx and RD from the tests' eager reference solve, so neither
   side reads spd_matrix or rd_matrix.
-- DS-WL: for each node v, its subgraph G_v under the policy, with a node
-  the policy leaves out kept as an isolated node (as `_policy_bag` does)
-  and v marked when the policy marks; v's color is the multiset of the
-  hashes of G_v's nodes.
+- DS-WL: for each node v, its subgraph G_v under the policy (node marking,
+  node deletion, or the ego network of radius 1, marked or not), with a
+  node the policy leaves out kept as an isolated node (as `_policy_bag`
+  does) and v marked when the policy marks; v's color is the multiset of
+  the hashes of G_v's nodes. The ego networks come from networkx's own
+  shortest path lengths.
 
 The 1-WL and distance rows run on all 1,253 atlas graphs (0 to 7 nodes).
 The DS-WL rows hash n subgraphs of n nodes per graph, about ten times the
@@ -89,20 +91,31 @@ def distance_colors(row):
 
 
 def ds_colors(policy):
-    """DS-WL with node marking ('nm': G_v is the graph with v marked) or
-    node deletion ('nd': the graph with v's edges removed)."""
+    """DS-WL with node marking ('nm': G_v is the graph with v marked), node
+    deletion ('nd': the graph with v's edges removed), or ego networks of
+    radius 1 ('ego:1': the edges among v and its neighbors; 'egom:1': the
+    same with v marked)."""
 
-    marked = "m" if policy == "nm" else "o"
+    marked = "m" if policy in ("nm", "egom:1") else "o"
+
+    def kept(h, v):
+        """The nodes of G_v that keep their edges among themselves."""
+        if policy == "nd":
+            return set(h) - {v}
+        if policy.startswith("ego"):
+            return set(nx.single_source_shortest_path_length(h, v, cutoff=1))
+        return set(h)
 
     def colors(iterations):
         union = nx.Graph()
-        for i, (_, g) in enumerate(SMALL_ATLAS):
+        for i, (h, g) in enumerate(SMALL_ATLAS):
             for v in range(g.n):
+                keep = kept(h, v)
                 union.add_nodes_from(
                     ((i, v, u), {"label": marked if u == v else "o"}) for u in range(g.n)
                 )
                 union.add_edges_from(
-                    ((i, v, a), (i, v, b)) for a, b in g.edges if policy == "nm" or v not in (a, b)
+                    ((i, v, a), (i, v, b)) for a, b in g.edges if a in keep and b in keep
                 )
         hashes = final_hashes(union, iterations, node_attr="label")
         return [
@@ -123,6 +136,8 @@ ROWS = {
     "gdwl": (ATLAS, distance_colors("gdwl"), 5759),
     "dswl:nm": (SMALL_ATLAS, ds_colors("nm"), 663),
     "dswl:nd": (SMALL_ATLAS, ds_colors("nd"), 53),
+    "dswl:ego:1": (SMALL_ATLAS, ds_colors("ego:1"), 87),
+    "dswl:egom:1": (SMALL_ATLAS, ds_colors("egom:1"), 87),
 }
 
 
