@@ -354,6 +354,16 @@ def _conflicts(entries) -> list[tuple]:
     return [found[key] for key in first if key in found]
 
 
+def _conflict_violations(entries, expected, observed, **tags) -> list:
+    """One record per _conflicts pair of entries whose witnesses are
+    (graph id, item): the two graphs, and the two items unless the item is
+    None."""
+    return [
+        _violation([gid_a, gid_b], expected, observed, None if a is None else [a, b], **tags)
+        for (gid_a, a), (gid_b, b) in _conflicts(entries)
+    ]
+
+
 def _expressivity_violations(algo: str, corpus: Corpus, columns) -> list:
     """Implication violations of one algorithm over all corpus pairs.
 
@@ -473,15 +483,15 @@ def _negative_violations(algo: str, pairs, node: int | None = None) -> list:
     corpus = _pairs_corpus(pairs)
     result = corpus.refined(algo)
     if node is None:
-        values, items = result.representations, None
+        values = result.representations
         expected, observed = "equal graph representations", "distinguished"
     else:
-        values, items = [colors[node] for colors in result.node_colors], [node, node]
+        values = [colors[node] for colors in result.node_colors]
         expected, observed = f"equal colors for node {node}", "different colors"
-    entries = ((i // 2, value, gid) for i, (gid, value) in enumerate(zip(corpus.ids, values)))
-    return [
-        _violation([a, b], expected, observed, items, algo=algo) for a, b in _conflicts(entries)
-    ]
+    entries = (
+        (i // 2, value, (gid, node)) for i, (gid, value) in enumerate(zip(corpus.ids, values))
+    )
+    return _conflict_violations(entries, expected, observed, algo=algo)
 
 
 def check_negative_suite() -> CheckReport:
@@ -566,15 +576,13 @@ def check_distance_regular_suite() -> CheckReport:
         reps = corpus.refined(spec).representations
         values = [invariants[gid][invariant] for gid in corpus.ids]
         sizes = [g.n if spec == "2fwl" else 0 for g in corpus.graphs]
+        witnesses = [(gid, None) for gid in corpus.ids]
         for differ, keys, determined in ((True, reps, values), (False, values, reps)):
-            violations += [
-                _violation(
-                    [gid_a, gid_b],
-                    f"{name} verdict == {invariant} differ ({differ})",
-                    str(not differ),
-                )
-                for gid_a, gid_b in _conflicts(zip(zip(sizes, keys), determined, corpus.ids))
-            ]
+            violations += _conflict_violations(
+                zip(zip(sizes, keys), determined, witnesses),
+                f"{name} verdict == {invariant} differ ({differ})",
+                str(not differ),
+            )
 
     for gid, g in members:
         prof = profiles[gid]
@@ -613,16 +621,9 @@ def _refines_violations(corpus: Corpus, fine: str, coarse: str) -> list:
         for idx, (gid, g) in enumerate(corpus.members)
         for v in range(g.n)
     )
-    return [
-        _violation(
-            [gid_a, gid_b],
-            f"equal {coarse} colors",
-            "split",
-            [a, b],
-            pair=f"{fine} should refine {coarse}",
-        )
-        for (gid_a, a), (gid_b, b) in _conflicts(entries)
-    ]
+    return _conflict_violations(
+        entries, f"equal {coarse} colors", "split", pair=f"{fine} should refine {coarse}"
+    )
 
 
 def check_refinement_hierarchy() -> CheckReport:
@@ -673,16 +674,9 @@ def check_wl_condition(corpus: Corpus) -> CheckReport:
             for v in range(g.n):
                 profile = tuple(sorted(colors[w] for w in g.adjacency[v]))
                 entries.append((colors[v], profile, (gid, v)))
-        for (gid_a, a), (gid_b, b) in _conflicts(entries):
-            violations.append(
-                _violation(
-                    [gid_a, gid_b],
-                    "equal neighbor color histograms",
-                    "different",
-                    [a, b],
-                    algo=algo,
-                )
-            )
+        violations += _conflict_violations(
+            entries, "equal neighbor color histograms", "different", algo=algo
+        )
     return _finish(
         "wl_condition",
         f"{corpus.provenance}; algos={','.join(WL_CONDITION_ALGOS)}",
@@ -752,6 +746,8 @@ def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
                 continue
             tau = taus[cls[0]]
             top = (len(cls) - 1) * tau
+            # the pairs whose rd differs from their spd, each compared once
+            unequal = []
             for u in cls:
                 ru, du, tau_u = r[u], d[u], taus[u]
                 if ru[u] != 0:
@@ -762,8 +758,10 @@ def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
                         bad(gid, "symmetry", [u, v])
                     if u != v and not 0 < ruv <= top:
                         bad(gid, "0 < rd <= |component|-1 off-diagonal", [u, v])
-                    if ruv > du[v] * tau:
-                        bad(gid, "rd <= spd", [u, v])
+                    if ruv != du[v] * tau:
+                        unequal.append([u, v])
+                        if ruv > du[v] * tau:
+                            bad(gid, "rd <= spd", [u, v])
             for i, u in enumerate(cls):
                 ru = r[u]
                 for v in cls[i + 1 :]:
@@ -774,8 +772,7 @@ def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
             # rd == spd everywhere iff the component is a tree
             two_m = sum(map(g.degree, cls))
             is_tree = two_m == 2 * (len(cls) - 1)
-            all_equal = all(r[u][v] == d[u][v] * tau for u in cls for v in cls)
-            if is_tree != all_equal:
+            if is_tree == bool(unequal):
                 bad(gid, "rd == spd on all pairs iff component is a tree", cls[:1])
             # cut vertex <=> additive RD triple, against the DFS oracle
             for v in cls:
@@ -794,10 +791,8 @@ def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
                     bad(gid, "cut vertex iff additive RD triple", [v])
             if is_tree:
                 # trees: rd equals spd entrywise, exactly
-                for u in cls:
-                    for v in cls:
-                        if r[u][v] != d[u][v] * tau:
-                            bad(gid, "tree rd == spd", [u, v])
+                for pair in unequal:
+                    bad(gid, "tree rd == spd", pair)
             elif 2 <= len(cls) <= HITTING_TIME_MAX_NODES:
                 # commute-time identity on the component alone, with its own
                 # edge count m; h(u, v) = h[i][j] / det, so both sides are

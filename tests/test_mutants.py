@@ -10,7 +10,9 @@ original in the wlcheck modules. Both distance caches are cleared before
 and after each case, so no matrix outlives the defect that built it.
 """
 
+import hashlib
 import inspect
+import json
 import sys
 import textwrap
 
@@ -140,6 +142,29 @@ MUTANTS = {
 }
 
 
+# case -> md5 of json.dumps({check id: violations}), the records in report
+# order: a change to any record, not only to a count, moves it
+RECORDS_MD5 = {
+    "gdwl_reads_spd_only": "0c0be7ff0bdfc3ecfee2423f0c2a65b3",
+    "rdwl_and_gdwl_read_spd": "a83aa2f2bae5048b79e83070d51663a4",
+    "spdwl_reads_spd_rd_pair": "b5090730eb8d161c29a5368ddaae4644",
+    "gdwl_one_constant_token": "168e90e979173ce7d9d07ce89f3ba7be",
+    "dsswl_without_node_mark": "be2157f81508f0e8fc3a7ee84c4a222d",
+    "oblivious_2wl_for_2fwl": "ad5308b25f6bf0fa0c3f59767ab93e45",
+    "conflicts_find_nothing": "b7e1505acb25031f42d6e02cdb2f6e1d",
+    "rd_series_step_off_by_one": "144baa84b1d060f4ed1e4bea6a52a3ba",
+    "rd_block_numerators_unscaled": "a4b9e1799905ca9d20e62a0ed7af1085",
+    "hitting_times_drop_degree_sums": "21af2ef386b147177cd468d3dfb5dc6c",
+    "solver_gathers_pivot_row_unsigned": "23a5a2c6490ac13b2720aa0da32c45ea",
+    "solver_gathers_column_unscaled": "c3de50498f4cbe7fcc5c37a9430dbef1",
+    "tree_forms_carry_cut_vertex_ids": "68700aa64b0bef83df6117be7d42ac59",
+    "groups_ignore_shared_colors": "409fbbefe2095abf2d6778059062da34",
+    "wl_round_hashes_degrees": "5bb2c8f861e9aa819e6647c954c6807d",
+    "bridge_test_ge": "529a26af026de43cef3352722d0b84c6",
+    "dfs_root_rule_three_children": "c32beac9085f9e528689d62770892231",
+}
+
+
 def _run(check_id: str, corpus: harness.Corpus) -> harness.CheckReport:
     if check_id.startswith("positive["):
         return harness.check_positive_expressivity(check_id[len("positive[") : -1], corpus)
@@ -179,6 +204,8 @@ def test_planted_defect_fails_its_checks(case, monkeypatch, cold_distance_caches
     corpus = harness.standard_corpus(seeds)
     reports = {check_id: _run(check_id, corpus) for check_id in expected}
     assert {check_id: len(report.violations) for check_id, report in reports.items()} == expected
+    records = {check_id: report.violations for check_id, report in reports.items()}
+    assert hashlib.md5(json.dumps(records).encode()).hexdigest() == RECORDS_MD5[case]
     # every record keys its tags first, then graphs, items, expected, observed
     fields = ("graphs", "items", "expected", "observed")
     for report in reports.values():
