@@ -692,7 +692,8 @@ def check_wl_condition(corpus: Corpus) -> CheckReport:
 def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
     """Exact RD laws: metric axioms, rd <= spd with tree equality, the
     additive-triple cut-vertex characterization, commute times, hitting-time
-    substitution, and range.
+    substitution, and range. The triangle inequality is tested with every
+    node as the middle, for every ordered pair of ends.
 
     First, per member, an RD or SPD entry must be UNREACHABLE exactly when
     its two nodes lie in different components of the biconnectivity
@@ -762,13 +763,21 @@ def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
                         unequal.append([u, v])
                         if ruv > du[v] * tau:
                             bad(gid, "rd <= spd", [u, v])
-            for i, u in enumerate(cls):
+            # every node v is the middle of every ordered pair of ends u, w;
+            # the same pass finds the middles of additive triples u < w
+            additive = set()
+            for u in cls:
                 ru = r[u]
-                for v in cls[i + 1 :]:
+                for v in cls:
+                    if v == u:
+                        continue
                     ruv, rv = ru[v], r[v]
                     for w in cls:
-                        if w != u and w != v and ruv + rv[w] < ru[w]:
-                            bad(gid, "triangle inequality", [u, v, w])
+                        if w != u and w != v and ruv + rv[w] <= ru[w]:
+                            if ruv + rv[w] < ru[w]:
+                                bad(gid, "triangle inequality", [u, v, w])
+                            elif u < w:
+                                additive.add(v)
             # rd == spd everywhere iff the component is a tree
             two_m = sum(map(g.degree, cls))
             is_tree = two_m == 2 * (len(cls) - 1)
@@ -780,14 +789,7 @@ def check_rd_properties(corpus: Corpus, trees: Corpus) -> CheckReport:
                     if v in cuts:
                         bad(gid, "cut vertex in a <3 component", [v])
                     continue
-                rv = r[v]
-                others = [u for u in cls if u != v]
-                additive = any(
-                    r[u][v] + rv[w] == r[u][w]
-                    for i, u in enumerate(others)
-                    for w in others[i + 1 :]
-                )
-                if additive != (v in cuts):
+                if (v in additive) != (v in cuts):
                     bad(gid, "cut vertex iff additive RD triple", [v])
             if is_tree:
                 # trees: rd equals spd entrywise, exactly

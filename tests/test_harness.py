@@ -445,3 +445,26 @@ def test_rd_properties_report_a_tau_that_varies_inside_a_component(monkeypatch):
         {"graphs": ["paw"], "items": items, "expected": "symmetry", "observed": "violated"}
         for items in ([0, 3], [1, 3], [2, 3], [3, 0], [3, 1], [3, 2])
     ]
+
+
+def test_rd_properties_test_every_node_as_the_middle_of_a_triangle(monkeypatch):
+    # R(1, 4) = R(4, 1) = 9/5 in the 5-cycle exceeds R(1, 0) + R(0, 4) = 8/5:
+    # only the first node, 0, is a middle that breaks the triangle law
+    g = gen.cycle(5)
+    rd = rd_matrix(g)
+    nums = [list(row) for row in rd.nums]
+    nums[1][4] = nums[4][1] = 9 * rd.taus[1] // 5
+    planted = RdMatrix(g.n, rd.taus, tuple(map(tuple, nums)))
+    assert planted[1, 4] == planted[4, 1] == Fraction(9, 5)
+    monkeypatch.setattr(harness, "rd_matrix", lambda h: planted if h is g else rd_matrix(h))
+    corpus = harness.Corpus([("cycle(5)", g)], "cycle(5)")
+    report = harness.check_rd_properties(corpus, harness.Corpus([], "none"))
+    assert report.violations == [
+        {"graphs": ["cycle(5)"], "items": items, "expected": what, "observed": "violated"}
+        for what, items in (
+            ("triangle inequality", [1, 0, 4]),
+            ("triangle inequality", [4, 0, 1]),
+            ("commute time == 2m * rd", [1, 4]),
+            ("commute time == 2m * rd", [4, 1]),
+        )
+    ]

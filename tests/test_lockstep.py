@@ -17,11 +17,11 @@ from operator import add
 
 import pytest
 
+from test_refine import SPEC_FORMS
 from wlcheck import generators as gen
 from wlcheck import harness, refine
 from wlcheck.graphs import Graph
 from wlcheck.refine import (
-    ALGORITHM_SPECS,
     DSS_WL_MAX_NODES,
     TWO_FWL_MAX_NODES,
     _PACK_BITS,
@@ -363,17 +363,6 @@ def _assert_matches_lockstep(spec, graphs):
     assert observed == _observed(lockstep(spec, graphs)), spec
     return observed
 
-
-# every concrete form of ALGORITHM_SPECS: ego radii 1 and 2, the triangle count
-SPEC_FORMS = [
-    form
-    for spec in ALGORITHM_SPECS
-    for form in (
-        [spec.replace(":K", f":{k}") for k in (1, 2)]
-        if spec.endswith(":K")
-        else [spec.replace("NAMES", "tri")]
-    )
-]
 
 CORPORA = {
     "standard": lambda: harness.standard_corpus(24).graphs,

@@ -3,9 +3,9 @@
 A check that passes shows something only if it could have failed. Each
 case below plants one defect in-process, runs only the checks meant to
 catch it, at seeds=0 unless its row says otherwise, and pins which of
-them fail with how many violations. A one-line defect is planted by
-executing the edited source of its function in a copy of its module's
-namespace; either way the planted function replaces every binding of the
+them fail with how many violations, and the md5 of their full records.
+A one-line defect is planted by executing the edited source of its
+function in a copy of its module's namespace; either way the planted function replaces every binding of the
 original in the wlcheck modules. Both distance caches are cleared before
 and after each case, so no matrix outlives the defect that built it.
 """
@@ -92,7 +92,7 @@ MUTANTS = {
     ),
     "rd_series_step_off_by_one": (
         distances, "rd_matrix", ("= y + k", "= y + k + 1"), 0,
-        {"rd_properties": 12382},
+        {"rd_properties": 16762},
     ),
     "rd_block_numerators_unscaled": (
         distances, "rd_matrix", ("x * (tau // tau_b)", "x"), 0,
@@ -108,7 +108,7 @@ MUTANTS = {
     # without the sign flip, or without each row's pending scale
     "solver_gathers_pivot_row_unsigned": (
         distances, "_fraction_free_solve", ("[-f for f in column]", "column"), 0,
-        {"rd_properties": 9708, "distance_regular": 1377, "hierarchy": 74},
+        {"rd_properties": 13503, "distance_regular": 1377, "hierarchy": 74},
     ),
     "solver_gathers_column_unscaled": (
         distances, "_fraction_free_solve", ("u[k - i] * prev // h", "u[k - i]"), 0,
@@ -152,10 +152,10 @@ RECORDS_MD5 = {
     "dsswl_without_node_mark": "be2157f81508f0e8fc3a7ee84c4a222d",
     "oblivious_2wl_for_2fwl": "ad5308b25f6bf0fa0c3f59767ab93e45",
     "conflicts_find_nothing": "b7e1505acb25031f42d6e02cdb2f6e1d",
-    "rd_series_step_off_by_one": "144baa84b1d060f4ed1e4bea6a52a3ba",
+    "rd_series_step_off_by_one": "1024d0aebcd73cd33ce1d2f007447322",
     "rd_block_numerators_unscaled": "a4b9e1799905ca9d20e62a0ed7af1085",
     "hitting_times_drop_degree_sums": "21af2ef386b147177cd468d3dfb5dc6c",
-    "solver_gathers_pivot_row_unsigned": "23a5a2c6490ac13b2720aa0da32c45ea",
+    "solver_gathers_pivot_row_unsigned": "91bc74566d62315d35220e14ac2421f9",
     "solver_gathers_column_unscaled": "c3de50498f4cbe7fcc5c37a9430dbef1",
     "tree_forms_carry_cut_vertex_ids": "68700aa64b0bef83df6117be7d42ac59",
     "groups_ignore_shared_colors": "409fbbefe2095abf2d6778059062da34",
