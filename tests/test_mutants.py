@@ -5,9 +5,10 @@ case below plants one defect in-process, runs only the checks meant to
 catch it, at seeds=0 unless its row says otherwise, and pins which of
 them fail with how many violations, and the md5 of their full records.
 A one-line defect is planted by executing the edited source of its
-function in a copy of its module's namespace; either way the planted function replaces every binding of the
-original in the wlcheck modules. Both distance caches are cleared before
-and after each case, so no matrix outlives the defect that built it.
+function in a copy of its module's namespace; either way the planted
+function replaces every binding of the original in the wlcheck modules.
+Both distance caches are cleared before and after each case, so no
+matrix outlives the defect that built it.
 """
 
 import hashlib
