@@ -22,11 +22,9 @@ from .graphs import (
     Graph,
     GraphFormatError,
     Partition,
-    brute_force_isomorphic,
     connected_components,
     encode_edge_list,
     encode_graph6,
-    induced_subgraph,
     parse_edge_list,
     parse_graph6,
 )
@@ -42,10 +40,9 @@ __all__ = [
     "AlgoResult", "BiconnectivityReport", "Coloring",
     "DistanceRegularProfile", "Graph", "GraphFormatError", "Partition",
     "RdMatrix", "SpdMatrix", "SubgraphPolicy", "UNREACHABLE",
-    "biconnectivity_report", "brute_force_cut_sets",
-    "brute_force_isomorphic", "connected_components",
+    "biconnectivity_report", "brute_force_cut_sets", "connected_components",
     "distance_regular_profile", "distinguishable", "encode_edge_list",
-    "encode_graph6", "hitting_time_matrix", "induced_subgraph",
-    "parse_edge_list", "parse_graph6", "per_component_forms",
-    "rd_from_intersection_array", "rd_matrix", "run_algorithm", "spd_matrix",
+    "encode_graph6", "hitting_time_matrix", "parse_edge_list",
+    "parse_graph6", "per_component_forms", "rd_from_intersection_array",
+    "rd_matrix", "run_algorithm", "spd_matrix",
 ]

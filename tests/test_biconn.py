@@ -13,7 +13,8 @@ from wlcheck.graphs import (
     induced_subgraph,
     relabel,
 )
-from wlcheck.harness import family_corpus, hierarchy_corpus, standard_corpus, tree_corpus
+from corpora import hierarchy_graphs
+from wlcheck.harness import family_corpus, standard_corpus, tree_corpus
 
 
 def test_cycle_is_biconnected():
@@ -65,9 +66,9 @@ def _without_bridges(g: Graph, rep) -> Graph:
 
 
 def _corpus_graphs():
-    """The standard, hierarchy and tree corpora, sparse random graphs with
-    isolated nodes, and the empty graph."""
-    graphs = standard_corpus(200).graphs + hierarchy_corpus().graphs + tree_corpus().graphs
+    """The standard and tree corpora, the hierarchy graphs, sparse random
+    graphs with isolated nodes, and the empty graph."""
+    graphs = standard_corpus(200).graphs + hierarchy_graphs() + tree_corpus().graphs
     graphs += [gen.random_gnp(n, Fraction(1, 8), seed) for n in range(1, 25) for seed in range(4)]
     graphs.append(Graph.from_edges(0, []))
     return graphs

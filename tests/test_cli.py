@@ -217,11 +217,11 @@ def test_check_json_is_deterministic(capsys):
 @pytest.mark.parametrize(
     "suite, seeds, md5",
     [
-        ("all", 0, "6a95806512defabb731d6cafb2917bc2"),
+        ("all", 0, "08a21aa69c01021992f1796ddb6f457c"),
         ("positive", 24, "3ce6cdf5ddb2307b9d668fb2daf680be"),
         ("negative", 0, "7ac442b6d31840860566d5bbb65b4b52"),
         ("drg", 0, "53d435c74e71ecf51a34d75e0cf1dfc0"),
-        ("hierarchy", 24, "5232469d1c4ca7b604310c6116b169f9"),
+        ("hierarchy", 24, "5797c33a6820be86cfe3cf0395d1940e"),
     ],
 )
 def test_check_json_is_byte_identical_per_suite(capsys, suite, seeds, md5):

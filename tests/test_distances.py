@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from corpora import hierarchy_graphs
 from wlcheck import distances, harness
 from wlcheck import generators as gen
 from wlcheck.biconn import biconnectivity_report
@@ -569,12 +570,12 @@ def assert_rd_is_whole_component_rd(g):
 
 
 @pytest.mark.parametrize(
-    "corpus",
-    [harness.standard_corpus(200), harness.tree_corpus(), harness.hierarchy_corpus()],
+    "graphs",
+    [harness.standard_corpus(200).graphs, harness.tree_corpus().graphs, hierarchy_graphs()],
     ids=["standard", "tree", "hierarchy"],
 )
-def test_rd_equals_whole_component_solve_on_corpora(corpus):
-    for g in corpus.graphs:
+def test_rd_equals_whole_component_solve_on_corpora(graphs):
+    for g in graphs:
         assert_rd_is_whole_component_rd(g)
 
 

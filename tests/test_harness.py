@@ -271,10 +271,46 @@ def test_run_suite_refines_each_corpus_once_per_spec(monkeypatch):
     reports, _ = harness.run_suite("all", seeds=20)
     assert all(r.passed for r in reports)
     assert calls and max(calls.values()) == 1
-    # the positive checks and the WL condition share the standard corpus
+    # the positive checks, the hierarchy and the WL condition share the
+    # standard corpus
     size = len(harness.standard_corpus(seeds=20).members)
     standard = sorted(spec for spec, graphs in calls if len(graphs) == size)
-    assert standard == sorted(set(harness.POSITIVE_SUITE) | set(harness.WL_CONDITION_ALGOS))
+    shared = set(harness.POSITIVE_SUITE) | set(harness.WL_CONDITION_ALGOS)
+    assert standard == sorted(shared | {spec for pair in harness.HIERARCHY for spec in pair})
+
+
+def _refinements(monkeypatch, run) -> Counter:
+    """How often run() refines each (spec, graph list), lists keyed by
+    their graphs' contents."""
+    calls = Counter()
+    real = harness.run_algorithm
+
+    def counted(spec, graphs, *args, **kwargs):
+        calls[spec, tuple((g.n, g.edges) for g in graphs)] += 1
+        return real(spec, graphs, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "run_algorithm", counted)
+        run()
+    return calls
+
+
+def test_no_suite_check_refines_a_corpus_of_its_own(monkeypatch):
+    # the checks that take no corpus refine fixed lists of counterexample
+    # pairs and distance-regular graphs; every other refinement of a suite
+    # run is of the standard corpus, once per spec
+    fixed = Counter()
+    for check in (
+        harness.check_negative_suite,
+        harness.check_distance_regular_suite,
+        harness.build_expressivity_table,
+    ):
+        fixed += _refinements(monkeypatch, check)
+    calls = _refinements(monkeypatch, lambda: harness.run_suite("all", 0))
+    standard = tuple((g.n, g.edges) for g in harness.standard_corpus(0).graphs)
+    assert {graphs for _, graphs in calls - fixed} == {standard}
+    for fine, coarse in harness.HIERARCHY:
+        assert calls[fine, standard] == calls[coarse, standard] == 1
 
 
 # A paw (triangle 0-1-2 with pendant 3 at cut vertex 2), the same paw next

@@ -17,6 +17,7 @@ from operator import add
 
 import pytest
 
+from corpora import hierarchy_graphs
 from test_refine import SPEC_FORMS
 from wlcheck import generators as gen
 from wlcheck import harness, refine
@@ -366,7 +367,7 @@ def _assert_matches_lockstep(spec, graphs):
 
 CORPORA = {
     "standard": lambda: harness.standard_corpus(24).graphs,
-    "hierarchy": lambda: harness.hierarchy_corpus().graphs,
+    "hierarchy": hierarchy_graphs,
     "family": lambda: harness.family_corpus().graphs,
 }
 

@@ -33,3 +33,10 @@ def test_runtime_imports_only_the_standard_library_and_wlcheck():
 def test_every_name_in_all_resolves():
     assert [name for name in wlcheck.__all__ if not hasattr(wlcheck, name)] == []
     assert len(set(wlcheck.__all__)) == len(wlcheck.__all__)
+
+
+def test_test_only_graph_helpers_stay_out_of_the_package_namespace():
+    # no check calls them; tests import them from wlcheck.graphs
+    for name in ("induced_subgraph", "brute_force_isomorphic"):
+        assert name not in wlcheck.__all__
+        assert not hasattr(wlcheck, name)

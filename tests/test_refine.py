@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from corpora import hierarchy_graphs
 from wlcheck import generators as gen
 from wlcheck import harness, refine
 from wlcheck.distances import UNREACHABLE, rd_matrix, spd_matrix
@@ -668,7 +669,7 @@ def _reference_inputs():
     gnp = [gen.random_gnp(4 + i % 9, Fraction(1 + i % 4, 8), 1000 + i) for i in range(24)]
     return [
         ("gnp", gnp),
-        ("hierarchy", harness.hierarchy_corpus().graphs),
+        ("hierarchy", hierarchy_graphs()),
         # 2-FWL's transpose map mostly misses on a sparse random graph and
         # mostly hits on distance-regular graphs
         ("gnp(36, 1/9)", [gen.random_gnp(36, Fraction(1, 9), 17)]),
@@ -943,7 +944,7 @@ def test_a_context_keeps_one_round_of_keys_and_counts_every_id_issued(spec, monk
 
 
 def test_2fwl_on_the_hierarchy_corpus_keeps_its_memory_peak_low():
-    graphs = harness.hierarchy_corpus().graphs
+    graphs = hierarchy_graphs()
     tracemalloc.start()
     try:
         run_algorithm("2fwl", graphs)
