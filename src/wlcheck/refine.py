@@ -21,19 +21,20 @@ a set of graphs of the call linked by shared colors. A round's partition of
 any set of graphs depends only on that set's partition in the round before,
 since a key reads colors of its own graph only; and every round's key holds
 the element's previous color (GD-WL through its zero-distance token, 2-FWL
-through its w = u term; SC-WL's round 1, through the all-init round 0). So
-once a round leaves a group's partition unchanged, the partition never
-changes again and the group never again shares a color with another graph:
-the group is frozen, and its class count carries forward. When the last
-groups freeze in a round that still changed the joint partition, the next
-round would change nothing; it is counted, not run. The returned ids are
-those of a run that advanced every graph every round, because those depend
-only on the per-round partitions: the state after round r is the number of
-ids issued before round r plus each entry's first-appearance rank in the
-state (graph order, then element order), and that number is the set-up ids
-plus the class counts of rounds 1 to r-1. So once a group has frozen,
-`_iterate` relabels the final state by that rule and the context skips to
-the count such a run ends at.
+as such in round 1 and through its w = u term later; SC-WL's round 1,
+through the all-init round 0). So once a round leaves a group's partition
+unchanged, the partition never changes again and the group never again
+shares a color with another graph: the group is frozen, and its class count
+carries forward.
+When the last groups freeze in a round that still changed the joint
+partition, the next round would change nothing; it is counted, not run.
+The returned ids are those of a run that advanced every graph every round,
+because those depend only on the per-round partitions: the state after
+round r is the number of ids issued before round r plus each entry's
+first-appearance rank in the state (graph order, then element order), and
+that number is the set-up ids plus the class counts of rounds 1 to r-1. So
+once a group has frozen, `_iterate` relabels the final state by that rule
+and the context skips to the count such a run ends at.
 
 SC-WL counts per node of each pattern, not per orbit of its automorphism
 group; both give the same colors (see `refine_scwl`).
@@ -47,7 +48,10 @@ c the element's color from the round before:
 - GD-WL: the sorted packed (distance token id, color) pairs over all nodes;
 - SC-WL: the 1-WL round, whose round 1 reads the count ids (the call's id
   of each node's count vector) in place of the all-init colors;
-- 2-FWL: K(u,v), the sorted packed (c(u,w), c(w,v)) pairs over all w;
+- 2-FWL: in round 1, (n, c, deg u, deg v, |N(u) & N(v)|), which K(u,v)
+  below fixes and is fixed by while the colors are the initial ones (see
+  `refine_2fwl`); from round 2, K(u,v), the sorted packed (c(u,w), c(w,v))
+  pairs over all w;
 - DSS-WL: (c, t, *sorted subgraph-neighbor colors), where t is the round's
   token for (node color, sorted global neighbor colors), taken from a dict
   local to the round.
@@ -57,14 +61,16 @@ reasons. Set-up keys ("init", "mark", distance tokens, 2-FWL's initial pair
 classes, DSS-WL's bags, DS-WL's representations) start with a str, and round
 keys hold only ints. A round-r key holds a color from round r-1's id range,
 so no round key recurs in a later round (SC-WL's round 1 holds count ids
-instead; see `refine_scwl`). And t is a bijection within its round. 2-FWL's
-key leaves c(u,v) out: the w = u term is the only one whose first color is a
-diagonal color, and its second color is c(u,v). Below the diagonal, 2-FWL
-reads c(u,v) from a per-round map from the id of K(v,u) to that of K(u,v).
-The initial colors are symmetric, so the color of (v,u) is a function of
-that of (u,v) in every round, and the map is well defined; on a miss the key
-is computed and both directions are recorded. A hit skips a key interned
-before, so no id moves.
+instead; see `refine_scwl`); nor does a 2-FWL round-1 key, whose first
+entry n is at most 40, while every entry of a later key packs a color of at
+least 1 above 32 bits. And t is a bijection within its round. 2-FWL's later
+keys leave c(u,v) out: the w = u term is the only one whose first color is
+a diagonal color, and its second color is c(u,v). Below the diagonal, those
+rounds read c(u,v) from a per-round map from the id of K(v,u) to that of
+K(u,v). The initial colors are symmetric, so the color of (v,u) is a
+function of that of (u,v) in every round, and the map is well defined; on a
+miss the key is computed and both directions are recorded. A hit skips a key
+interned before, so no id moves.
 
 A context keeps the keys of the current round only, and counts every id it
 has issued. Each round starts a fresh table (`InterningContext.next_round`)
@@ -93,7 +99,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain, count, repeat
 from operator import add
 
 from .distances import UNREACHABLE, rd_matrix, spd_matrix
@@ -428,21 +434,59 @@ def refine_2fwl(graphs: list[Graph], *, early_exit: bool = False) -> list[Colori
     """Folklore 2-WL on ordered pairs; Theta(n^3) per round per graph.
 
     Initial pair colors separate the diagonal, edges, and non-edges; the
-    round update hashes the multiset of (color(u,w), color(w,v)) over all w.
-    A graph's state is its pair colors in row-major order.
+    round update hashes the multiset K(u,v) of (color(u,w), color(w,v))
+    over all w. A graph's state is its pair colors in row-major order.
+
+    Round 1 counts instead of sorting: it keys a pair by (n, c(u,v),
+    deg u, deg v, |N(u) & N(v)|), with c(u,v) its initial color, and that
+    key and K(u,v) fix each other. With D, E and N the diagonal, edge and
+    non-edge colors, K(u,u) holds (D, D) once, (E, E) deg u times and
+    (N, N) for the rest, and |N(u) & N(u)| = deg u. For u != v, w = u
+    gives (D, c(u,v)) and w = v gives (c(u,v), D); of the other n - 2
+    nodes, each common neighbor gives (E, E), each other neighbor of u
+    save v gives (E, N), each other neighbor of v save u (N, E), and the
+    rest (N, N). Interned in row-major order, the keys give the ids the
+    sorted pairs would. From round 2 on the key is K(u,v) itself.
     """
     _check_cap(graphs, TWO_FWL_MAX_NODES, "2-FWL")
     ctx = InterningContext()
-    initial = [
-        [
-            ctx.intern(("2fwl0", u == v, g.has_edge(u, v)))
-            for u in range(g.n)
-            for v in range(g.n)
-        ]
-        for g in graphs
-    ]
+    # per graph: each node's neighbors as the bits of an int, and the pair
+    # types in row-major order (2 diagonal, 1 edge, 0 non-edge)
+    masks, types = [], []
+    for g in graphs:
+        g_masks, flat = [], []
+        for u, nbrs in enumerate(g.adjacency):
+            row, mask = [0] * g.n, 0
+            for w in nbrs:
+                row[w] = 1
+                mask |= 1 << w
+            row[u] = 2
+            flat += row
+            g_masks.append(mask)
+        masks.append(g_masks)
+        types.append(flat)
+    # each type's set-up key, interned where the type first appears
+    initial_color = {
+        t: ctx.intern(("2fwl0", t == 2, t == 1)) for t in dict.fromkeys(chain.from_iterable(types))
+    }
+    initial = [list(map(initial_color.__getitem__, flat)) for flat in types]
 
-    def update(active, state):
+    def first_round(active, state):
+        ids, base = ctx.next_round()
+        setdefault = ids.setdefault
+        out = []
+        for i in active:
+            n, flat, g_masks = graphs[i].n, state[i], masks[i]
+            degrees = list(map(len, graphs[i].adjacency))
+            new_flat = []
+            for u, (mask, degree) in enumerate(zip(g_masks, degrees)):
+                common = map(int.bit_count, map(mask.__and__, g_masks))
+                keys = zip(repeat(n), flat[u * n : (u + 1) * n], repeat(degree), degrees, common)
+                new_flat += [setdefault(key, base + len(ids)) for key in keys]
+            out.append(new_flat)
+        return out
+
+    def later_round(active, state):
         _check_packable(ctx)
         ids, base = ctx.next_round()
         setdefault = ids.setdefault
@@ -468,6 +512,11 @@ def refine_2fwl(graphs: list[Graph], *, early_exit: bool = False) -> list[Colori
                 new_flat += row
             out.append(new_flat)
         return out
+
+    pending = [first_round]  # round 1 counts; every later round sorts
+
+    def update(active, state):
+        return (pending.pop() if pending else later_round)(active, state)
 
     state, rounds = _iterate(ctx, update, initial, sum(g.n * g.n for g in graphs), early_exit)
     # entry u * (n + 1) of the row-major flat list is the diagonal pair (u, u)

@@ -18,7 +18,7 @@ from operator import add
 import pytest
 
 from corpora import hierarchy_graphs
-from test_refine import SPEC_FORMS
+from test_refine import SPEC_FORMS, two_triangles
 from wlcheck import generators as gen
 from wlcheck import harness, refine
 from wlcheck.graphs import Graph
@@ -433,6 +433,13 @@ def test_small_and_repeated_batches_match_lockstep(spec):
         [empty, gen.cycle(5), empty, gen.complete(1)],
         [gen.path(3), gen.path(4)],
         [gen.cycle(6), gen.path(12)],
+        # 2-FWL's round 1 keys a pair by (n, c, deg u, deg v, common
+        # neighbors): only the common neighbors split the first two graphs'
+        # pairs, only n the next two's adjacent pairs, and the last call
+        # holds nodes with no neighbors
+        [gen.cycle(6), two_triangles()],
+        [gen.cycle(5), gen.cycle(6)],
+        [gen.complete(1), Graph.from_edges(4, []), Graph.from_edges(5, [(0, 1), (1, 2)])],
     ):
         if graphs:
             _assert_matches_lockstep(spec, graphs)
@@ -457,6 +464,25 @@ def test_random_batches_match_lockstep(spec):
         _assert_matches_lockstep(spec, graphs)
 
     check()
+
+
+# (graphs, the round early exit stops at): the triangles' edges have a
+# common neighbor and the cycle's do not; in row-major order the second
+# call meets a non-edge before its first edge, so its set-up colors come
+# as diagonal, non-edge, edge, and it stops with them, its edge counts
+# differing
+EARLY_EXIT_CALLS = [
+    ([gen.cycle(6), two_triangles()], 1),
+    ([Graph.from_edges(3, [(0, 2)]), gen.path(3)], 0),
+]
+
+
+@pytest.mark.parametrize("graphs, rounds", EARLY_EXIT_CALLS)
+def test_2fwl_early_exit_matches_lockstep(graphs, rounds):
+    colorings = refine.refine_2fwl(graphs, early_exit=True)
+    assert _observed(colorings) == _observed(refine_2fwl(graphs, early_exit=True))
+    assert colorings[0].rounds == rounds
+    assert refine.distinguishable(*graphs, "2fwl")
 
 
 def test_lockstep_sees_a_skipped_counted_round(monkeypatch):
