@@ -8,13 +8,15 @@ color list per graph: its node colors; for 2-FWL its pair colors in
 row-major order; for DS-WL the colors of the n*n slots of its subgraph bag,
 subgraph-major, which `_policy_bag` joins into one graph, so that DS-WL is
 the 1-WL round of `_wl_update` on that graph; for DSS-WL the same slots
-followed by its n node colors. The call stops at the first round whose
-joint partition, over all entries of all graphs, equals the one before it;
-exceeding the theoretical stabilization bound indicates an interning bug
-and raises. With `early_exit`, which only `distinguishable` sets, the loop
-also stops at the first round (round 0 included) where two graphs' multisets
-of state entries differ; the colorings it then returns are partial, and
-good only for telling the graphs apart.
+followed by its n node colors. The loop owns each round but its keys: it
+opens the round's table, runs a row's own round 1 (2-FWL's, SC-WL's) and
+sizes its round cap from the state. The call stops at the first round
+whose joint partition, over all entries of all graphs, equals the one
+before it; exceeding the theoretical stabilization bound indicates an
+interning bug and raises. With `early_exit`, which only `distinguishable`
+sets, the loop also stops at the first round (round 0 included) where two
+graphs' multisets of state entries differ; the colorings it then returns
+are partial, and good only for telling the graphs apart.
 
 The loop advances a graph only while its group can still change. A group is
 a set of graphs of the call linked by shared colors. A round's partition of
@@ -40,9 +42,9 @@ SC-WL counts per node of each pattern, not per orbit of its automorphism
 group; both give the same colors (see `refine_scwl`).
 
 Each round interns one key per element with a single `dict.setdefault` on
-the context's table for that round, and its inner loop runs in C builtins
-(`map`, `zip`, `sorted` over ints). Round keys are flat tuples of ints, with
-c the element's color from the round before:
+the round's table, and its inner loop runs in C builtins (`map`, `zip`,
+`sorted` over ints). Round keys are flat tuples of ints, with c the
+element's color from the round before:
 
 - 1-WL and DS-WL: (c, *sorted neighbor colors);
 - GD-WL: the sorted packed (distance token id, color) pairs over all nodes;
@@ -73,19 +75,18 @@ miss the key is computed and both directions are recorded. A hit skips a key
 interned before, so no id moves.
 
 A context keeps the keys of the current round only, and counts every id it
-has issued. Each round starts a fresh table (`InterningContext.next_round`)
-and drops the one before, with the set-up keys at round 1; a key's id is the
-count of ids issued before the round plus its position in the table, so
-every id is the one a table that kept all keys would give. Dropping cannot
-merge or move an id, because no dropped key can recur: set-up keys start
-with a str, and a round-r key holds a color from round r-1's id range
-(SC-WL's round-1 keys may recur, but each round's ids follow from its
-partition alone). So a call holds one round of keys at a time, not all of
-them; for 2-FWL and DSS-WL, with n^2 keys per graph and round, that is most
-of its memory. A frozen group interns nothing, so the ids issued fall short
-of a full run's; the relabelling that ends such a call skips the context to
-a full run's count (`InterningContext.skip_to`), which is what len() then
-reports.
+has issued. `_iterate` starts each round's table (`next_round`) and drops
+the one before, with the set-up keys at round 1; a key's id is the count of
+ids issued before the round plus its position in the table, so every id is
+the one a table that kept all keys would give. Dropping cannot merge or
+move an id, because no dropped key can recur: set-up keys start with a str,
+and a round-r key holds a color from round r-1's id range (SC-WL's round-1
+keys may recur, but each round's ids follow from its partition alone). So
+a call holds one round of keys at a time, not all of them; for 2-FWL and
+DSS-WL, with n^2 keys per graph and round, that is most of its memory. A
+frozen group interns nothing, so the ids issued fall short of a full run's;
+the relabelling that ends such a call skips the context to a full run's
+count (`InterningContext.skip_to`), which is what len() then reports.
 
 The packed pairs put a high id (distance token or 2-FWL's c(u,w)) above a
 color, `high << 32 | color`, so sorting the ints sorts the pairs: a packed
@@ -109,11 +110,11 @@ from .graphs import Graph, induced_embeddings, is_connected
 class InterningContext:
     """Injective mapping from canonical encodings to dense color ids.
 
-    The table holds the current round's keys only: `next_round` drops the
-    keys before it and keeps their count. A key's id is that count plus its
-    position in the table, the id a table that kept every key would give;
-    no dropped key can recur (see the module docstring). len() counts every
-    id issued, or after `skip_to` the count it was given.
+    The table holds the current round's keys only: `next_round`, which
+    `_iterate` calls each round, drops the keys before it and keeps their
+    count. A key's id is that count plus its position in the table, the id
+    a table that kept every key would give, since no dropped key can recur.
+    len() counts every id issued, or after `skip_to` the count it was given.
     """
 
     def __init__(self):
@@ -218,18 +219,19 @@ def _linked_groups(lists, sig) -> list[list[int]]:
     return list(groups.values())
 
 
-def _iterate(ctx: InterningContext, update, initial, total_elements, early_exit=False):
+def _iterate(ctx: InterningContext, update, initial, early_exit=False, first=None):
     """Run rounds until the joint partition stabilizes, advancing only the
     groups of graphs that can still change (see the module docstring).
 
     This is the stabilization loop of every refine_* function. A state
-    holds one flat color list per graph; update(active, state) advances the
-    graphs at the sorted indices active by one round, interning into ctx,
-    and returns their new lists. Returns (state, rounds), with the colors,
-    rounds and len(ctx) of a run that advances every graph until the
-    partition of all entries of all lists together survives a round. The
-    partition can strictly refine at most total_elements - 1 times, so the
-    round cap is total_elements + 1.
+    holds one flat color list per graph. Each round opens its table, (ids,
+    base) = ctx.next_round(), and update(active, state, ids, base), or
+    first in round 1 if given, advances the graphs at the sorted indices
+    active, interning with ids.setdefault(key, base + len(ids)), and returns
+    their new lists. Returns (state, rounds), with the colors, rounds and
+    len(ctx) of a run that advances every graph until the partition of all
+    entries of all lists survives a round. With N entries it can strictly
+    refine at most N - 1 times, so the round cap is N + 1.
 
     After each round a changed group is split into the groups its lists now
     form, and a new group whose partition that round left unchanged is
@@ -251,11 +253,13 @@ def _iterate(ctx: InterningContext, update, initial, total_elements, early_exit=
     frozen = 0  # the classes of the frozen groups
     skipped = 0  # the ids of frozen groups that a full run would have issued
     rounds = 0
-    cap = total_elements + 1
+    cap = sum(map(len, state)) + 1
+    step = first or update
     while not (early_exit and _multisets_differ(state)):
         previous = state[:]
-        for i, colors in zip(active, update(active, state)):
+        for i, colors in zip(active, step(active, state, *ctx.next_round())):
             state[i] = colors
+        step = update
         rounds += 1
         skipped += frozen
         changed = regrouped = False
@@ -286,9 +290,7 @@ def _iterate(ctx: InterningContext, update, initial, total_elements, early_exit=
         if not changed:
             break
         if rounds > cap:
-            raise StabilizationError(
-                f"no stabilization after {rounds} rounds (cap {cap})"
-            )
+            raise StabilizationError(f"no stabilization after {rounds} rounds (cap {cap})")
         groups, sigs = live, live_sigs
         if not groups:
             # every group froze in a round that changed the joint
@@ -309,12 +311,11 @@ def _iterate(ctx: InterningContext, update, initial, total_elements, early_exit=
     return state, rounds
 
 
-def _wl_update(ctx: InterningContext, adjacencies):
+def _wl_update(adjacencies):
     """The 1-WL round over a state of one color list per adjacency: key
     each node by its own color and its neighbors' sorted colors."""
 
-    def update(active, state):
-        ids, base = ctx.next_round()
+    def update(active, state, ids, base):
         setdefault = ids.setdefault
         out = []
         for i in active:
@@ -336,8 +337,7 @@ def refine_1wl(graphs: list[Graph], *, early_exit: bool = False) -> list[Colorin
     ctx = InterningContext()
     c0 = ctx.intern(("init",))
     initial = [[c0] * g.n for g in graphs]
-    update = _wl_update(ctx, [g.adjacency for g in graphs])
-    state, rounds = _iterate(ctx, update, initial, sum(g.n for g in graphs), early_exit)
+    state, rounds = _iterate(ctx, _wl_update([g.adjacency for g in graphs]), initial, early_exit)
     return _node_colorings(state, rounds, ctx)
 
 
@@ -405,9 +405,8 @@ def refine_gdwl(
             highs.append(list(map(high_of.__getitem__, row)))
         highs_per_graph.append(highs)
 
-    def update(active, state):
+    def update(active, state, ids, base):
         _check_packable(ctx)
-        ids, base = ctx.next_round()
         setdefault = ids.setdefault
         out = []
         for i in active:
@@ -417,7 +416,7 @@ def refine_gdwl(
             )
         return out
 
-    state, rounds = _iterate(ctx, update, initial, sum(g.n for g in graphs), early_exit)
+    state, rounds = _iterate(ctx, update, initial, early_exit)
     return _node_colorings(state, rounds, ctx)
 
 
@@ -471,8 +470,7 @@ def refine_2fwl(graphs: list[Graph], *, early_exit: bool = False) -> list[Colori
     }
     initial = [list(map(initial_color.__getitem__, flat)) for flat in types]
 
-    def first_round(active, state):
-        ids, base = ctx.next_round()
+    def first_round(active, state, ids, base):
         setdefault = ids.setdefault
         out = []
         for i in active:
@@ -486,9 +484,8 @@ def refine_2fwl(graphs: list[Graph], *, early_exit: bool = False) -> list[Colori
             out.append(new_flat)
         return out
 
-    def later_round(active, state):
+    def later_round(active, state, ids, base):
         _check_packable(ctx)
-        ids, base = ctx.next_round()
         setdefault = ids.setdefault
         # id of K(v,u) -> id of K(u,v), over the graphs advanced: well
         # defined, since the color of (v,u) is a function of that of (u,v)
@@ -513,12 +510,7 @@ def refine_2fwl(graphs: list[Graph], *, early_exit: bool = False) -> list[Colori
             out.append(new_flat)
         return out
 
-    pending = [first_round]  # round 1 counts; every later round sorts
-
-    def update(active, state):
-        return (pending.pop() if pending else later_round)(active, state)
-
-    state, rounds = _iterate(ctx, update, initial, sum(g.n * g.n for g in graphs), early_exit)
+    state, rounds = _iterate(ctx, later_round, initial, early_exit, first=first_round)
     # entry u * (n + 1) of the row-major flat list is the diagonal pair (u, u)
     return [
         Coloring(tuple(flat[:: g.n + 1]), tuple(sorted(flat)), rounds, ctx)
@@ -607,8 +599,7 @@ def refine_dsswl(
             for v in range(n)
         ]
 
-    def update(active, state):
-        ids, base = ctx.next_round()
+    def update(active, state, ids, base):
         setdefault = ids.setdefault
         # (node color, sorted global neighbor colors) -> this round's token
         tokens = {}
@@ -634,7 +625,7 @@ def refine_dsswl(
         return out
 
     initial = [flat + node_colors(flat, g.n) for g, flat in zip(graphs, subs)]
-    state, rounds = _iterate(ctx, update, initial, sum(g.n * g.n for g in graphs), early_exit)
+    state, rounds = _iterate(ctx, update, initial, early_exit)
     return _node_colorings([flat[g.n * g.n :] for g, flat in zip(graphs, state)], rounds, ctx)
 
 
@@ -651,8 +642,7 @@ def refine_dswl(
     _check_cap(graphs, DSS_WL_MAX_NODES, "DS-WL")
     ctx = InterningContext()
     initial = _initial_subgraph_colors(graphs, policy, ctx)
-    update = _wl_update(ctx, [_policy_bag(g, policy) for g in graphs])
-    state, rounds = _iterate(ctx, update, initial, sum(g.n * g.n for g in graphs), early_exit)
+    state, rounds = _iterate(ctx, _wl_update([_policy_bag(g, policy) for g in graphs]), initial, early_exit)
     reps = [
         [ctx.intern(("dsrep", tuple(sorted(flat[v * g.n : (v + 1) * g.n])))) for v in range(g.n)]
         for g, flat in zip(graphs, state)
@@ -725,13 +715,12 @@ def refine_scwl(
         [count_ids.setdefault(x, len(count_ids)) for x in substructure_counts(g, substructures)]
         for g in graphs
     ]
-    wl_round = _wl_update(ctx, [g.adjacency for g in graphs])
-    pending = [xs]  # round 1, which advances every graph, reads the count ids
+    wl_round = _wl_update([g.adjacency for g in graphs])
 
-    def update(active, state):
-        return wl_round(active, pending.pop() if pending else state)
+    def first(active, state, ids, base):  # round 1 reads the count ids
+        return wl_round(active, xs, ids, base)
 
-    state, rounds = _iterate(ctx, update, initial, sum(g.n for g in graphs), early_exit)
+    state, rounds = _iterate(ctx, wl_round, initial, early_exit, first=first)
     return _node_colorings(state, rounds, ctx)
 
 

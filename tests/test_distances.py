@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from corpora import hierarchy_graphs
+from graph_helpers import induced_subgraph
 from wlcheck import distances, harness
 from wlcheck import generators as gen
 from wlcheck.biconn import biconnectivity_report
@@ -21,7 +22,7 @@ from wlcheck.distances import (
     rd_matrix,
     spd_matrix,
 )
-from wlcheck.graphs import Graph, connected_components, induced_subgraph, is_connected
+from wlcheck.graphs import Graph, connected_components, is_connected
 
 
 def two_triangles():

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from graph_helpers import induced_subgraph, relabel
 from wlcheck import generators as gen
 from wlcheck.graphs import (
     GRAPH_MAX_NODES,
@@ -14,10 +15,8 @@ from wlcheck.graphs import (
     encode_edge_list,
     encode_graph6,
     induced_embeddings,
-    induced_subgraph,
     parse_edge_list,
     parse_graph6,
-    relabel,
 )
 
 

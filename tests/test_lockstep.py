@@ -18,7 +18,7 @@ from operator import add
 import pytest
 
 from corpora import hierarchy_graphs
-from test_refine import SPEC_FORMS, two_triangles
+from test_refine import SPEC_FORMS, _count_rounds_run, two_triangles
 from wlcheck import generators as gen
 from wlcheck import harness, refine
 from wlcheck.graphs import Graph
@@ -383,23 +383,6 @@ def test_corpus_refinement_matches_lockstep(spec, corpus):
     _assert_matches_lockstep(spec, graphs)
 
 
-def _count_rounds_run(monkeypatch):
-    """Patch refine._iterate so that each round it runs appends to the list
-    returned."""
-    runs = []
-    iterate = refine._iterate
-
-    def counting(ctx, update, *args):
-        def counted(active, state):
-            runs.append(None)
-            return update(active, state)
-
-        return iterate(ctx, counted, *args)
-
-    monkeypatch.setattr(refine, "_iterate", counting)
-    return runs
-
-
 def test_a_round_that_only_frozen_groups_would_run_is_counted_not_run(monkeypatch):
     runs = _count_rounds_run(monkeypatch)
     # the paths stop sharing their end colors in round 3, which leaves
@@ -478,10 +461,11 @@ EARLY_EXIT_CALLS = [
 
 
 @pytest.mark.parametrize("graphs, rounds", EARLY_EXIT_CALLS)
-def test_2fwl_early_exit_matches_lockstep(graphs, rounds):
+def test_2fwl_early_exit_matches_lockstep(graphs, rounds, monkeypatch):
+    runs = _count_rounds_run(monkeypatch)
     colorings = refine.refine_2fwl(graphs, early_exit=True)
     assert _observed(colorings) == _observed(refine_2fwl(graphs, early_exit=True))
-    assert colorings[0].rounds == rounds
+    assert colorings[0].rounds == len(runs) == rounds
     assert refine.distinguishable(*graphs, "2fwl")
 
 

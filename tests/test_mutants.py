@@ -41,7 +41,7 @@ def _oblivious_2wl(graphs, *, early_exit=False):
         for g in graphs
     ]
 
-    def update(active, state):
+    def update(active, state, ids, base):
         out = []
         for i in active:
             n, flat = graphs[i].n, state[i]
@@ -52,7 +52,7 @@ def _oblivious_2wl(graphs, *, early_exit=False):
             )
         return out
 
-    state, rounds = refine._iterate(ctx, update, initial, sum(g.n * g.n for g in graphs), early_exit)
+    state, rounds = refine._iterate(ctx, update, initial, early_exit)
     return [
         refine.Coloring(tuple(flat[:: g.n + 1]), tuple(sorted(flat)), rounds, ctx)
         for g, flat in zip(graphs, state)
@@ -128,6 +128,14 @@ MUTANTS = {
         {"positive[2fwl]": 3, "negative_counterexamples": 2, "hierarchy": 6, "wl_condition": 8,
          "expressivity_table": 1},
     ),
+    # a row's own round 1 runs in every round, so 2-FWL stops after its
+    # counting round. Never running it passes every check: 2-FWL's general
+    # round 1 gives the same ids, and SC-WL's lost counts show only in tests
+    # such as the SC-WL lockstep comparisons
+    "first_round_every_round": (
+        refine, "_iterate", ("        step = update\n", ""), 0,
+        {"positive[2fwl]": 39, "distance_regular": 1, "hierarchy": 48, "expressivity_table": 4},
+    ),
     "wl_round_hashes_degrees": (
         refine, "_wl_update", ("*sorted(map(color_of, nbrs))", "len(nbrs)"), 0,
         {"wl_condition": 4},
@@ -160,6 +168,7 @@ RECORDS_MD5 = {
     "solver_gathers_column_unscaled": "a93031da908d9ce06b8ca7a97606305c",
     "tree_forms_carry_cut_vertex_ids": "68700aa64b0bef83df6117be7d42ac59",
     "groups_ignore_shared_colors": "409fbbefe2095abf2d6778059062da34",
+    "first_round_every_round": "f35a65784b9f959c472a41af86b0ee02",
     "wl_round_hashes_degrees": "5bb2c8f861e9aa819e6647c954c6807d",
     "bridge_test_ge": "529a26af026de43cef3352722d0b84c6",
     "dfs_root_rule_three_children": "c32beac9085f9e528689d62770892231",

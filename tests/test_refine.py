@@ -8,10 +8,11 @@ from fractions import Fraction
 import pytest
 
 from corpora import hierarchy_graphs
+from graph_helpers import relabel
 from wlcheck import generators as gen
 from wlcheck import harness, refine
 from wlcheck.distances import UNREACHABLE, rd_matrix, spd_matrix
-from wlcheck.graphs import Graph, Partition, relabel
+from wlcheck.graphs import Graph, Partition
 from wlcheck.refine import (
     ALGORITHM_SPECS,
     POLICY_TAGS,
@@ -72,21 +73,24 @@ def test_spdwl_distinguishes_example2():
     assert not distinguishable(g1, g2, "1wl")
 
 
-def _count_updates(monkeypatch):
-    """Patch refine._iterate so every round it runs appends to the list
-    returned."""
-    updates = []
+def _count_rounds_run(monkeypatch):
+    """Patch refine._iterate so that each round it runs, a row's own first
+    round included, appends to the list returned."""
+    runs = []
     iterate = refine._iterate
 
-    def counting(ctx, update, *args):
-        def counted(active, state):
-            updates.append(None)
-            return update(active, state)
+    def counting(ctx, update, initial, early_exit=False, first=None):
+        def counted(step):
+            def run(*args):
+                runs.append(None)
+                return step(*args)
 
-        return iterate(ctx, counted, *args)
+            return run
+
+        return iterate(ctx, counted(update), initial, early_exit, first and counted(first))
 
     monkeypatch.setattr(refine, "_iterate", counting)
-    return updates
+    return runs
 
 
 def test_first_round_histograms_differ_for_c6_vs_triangles(monkeypatch):
@@ -94,27 +98,27 @@ def test_first_round_histograms_differ_for_c6_vs_triangles(monkeypatch):
     assert cols[0].representation != cols[1].representation
     # distinguishable stops at the first round whose multisets differ:
     # round 1 here, where the full refinement runs a second round
-    updates = _count_updates(monkeypatch)
+    runs = _count_rounds_run(monkeypatch)
     assert distinguishable(gen.cycle(6), two_triangles(), "spdwl")
-    assert len(updates) == 1
+    assert len(runs) == 1
     # unequal node counts differ before round 1
-    updates.clear()
+    runs.clear()
     assert distinguishable(gen.path(3), gen.path(4), "1wl")
-    assert updates == []
+    assert runs == []
 
 
 def test_iterate_raises_past_its_round_cap():
     # an update that flips between two partitions of 3 entries never
-    # stabilizes; the cap is 3 + 1 rounds
+    # stabilizes; the cap is the 3 initial entries + 1 rounds
     flip = {0: [[0, 1, 1]], 1: [[0, 0, 1]]}
     updates = []
 
-    def update(active, state):
+    def update(active, state, ids, base):
         updates.append(None)
         return flip[state[0][1]]
 
     with pytest.raises(refine.StabilizationError, match=r"^no stabilization after 5 rounds \(cap 4\)$"):
-        refine._iterate(InterningContext(), update, [[0, 0, 1]], 3)
+        refine._iterate(InterningContext(), update, [[0, 0, 1]])
     assert len(updates) == 5
 
 
