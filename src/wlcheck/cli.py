@@ -25,21 +25,37 @@ class UsageError(ValueError):
 
 
 def read_graph_file(path: str) -> Graph:
-    """Edge list by default; a file whose one line is a single token is graph6."""
+    """Edge list by default; a file whose one line is a single token is graph6.
+
+    The file is read on every call. Its full text keys a cache of the
+    _PARSE_CACHE_SIZE texts used last, so a text is parsed once while it
+    stays there, whatever path it came from, and a rewritten file is parsed
+    again.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    try:
+        return _parse_graph_text(text)
+    except GraphFormatError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+
+
+_PARSE_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
+def _parse_graph_text(text: str) -> Graph:
+    """The graph a file's full text holds; graphs are immutable, so callers
+    can share one. A text that fails to parse raises and is not cached."""
     stripped = [
         line for line in text.splitlines() if line.strip() and not line.lstrip().startswith("#")
     ]
-    try:
-        if len(stripped) == 1 and len(stripped[0].split()) == 1:
-            return parse_graph6(stripped[0])
-        return parse_edge_list(text)
-    except GraphFormatError as exc:
-        raise UsageError(f"{path}: {exc}") from exc
+    if len(stripped) == 1 and len(stripped[0].split()) == 1:
+        return parse_graph6(stripped[0])
+    return parse_edge_list(text)
 
 
 def _parameter(family: str, kind: type, token: str):

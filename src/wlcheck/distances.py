@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .biconn import biconnectivity_report
-from .graphs import PAIR_SCAN_MAX_NODES, Graph, is_connected
+from .graphs import PAIR_SCAN_MAX_NODES, Graph, connected_components, is_connected
 
 
 class _Unreachable:
@@ -100,12 +100,31 @@ class RdMatrix:
         return tuple(map(tuple, rows))
 
 
+RD_MAX_COMPONENT_NODES = 128
+
+
+def _refuse_oversized(g: Graph, rd: bool = False) -> None:
+    """Raise the ValueError with which `spd_matrix`, or with rd
+    `rd_matrix`, refuses g: for RD first a component over
+    RD_MAX_COMPONENT_NODES nodes, then a graph over PAIR_SCAN_MAX_NODES
+    nodes. The components are searched only in a graph with more nodes
+    than that component cap."""
+    name = "exact RD" if rd else "SPD"
+    if (
+        rd
+        and g.n > RD_MAX_COMPONENT_NODES
+        and any(len(comp) > RD_MAX_COMPONENT_NODES for comp in connected_components(g).classes)
+    ):
+        raise ValueError(f"{name} capped at components of {RD_MAX_COMPONENT_NODES} nodes")
+    if g.n > PAIR_SCAN_MAX_NODES:
+        raise ValueError(f"{name} capped at {PAIR_SCAN_MAX_NODES} nodes")
+
+
 @lru_cache(maxsize=None)
 def spd_matrix(g: Graph) -> SpdMatrix:
     """BFS from every node, Theta(n(n+m)). The output has n^2 entries, so
     a graph over PAIR_SCAN_MAX_NODES nodes is refused before the first BFS."""
-    if g.n > PAIR_SCAN_MAX_NODES:
-        raise ValueError(f"SPD capped at {PAIR_SCAN_MAX_NODES} nodes")
+    _refuse_oversized(g)
     rows = []
     for s in range(g.n):
         dist: list[object] = [UNREACHABLE] * g.n
@@ -210,9 +229,6 @@ def _grounded_solve(g: Graph, nodes: Sequence[int]) -> tuple[int, list[list[int]
     return det, adj
 
 
-RD_MAX_COMPONENT_NODES = 128
-
-
 def _block_numerators(g: Graph, block: tuple[int, ...]) -> tuple[int, list[list[int]]]:
     """(tau_B, N) for one vertex-biconnected block of g, with the resistance
     inside the block R_B(block[i], block[j]) = N[i][j] / tau_B.
@@ -264,14 +280,9 @@ def rd_matrix(g: Graph) -> RdMatrix:
     components, since the output has n^2 entries. Both are refused before
     the output is allocated.
     """
+    _refuse_oversized(g, rd=True)
     report = biconnectivity_report(g)
     components = report.components
-    if any(len(comp) > RD_MAX_COMPONENT_NODES for comp in components.classes):
-        raise ValueError(
-            f"exact RD capped at components of {RD_MAX_COMPONENT_NODES} nodes"
-        )
-    if g.n > PAIR_SCAN_MAX_NODES:
-        raise ValueError(f"exact RD capped at {PAIR_SCAN_MAX_NODES} nodes")
     taus = [1] * g.n
     nums: list[list[object]] = [[UNREACHABLE] * g.n for _ in range(g.n)]
     blocks_in: list[list[tuple[int, ...]]] = [[] for _ in components.classes]

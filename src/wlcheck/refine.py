@@ -9,14 +9,25 @@ row-major order; for DS-WL the colors of the n*n slots of its subgraph bag,
 subgraph-major, which `_policy_bag` joins into one graph, so that DS-WL is
 the 1-WL round of `_wl_update` on that graph; for DSS-WL the same slots
 followed by its n node colors. The loop owns each round but its keys: it
-opens the round's table, runs a row's own round 1 (2-FWL's, SC-WL's) and
-sizes its round cap from the state. The call stops at the first round
-whose joint partition, over all entries of all graphs, equals the one
-before it; exceeding the theoretical stabilization bound indicates an
-interning bug and raises. With `early_exit`, which only `distinguishable`
-sets, the loop also stops at the first round (round 0 included) where two
-graphs' multisets of state entries differ; the colorings it then returns
-are partial, and good only for telling the graphs apart.
+builds the row's set-up, opens the round's table, runs a row's own round 1
+(2-FWL's, SC-WL's) and sizes its round cap from the state. The call stops
+at the first round whose joint partition, over all entries of all graphs,
+equals the one before it; exceeding the theoretical stabilization bound
+indicates an interning bug and raises. With `early_exit`, which only
+`distinguishable` sets, the loop also stops at the first round (round 0
+included) where two graphs' multisets of state entries differ; the
+colorings it then returns are partial, and good only for telling the
+graphs apart.
+
+A call runs in three steps. First come the refusals: unknown spec, policy,
+substructure or distance names, the node caps, and the SPD and RD limits of
+`spd_matrix` and `rd_matrix`. Then round 0, the initial colors, with the
+early-exit test. Last, once that test leaves the verdict open, the set-up
+that only rounds 1 and later read: GD-WL's distance rows and tokens, the
+subgraph bags of DSS-WL and DS-WL, SC-WL's substructure counts and 2-FWL's
+neighbor masks. So a call that round 0 decides, as for graphs of
+different node counts, builds none of it, and still raises what a full
+call would refuse.
 
 The loop advances a graph only while its group can still change. A group is
 a set of graphs of the call linked by shared colors. A round's partition of
@@ -103,7 +114,7 @@ from fractions import Fraction
 from itertools import chain, count, repeat
 from operator import add
 
-from .distances import UNREACHABLE, rd_matrix, spd_matrix
+from .distances import UNREACHABLE, _refuse_oversized, rd_matrix, spd_matrix
 from .graphs import Graph, induced_embeddings, is_connected
 
 
@@ -219,19 +230,22 @@ def _linked_groups(lists, sig) -> list[list[int]]:
     return list(groups.values())
 
 
-def _iterate(ctx: InterningContext, update, initial, early_exit=False, first=None):
+def _iterate(ctx: InterningContext, set_up, initial, early_exit=False):
     """Run rounds until the joint partition stabilizes, advancing only the
     groups of graphs that can still change (see the module docstring).
 
     This is the stabilization loop of every refine_* function. A state
-    holds one flat color list per graph. Each round opens its table, (ids,
-    base) = ctx.next_round(), and update(active, state, ids, base), or
-    first in round 1 if given, advances the graphs at the sorted indices
-    active, interning with ids.setdefault(key, base + len(ids)), and returns
-    their new lists. Returns (state, rounds), with the colors, rounds and
-    len(ctx) of a run that advances every graph until the partition of all
-    entries of all lists survives a round. With N entries it can strictly
-    refine at most N - 1 times, so the round cap is N + 1.
+    holds one flat color list per graph. set_up() builds what the rounds
+    read and returns (first, update); it runs once, after the round-0 test
+    of early_exit and before round 1, so a call that round 0 decides builds
+    nothing. Each round opens its table, (ids, base) = ctx.next_round(),
+    and first in round 1, update in every later round, called as
+    update(active, state, ids, base), advances the graphs at the sorted
+    indices active, interning with ids.setdefault(key, base + len(ids)), and
+    returns their new lists. Returns (state, rounds), with the colors,
+    rounds and len(ctx) of a run that advances every graph until the
+    partition of all entries of all lists survives a round. With N entries
+    it can strictly refine at most N - 1 times, so the round cap is N + 1.
 
     After each round a changed group is split into the groups its lists now
     form, and a new group whose partition that round left unchanged is
@@ -254,8 +268,9 @@ def _iterate(ctx: InterningContext, update, initial, early_exit=False, first=Non
     skipped = 0  # the ids of frozen groups that a full run would have issued
     rounds = 0
     cap = sum(map(len, state)) + 1
-    step = first or update
     while not (early_exit and _multisets_differ(state)):
+        if not rounds:
+            step, update = set_up()
         previous = state[:]
         for i, colors in zip(active, step(active, state, *ctx.next_round())):
             state[i] = colors
@@ -311,6 +326,13 @@ def _iterate(ctx: InterningContext, update, initial, early_exit=False, first=Non
     return state, rounds
 
 
+def _wl_set_up(adjacencies):
+    """The set-up of a row that runs the 1-WL round in every round, over a
+    state of one color list per adjacency."""
+    update = _wl_update(adjacencies)
+    return update, update
+
+
 def _wl_update(adjacencies):
     """The 1-WL round over a state of one color list per adjacency: key
     each node by its own color and its neighbors' sorted colors."""
@@ -337,7 +359,7 @@ def refine_1wl(graphs: list[Graph], *, early_exit: bool = False) -> list[Colorin
     ctx = InterningContext()
     c0 = ctx.intern(("init",))
     initial = [[c0] * g.n for g in graphs]
-    state, rounds = _iterate(ctx, _wl_update([g.adjacency for g in graphs]), initial, early_exit)
+    state, rounds = _iterate(ctx, lambda: _wl_set_up([g.adjacency for g in graphs]), initial, early_exit)
     return _node_colorings(state, rounds, ctx)
 
 
@@ -346,13 +368,12 @@ def _distance_values(g: Graph, kind: str):
     stands for UNREACHABLE.
 
     Values are ints (spd), RD numerators over the row's tau (rd), or
-    (spd, numerator) pairs (spdrd). A row holds one tau, so sorting its
-    values sorts its tokens; spd rows have tau None.
+    (spd, numerator) pairs (spdrd; `refine_gdwl` checks the kind). A row
+    holds one tau, so sorting its values sorts its tokens; spd rows have
+    tau None.
     """
     if kind == "spd":
         return zip([None] * g.n, spd_matrix(g).rows), UNREACHABLE
-    if kind not in ("rd", "spdrd"):
-        raise ValueError(f"unknown distance kind {kind!r}")
     rd = rd_matrix(g)
     if kind == "rd":
         return zip(rd.taus, rd.nums), UNREACHABLE
@@ -376,47 +397,59 @@ def refine_gdwl(
 
     distance_kind is 'spd', 'rd', or 'spdrd' (the ordered SPD/RD pair).
     Unreachable pairs contribute the UNREACHABLE token, so component
-    structure is part of the hash.
+    structure is part of the hash. A graph that `spd_matrix` or `rd_matrix`
+    would refuse is refused before round 0.
     """
+    if distance_kind not in ("spd", "rd", "spdrd"):
+        raise ValueError(f"unknown distance kind {distance_kind!r}")
+    for g in graphs:
+        _refuse_oversized(g, rd=distance_kind != "spd")
     ctx = InterningContext()
     c0 = ctx.intern(("init",))
     initial = [[c0] * g.n for g in graphs]
-    # per node v, the high half of each packed (id of token d(v,u), color of
-    # u) pair, with v's tokens interned in token order; only colors change
-    # per round
-    highs_per_graph = []
-    # tau -> value -> high, over the call: each distinct (tau, value) is
-    # interned once, so the per-row work sorts and hashes ints, not Fractions
-    high_by_tau: dict[int | None, dict] = {}
-    for g in graphs:
-        rows, far = _distance_values(g, distance_kind)
-        highs = []
-        for tau, row in rows:
-            high_of = high_by_tau.get(tau)
-            if high_of is None:
-                high_of = high_by_tau[tau] = {}
-            new = set(row).difference(high_of)
-            if new:
-                # the row's new values in token order, the far one last
-                for value in sorted(new - {far}):
-                    high_of[value] = ctx.intern(("dtok", _distance_token(tau, value))) << _PACK_BITS
-                if far in new:
-                    high_of[far] = ctx.intern(("dtok", far)) << _PACK_BITS
-            highs.append(list(map(high_of.__getitem__, row)))
-        highs_per_graph.append(highs)
 
-    def update(active, state, ids, base):
-        _check_packable(ctx)
-        setdefault = ids.setdefault
-        out = []
-        for i in active:
-            colors = state[i]
-            out.append(
-                [setdefault(tuple(sorted(map(add, high, colors))), base + len(ids)) for high in highs_per_graph[i]]
-            )
-        return out
+    def set_up():
+        # per node v, the high half of each packed (id of token d(v,u), color
+        # of u) pair, with v's tokens interned in token order; only colors
+        # change per round
+        highs_per_graph = []
+        # tau -> value -> high, over the call: each distinct (tau, value) is
+        # interned once, so the per-row work sorts and hashes ints, not Fractions
+        high_by_tau: dict[int | None, dict] = {}
+        for g in graphs:
+            rows, far = _distance_values(g, distance_kind)
+            highs = []
+            for tau, row in rows:
+                high_of = high_by_tau.get(tau)
+                if high_of is None:
+                    high_of = high_by_tau[tau] = {}
+                new = set(row).difference(high_of)
+                if new:
+                    # the row's new values in token order, the far one last
+                    for value in sorted(new - {far}):
+                        high_of[value] = ctx.intern(("dtok", _distance_token(tau, value))) << _PACK_BITS
+                    if far in new:
+                        high_of[far] = ctx.intern(("dtok", far)) << _PACK_BITS
+                highs.append(list(map(high_of.__getitem__, row)))
+            highs_per_graph.append(highs)
 
-    state, rounds = _iterate(ctx, update, initial, early_exit)
+        def update(active, state, ids, base):
+            _check_packable(ctx)
+            setdefault = ids.setdefault
+            out = []
+            for i in active:
+                colors = state[i]
+                out.append(
+                    [
+                        setdefault(tuple(sorted(map(add, high, colors))), base + len(ids))
+                        for high in highs_per_graph[i]
+                    ]
+                )
+            return out
+
+        return update, update
+
+    state, rounds = _iterate(ctx, set_up, initial, early_exit)
     return _node_colorings(state, rounds, ctx)
 
 
@@ -449,40 +482,23 @@ def refine_2fwl(graphs: list[Graph], *, early_exit: bool = False) -> list[Colori
     """
     _check_cap(graphs, TWO_FWL_MAX_NODES, "2-FWL")
     ctx = InterningContext()
-    # per graph: each node's neighbors as the bits of an int, and the pair
-    # types in row-major order (2 diagonal, 1 edge, 0 non-edge)
-    masks, types = [], []
+    # per graph, the pair types in row-major order (2 diagonal, 1 edge, 0
+    # non-edge)
+    types = []
     for g in graphs:
-        g_masks, flat = [], []
+        flat = []
         for u, nbrs in enumerate(g.adjacency):
-            row, mask = [0] * g.n, 0
+            row = [0] * g.n
             for w in nbrs:
                 row[w] = 1
-                mask |= 1 << w
             row[u] = 2
             flat += row
-            g_masks.append(mask)
-        masks.append(g_masks)
         types.append(flat)
     # each type's set-up key, interned where the type first appears
     initial_color = {
         t: ctx.intern(("2fwl0", t == 2, t == 1)) for t in dict.fromkeys(chain.from_iterable(types))
     }
     initial = [list(map(initial_color.__getitem__, flat)) for flat in types]
-
-    def first_round(active, state, ids, base):
-        setdefault = ids.setdefault
-        out = []
-        for i in active:
-            n, flat, g_masks = graphs[i].n, state[i], masks[i]
-            degrees = list(map(len, graphs[i].adjacency))
-            new_flat = []
-            for u, (mask, degree) in enumerate(zip(g_masks, degrees)):
-                common = map(int.bit_count, map(mask.__and__, g_masks))
-                keys = zip(repeat(n), flat[u * n : (u + 1) * n], repeat(degree), degrees, common)
-                new_flat += [setdefault(key, base + len(ids)) for key in keys]
-            out.append(new_flat)
-        return out
 
     def later_round(active, state, ids, base):
         _check_packable(ctx)
@@ -510,7 +526,27 @@ def refine_2fwl(graphs: list[Graph], *, early_exit: bool = False) -> list[Colori
             out.append(new_flat)
         return out
 
-    state, rounds = _iterate(ctx, later_round, initial, early_exit, first=first_round)
+    def set_up():
+        # per graph, each node's neighbors as the bits of an int
+        masks = [[sum(1 << w for w in nbrs) for nbrs in g.adjacency] for g in graphs]
+
+        def first_round(active, state, ids, base):
+            setdefault = ids.setdefault
+            out = []
+            for i in active:
+                n, flat, g_masks = graphs[i].n, state[i], masks[i]
+                degrees = list(map(len, graphs[i].adjacency))
+                new_flat = []
+                for u, (mask, degree) in enumerate(zip(g_masks, degrees)):
+                    common = map(int.bit_count, map(mask.__and__, g_masks))
+                    keys = zip(repeat(n), flat[u * n : (u + 1) * n], repeat(degree), degrees, common)
+                    new_flat += [setdefault(key, base + len(ids)) for key in keys]
+                out.append(new_flat)
+            return out
+
+        return first_round, later_round
+
+    state, rounds = _iterate(ctx, set_up, initial, early_exit)
     # entry u * (n + 1) of the row-major flat list is the diagonal pair (u, u)
     return [
         Coloring(tuple(flat[:: g.n + 1]), tuple(sorted(flat)), rounds, ctx)
@@ -590,7 +626,6 @@ def refine_dsswl(
     _check_cap(graphs, DSS_WL_MAX_NODES, "DSS-WL")
     ctx = InterningContext()
     subs = _initial_subgraph_colors(graphs, policy, ctx)
-    bags = [_policy_bag(g, policy) for g in graphs]
 
     def node_colors(flat, n):
         # column v of the subgraph-major block: node v in every subgraph
@@ -599,33 +634,38 @@ def refine_dsswl(
             for v in range(n)
         ]
 
-    def update(active, state, ids, base):
-        setdefault = ids.setdefault
-        # (node color, sorted global neighbor colors) -> this round's token
-        tokens = {}
-        out = []
-        for i in active:
-            g, bag, flat = graphs[i], bags[i], state[i]
-            n = g.n
-            node = flat[n * n :]
-            node_of = node.__getitem__
-            # the global part of a key depends on v only, not on the subgraph
-            global_tokens = [
-                tokens.setdefault((c_node, *sorted(map(node_of, nbrs))), len(tokens))
-                for c_node, nbrs in zip(node, g.adjacency)
-            ]
-            color_of = flat.__getitem__
-            # the bag's n*n slots stop the zip before the node colors
-            new_flat = [
-                setdefault((c, t, *sorted(map(color_of, nbrs))), base + len(ids))
-                for c, nbrs, t in zip(flat, bag, global_tokens * n)
-            ]
-            new_flat.extend(node_colors(new_flat, n))
-            out.append(new_flat)
-        return out
+    def set_up():
+        bags = [_policy_bag(g, policy) for g in graphs]
+
+        def update(active, state, ids, base):
+            setdefault = ids.setdefault
+            # (node color, sorted global neighbor colors) -> this round's token
+            tokens = {}
+            out = []
+            for i in active:
+                g, bag, flat = graphs[i], bags[i], state[i]
+                n = g.n
+                node = flat[n * n :]
+                node_of = node.__getitem__
+                # the global part of a key depends on v only, not on the subgraph
+                global_tokens = [
+                    tokens.setdefault((c_node, *sorted(map(node_of, nbrs))), len(tokens))
+                    for c_node, nbrs in zip(node, g.adjacency)
+                ]
+                color_of = flat.__getitem__
+                # the bag's n*n slots stop the zip before the node colors
+                new_flat = [
+                    setdefault((c, t, *sorted(map(color_of, nbrs))), base + len(ids))
+                    for c, nbrs, t in zip(flat, bag, global_tokens * n)
+                ]
+                new_flat.extend(node_colors(new_flat, n))
+                out.append(new_flat)
+            return out
+
+        return update, update
 
     initial = [flat + node_colors(flat, g.n) for g, flat in zip(graphs, subs)]
-    state, rounds = _iterate(ctx, update, initial, early_exit)
+    state, rounds = _iterate(ctx, set_up, initial, early_exit)
     return _node_colorings([flat[g.n * g.n :] for g, flat in zip(graphs, state)], rounds, ctx)
 
 
@@ -642,7 +682,9 @@ def refine_dswl(
     _check_cap(graphs, DSS_WL_MAX_NODES, "DS-WL")
     ctx = InterningContext()
     initial = _initial_subgraph_colors(graphs, policy, ctx)
-    state, rounds = _iterate(ctx, _wl_update([_policy_bag(g, policy) for g in graphs]), initial, early_exit)
+    state, rounds = _iterate(
+        ctx, lambda: _wl_set_up([_policy_bag(g, policy) for g in graphs]), initial, early_exit
+    )
     reps = [
         [ctx.intern(("dsrep", tuple(sorted(flat[v * g.n : (v + 1) * g.n])))) for v in range(g.n)]
         for g, flat in zip(graphs, state)
@@ -709,18 +751,22 @@ def refine_scwl(
     ctx = InterningContext()
     c0 = ctx.intern(("init",))
     initial = [[c0] * g.n for g in graphs]
-    # each distinct count vector of the call gets an id
-    count_ids = {}
-    xs = [
-        [count_ids.setdefault(x, len(count_ids)) for x in substructure_counts(g, substructures)]
-        for g in graphs
-    ]
     wl_round = _wl_update([g.adjacency for g in graphs])
 
-    def first(active, state, ids, base):  # round 1 reads the count ids
-        return wl_round(active, xs, ids, base)
+    def set_up():
+        # each distinct count vector of the call gets an id
+        count_ids = {}
+        xs = [
+            [count_ids.setdefault(x, len(count_ids)) for x in substructure_counts(g, substructures)]
+            for g in graphs
+        ]
 
-    state, rounds = _iterate(ctx, wl_round, initial, early_exit, first=first)
+        def first(active, state, ids, base):  # round 1 reads the count ids
+            return wl_round(active, xs, ids, base)
+
+        return first, wl_round
+
+    state, rounds = _iterate(ctx, set_up, initial, early_exit)
     return _node_colorings(state, rounds, ctx)
 
 
@@ -837,8 +883,12 @@ def distinguishable(g: Graph, h: Graph, algo: str) -> bool:
 
     Refinement stops at the first round, round 0 included, where the two
     graphs' color multisets differ (see `_iterate`): from there on they
-    differ at every round, so the stable representations differ too. Set-up
-    runs first, so a spec or graph the algorithm rejects still raises.
+    differ at every round, so the stable representations differ too. The
+    refusals come first, so a spec or graph the algorithm rejects raises
+    even where round 0 would decide; then the round-0 test, which decides
+    graphs of different node counts; then the set-up that later rounds read
+    (distances, subgraph bags, substructure counts), built only when round
+    0 leaves the verdict open.
     """
     first, second = _refine(algo, [g, h], early_exit=True)
     return first.representation != second.representation

@@ -236,10 +236,42 @@ def test_missing_file_is_usage_error(capsys):
 
 
 def test_malformed_file_is_usage_error(tmp_path, capsys):
-    path = tmp_path / "bad.el"
-    path.write_text("2 1\n0 0\n", encoding="utf-8")
-    code, _, err = run_cli(capsys, "biconnect", str(path))
-    assert code == 2 and "self-loop" in err
+    # a parse error is not cached: every call, at either path of the one
+    # text, names the path it read
+    paths = [tmp_path / "bad.el", tmp_path / "copy.el"]
+    for path in paths:
+        path.write_text("2 1\n0 0\n", encoding="utf-8")
+    for path in paths + paths:
+        code, _, err = run_cli(capsys, "biconnect", str(path))
+        assert code == 2 and "self-loop" in err and f"{path}:" in err
+
+
+def test_rewritten_file_gives_the_new_answer(tmp_path, capsys):
+    path, p3 = tmp_path / "g.el", tmp_path / "p3.el"
+    p3.write_text(encode_edge_list(gen.path(3)), encoding="utf-8")
+    for g, verdict in ((gen.path(3), "indistinguishable"), (gen.path(4), "distinguishable")):
+        path.write_text(encode_edge_list(g), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "distinguish", "--algo", "1wl", str(path), str(p3))
+        assert code == 0 and out.strip() == verdict
+
+
+def test_one_text_at_two_paths_is_parsed_once(tmp_path, capsys, monkeypatch):
+    parsed = []
+    parse = cli.parse_edge_list
+
+    def counted(text):
+        parsed.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(cli, "parse_edge_list", counted)
+    cli._parse_graph_text.cache_clear()
+    a, b = tmp_path / "a.el", tmp_path / "b.el"
+    for path in (a, b):
+        path.write_text(encode_edge_list(cycle(5)), encoding="utf-8")
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "distinguish", "--algo", "1wl", str(a), str(b))
+        assert code == 0 and out.strip() == "indistinguishable"
+    assert parsed == [encode_edge_list(cycle(5))]
 
 
 def test_non_utf8_file_is_usage_error(tmp_path, capsys):

@@ -52,7 +52,7 @@ def _oblivious_2wl(graphs, *, early_exit=False):
             )
         return out
 
-    state, rounds = refine._iterate(ctx, update, initial, early_exit)
+    state, rounds = refine._iterate(ctx, lambda: (update, update), initial, early_exit)
     return [
         refine.Coloring(tuple(flat[:: g.n + 1]), tuple(sorted(flat)), rounds, ctx)
         for g, flat in zip(graphs, state)

@@ -79,7 +79,7 @@ def _count_rounds_run(monkeypatch):
     runs = []
     iterate = refine._iterate
 
-    def counting(ctx, update, initial, early_exit=False, first=None):
+    def counting(ctx, set_up, initial, early_exit=False):
         def counted(step):
             def run(*args):
                 runs.append(None)
@@ -87,7 +87,7 @@ def _count_rounds_run(monkeypatch):
 
             return run
 
-        return iterate(ctx, counted(update), initial, early_exit, first and counted(first))
+        return iterate(ctx, lambda: tuple(map(counted, set_up())), initial, early_exit)
 
     monkeypatch.setattr(refine, "_iterate", counting)
     return runs
@@ -118,7 +118,7 @@ def test_iterate_raises_past_its_round_cap():
         return flip[state[0][1]]
 
     with pytest.raises(refine.StabilizationError, match=r"^no stabilization after 5 rounds \(cap 4\)$"):
-        refine._iterate(InterningContext(), update, [[0, 0, 1]])
+        refine._iterate(InterningContext(), lambda: (update, update), [[0, 0, 1]])
     assert len(updates) == 5
 
 
@@ -554,6 +554,45 @@ def test_early_exit_gives_the_full_refinement_verdict(spec):
         expected = full.representations[0] != full.representations[1]
         assert distinguishable(g, h, spec) == expected, (spec, g, h)
         assert distinguishable(h, g, spec) == expected, (spec, h, g)
+
+
+# what rounds 1 and later read, built only once round 0 leaves the verdict
+# open; 1-WL builds nothing, and 2-FWL's neighbor masks are local
+SET_UP_BUILDERS = ("spd_matrix", "rd_matrix", "substructure_counts", "_policy_bag")
+
+
+class _SetUpBuilt(Exception):
+    pass
+
+
+def _forbid_set_up(monkeypatch):
+    def forbidden(*args):
+        raise _SetUpBuilt
+
+    for name in SET_UP_BUILDERS:
+        monkeypatch.setattr(refine, name, forbidden)
+
+
+@pytest.mark.parametrize("spec", SPEC_FORMS)
+def test_round_0_decides_unequal_node_counts_before_set_up(spec, monkeypatch):
+    _forbid_set_up(monkeypatch)
+    g = gen.random_gnp(7, Fraction(2, 5), 3)
+    for h in (gen.path(6), gen.cycle(8), Graph.from_edges(0, [])):
+        assert distinguishable(g, h, spec)
+        assert distinguishable(h, g, spec)
+
+
+@pytest.mark.parametrize("spec", [s for s in SPEC_FORMS if s not in ("1wl", "2fwl")])
+def test_equal_node_counts_still_build_the_set_up(spec, monkeypatch):
+    _forbid_set_up(monkeypatch)
+    with pytest.raises(_SetUpBuilt):
+        distinguishable(gen.cycle(6), two_triangles(), spec)
+
+
+def test_gdwl_checks_its_distance_kind_before_any_graph():
+    for graphs in ([], [gen.path(3)]):
+        with pytest.raises(ValueError, match="^unknown distance kind 'bogus'$"):
+            refine_gdwl(graphs, "bogus")
 
 
 def test_subgraph_policy_rejects_unknown_tag():
