@@ -20,7 +20,8 @@ colorings it then returns are partial, and good only for telling the
 graphs apart.
 
 A call runs in three steps. First come the refusals: unknown spec, policy,
-substructure or distance names, the node caps, and the SPD and RD limits of
+substructure or distance names, the node caps, SC-WL's patterns that are
+disconnected or over `SUBSTRUCTURE_MAX_NODES`, and the SPD and RD limits of
 `spd_matrix` and `rd_matrix`. Then round 0, the initial colors, with the
 early-exit test. Last, once that test leaves the verdict open, the set-up
 that only rounds 1 and later read: GD-WL's distance rows and tokens, the
@@ -695,46 +696,36 @@ def refine_dswl(
 SUBSTRUCTURE_MAX_NODES = 8
 
 
-@dataclass(frozen=True)
-class Substructure:
-    name: str
-    graph: Graph
-
-
-def make_substructure(name: str, h: Graph) -> Substructure:
-    if not is_connected(h):
-        raise ValueError("substructures must be connected")
-    if h.n > SUBSTRUCTURE_MAX_NODES:
-        raise ValueError(f"substructures capped at {SUBSTRUCTURE_MAX_NODES} nodes")
-    return Substructure(name, h)
-
-
-def _count_induced_occurrences(g: Graph, sub: Substructure) -> list[tuple[int, ...]]:
-    """Per node v of g, per node u of `sub`: the induced embeddings of the
-    substructure in g that map u onto v."""
-    counts = [[0] * sub.graph.n for _ in range(g.n)]
+def _count_induced_occurrences(g: Graph, h: Graph) -> list[tuple[int, ...]]:
+    """Per node v of g, per node u of the pattern h: the induced embeddings
+    of h in g that map u onto v."""
+    counts = [[0] * h.n for _ in range(g.n)]
 
     def tally(image):
         for u, v in enumerate(image):
             counts[v][u] += 1
 
-    induced_embeddings(sub.graph, g, tally)
+    induced_embeddings(h, g, tally)
     return [tuple(row) for row in counts]
 
 
-def substructure_counts(g: Graph, subs: list[Substructure]) -> list[tuple[int, ...]]:
+def substructure_counts(g: Graph, patterns: list[Graph]) -> list[tuple[int, ...]]:
     """Per node v of g, the counts of `_count_induced_occurrences`
-    concatenated over subs: one per node of each pattern, none per orbit."""
-    per_sub = [_count_induced_occurrences(g, s) for s in subs]
+    concatenated over patterns: one per node of each pattern, none per orbit."""
+    per_pattern = [_count_induced_occurrences(g, h) for h in patterns]
     return [
-        tuple(x for vecs in per_sub for x in vecs[v]) for v in range(g.n)
+        tuple(x for vecs in per_pattern for x in vecs[v]) for v in range(g.n)
     ]
 
 
 def refine_scwl(
-    graphs: list[Graph], substructures: list[Substructure], *, early_exit: bool = False
+    graphs: list[Graph], patterns: list[Graph], *, early_exit: bool = False
 ) -> list[Coloring]:
     """1-WL augmented with induced substructure counts per node of each pattern.
+
+    Each pattern must be a connected graph of at most
+    `SUBSTRUCTURE_MAX_NODES` nodes; one that is not is refused before round
+    0, so no search for it starts.
 
     GSN counts per orbit of the pattern's automorphism group instead, with
     the same colors: composing with the inverse of an automorphism s maps
@@ -748,6 +739,11 @@ def refine_scwl(
     2 a color refines its count id, so the partitions, and with them the
     ids, are those of the key (c, x, *sorted (x_w, c_w)).
     """
+    for h in patterns:
+        if not is_connected(h):
+            raise ValueError("substructures must be connected")
+        if h.n > SUBSTRUCTURE_MAX_NODES:
+            raise ValueError(f"substructures capped at {SUBSTRUCTURE_MAX_NODES} nodes")
     ctx = InterningContext()
     c0 = ctx.intern(("init",))
     initial = [[c0] * g.n for g in graphs]
@@ -757,7 +753,7 @@ def refine_scwl(
         # each distinct count vector of the call gets an id
         count_ids = {}
         xs = [
-            [count_ids.setdefault(x, len(count_ids)) for x in substructure_counts(g, substructures)]
+            [count_ids.setdefault(x, len(count_ids)) for x in substructure_counts(g, patterns)]
             for g in graphs
         ]
 
@@ -789,7 +785,7 @@ class AlgoResult:
 _SUBSTRUCTURE_FAMILIES = {"c": "cycle", "p": "path", "k": "complete", "s": "star"}
 
 
-def _named_substructure(token: str) -> Substructure:
+def _named_substructure(token: str) -> Graph:
     from . import generators
 
     name = token.strip().lower()
@@ -802,7 +798,7 @@ def _named_substructure(token: str) -> Substructure:
     # check the cap before building: a name like k2000 would take seconds to build
     if n > SUBSTRUCTURE_MAX_NODES:
         raise ValueError(f"substructures capped at {SUBSTRUCTURE_MAX_NODES} nodes")
-    return make_substructure(name, getattr(generators, _SUBSTRUCTURE_FAMILIES[kind])(n))
+    return getattr(generators, _SUBSTRUCTURE_FAMILIES[kind])(n)
 
 
 # CLI token -> (policy tag, number of integer radii after a colon)
@@ -840,8 +836,8 @@ def _refine(spec: str, graphs: list[Graph], early_exit: bool = False) -> list[Co
         return refine_dswl(graphs, parse_policy(spec[len("dswl:"):]), early_exit=early_exit)
     if spec.startswith("scwl:"):
         # an empty name, as in "scwl:" or "scwl:c3,", is an unknown substructure
-        subs = [_named_substructure(tok) for tok in spec[len("scwl:"):].split(",")]
-        return refine_scwl(graphs, subs, early_exit=early_exit)
+        patterns = [_named_substructure(tok) for tok in spec[len("scwl:"):].split(",")]
+        return refine_scwl(graphs, patterns, early_exit=early_exit)
     raise ValueError(f"unknown algorithm spec {spec!r}")
 
 

@@ -30,7 +30,6 @@ from wlcheck.refine import (
     InterningContext,
     StabilizationError,
     SubgraphPolicy,
-    Substructure,
     _check_packable,
     _distance_token,
     _distance_values,
@@ -293,7 +292,7 @@ def refine_dswl(
 
 
 def refine_scwl(
-    graphs: list[Graph], substructures: list[Substructure], *, early_exit: bool = False
+    graphs: list[Graph], substructures: list[Graph], *, early_exit: bool = False
 ) -> list[Coloring]:
     """1-WL augmented with induced substructure counts per node of each pattern.
 

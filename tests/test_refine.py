@@ -19,7 +19,6 @@ from wlcheck.refine import (
     InterningContext,
     SubgraphPolicy,
     distinguishable,
-    make_substructure,
     parse_policy,
     refine_1wl,
     refine_2fwl,
@@ -204,7 +203,7 @@ def test_scwl_empty_substructures_match_1wl_partition():
 
 
 def test_scwl_triangle_counts():
-    tri = make_substructure("c3", gen.cycle(3))
+    tri = gen.cycle(3)
     # per pattern node: each triangle node is the image of each triangle
     # corner under 2 of the 6 embeddings of its triangle
     counts = substructure_counts(two_triangles(), [tri])
@@ -217,7 +216,7 @@ def test_scwl_triangle_counts():
 def test_scwl_orbit_attribution_on_paw():
     # paw = triangle 0-1-2 plus pendant 3 on node 2
     paw = Graph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
-    p3 = make_substructure("p3", gen.path(3))
+    p3 = gen.path(3)
     counts = substructure_counts(paw, [p3])
     # P3 is 0-1-2; node 3 is an end of the induced paths 3-2-0 and 3-2-1,
     # each traversed both ways, and the middle of none
@@ -233,7 +232,7 @@ def test_scwl_counts_enter_at_round_1_not_as_initial_colors():
     result = run_algorithm("scwl:tri", graphs)
     assert result.rounds == 2
     assert result.node_colors == ((3, 3, 3), (4, 4, 4, 4))
-    assert len(refine_scwl(graphs, [make_substructure("c3", gen.cycle(3))])[0].ctx) == 5
+    assert len(refine_scwl(graphs, [gen.cycle(3)])[0].ctx) == 5
 
 
 def test_scwl_cannot_solve_biconnectivity_below_girth():
@@ -244,8 +243,32 @@ def test_scwl_cannot_solve_biconnectivity_below_girth():
 
 
 def test_scwl_substructure_guard():
-    with pytest.raises(ValueError):
-        make_substructure("c9", gen.cycle(9))
+    with pytest.raises(ValueError, match="^substructures capped at 8 nodes$"):
+        refine_scwl([gen.path(3)], [gen.cycle(9)])
+
+
+def _forbid_search(monkeypatch):
+    """Make any embedding search fail at once, in both modules' names."""
+
+    def search(h, g, visit):
+        raise AssertionError(f"searched for a pattern on {h.n} nodes")
+
+    monkeypatch.setattr("wlcheck.graphs.induced_embeddings", search)
+    monkeypatch.setattr(refine, "induced_embeddings", search)
+
+
+def test_scwl_refuses_an_oversized_pattern_graph_before_searching(monkeypatch):
+    _forbid_search(monkeypatch)
+    with pytest.raises(ValueError, match="^substructures capped at 8 nodes$"):
+        refine_scwl([gen.complete(12)], [gen.complete(9)])
+
+
+def test_scwl_refuses_a_disconnected_pattern_even_where_round_0_decides(monkeypatch):
+    _forbid_search(monkeypatch)
+    # the 9-node pattern is over the cap too: connectivity is checked first
+    for pattern in (Graph.from_edges(2, []), Graph.from_edges(9, [])):
+        with pytest.raises(ValueError, match="^substructures must be connected$"):
+            refine_scwl([gen.path(3), gen.path(4)], [pattern], early_exit=True)
 
 
 def test_oversized_substructure_name_is_rejected_before_building(monkeypatch):
@@ -272,8 +295,11 @@ def test_scwl_searches_each_pattern_only_in_the_graphs(monkeypatch):
     # both modules' names, so a search made inside wlcheck.graphs counts too
     monkeypatch.setattr("wlcheck.graphs.induced_embeddings", counted)
     monkeypatch.setattr(refine, "induced_embeddings", counted)
-    # no search of the pattern in itself, not even for K8's 40320 maps
-    make_substructure("k8", gen.complete(8))
+    # checking a pattern searches nothing, not even K8 in itself (40320
+    # maps), and refusing one runs no search at all
+    refine_scwl([], [gen.complete(8)])
+    with pytest.raises(ValueError):
+        refine_scwl([gen.path(3)], [gen.complete(9)])
     assert calls == []
     g1, g2 = gen.example1(2, 2)
     run_algorithm("scwl:k4,c5", [g1, g2])
@@ -289,18 +315,18 @@ def _nx_graph(nx, g):
     return a
 
 
-def _reference_counts(nx, g, sub):
-    """Per node v of g, per node u of sub.graph: over the node subsets of g
-    (from combinations) that induce a copy of sub.graph, the networkx
-    isomorphisms of the copy onto sub.graph that map v to u, each the
-    inverse of one induced embedding that maps u onto v."""
+def _reference_counts(nx, g, h):
+    """Per node v of g, per node u of the pattern h: over the node subsets
+    of g (from combinations) that induce a copy of h, the networkx
+    isomorphisms of the copy onto h that map v to u, each the inverse of
+    one induced embedding that maps u onto v."""
     from networkx.algorithms.isomorphism import GraphMatcher
 
-    big, small = _nx_graph(nx, g), _nx_graph(nx, sub.graph)
-    counts = [[0] * sub.graph.n for _ in range(g.n)]
-    for nodes in itertools.combinations(range(g.n), sub.graph.n):
+    big, small = _nx_graph(nx, g), _nx_graph(nx, h)
+    counts = [[0] * h.n for _ in range(g.n)]
+    for nodes in itertools.combinations(range(g.n), h.n):
         induced = big.subgraph(nodes)
-        if induced.number_of_edges() != sub.graph.m:
+        if induced.number_of_edges() != h.m:
             continue
         for mapping in GraphMatcher(induced, small).isomorphisms_iter():
             for v, hv in mapping.items():
@@ -309,23 +335,17 @@ def _reference_counts(nx, g, sub):
 
 
 def _count_test_patterns():
-    return [
-        make_substructure("c3", gen.cycle(3)),
-        make_substructure("c4", gen.cycle(4)),
-        make_substructure("p3", gen.path(3)),
-        make_substructure("s4", gen.star(4)),
-        make_substructure("k4", gen.complete(4)),
-    ]
+    return [gen.cycle(3), gen.cycle(4), gen.path(3), gen.star(4), gen.complete(4)]
 
 
 def test_substructure_counts_match_combinations_and_networkx():
     nx = pytest.importorskip("networkx")
-    subs = _count_test_patterns()
+    patterns = _count_test_patterns()
     for seed in range(10):
         g = gen.random_gnp(9, 0.4, seed)
-        per_sub = [_reference_counts(nx, g, sub) for sub in subs]
-        expected = [tuple(c for counts in per_sub for c in counts[v]) for v in range(g.n)]
-        assert substructure_counts(g, subs) == expected, seed
+        per_pattern = [_reference_counts(nx, g, h) for h in patterns]
+        expected = [tuple(c for counts in per_pattern for c in counts[v]) for v in range(g.n)]
+        assert substructure_counts(g, patterns) == expected, seed
 
 
 def test_pattern_nodes_in_one_orbit_get_equal_counts():
@@ -335,15 +355,14 @@ def test_pattern_nodes_in_one_orbit_get_equal_counts():
     from networkx.algorithms.isomorphism import GraphMatcher
 
     paw = Graph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
-    subs = _count_test_patterns() + [make_substructure("paw", paw)]
-    for sub in subs:
-        small = _nx_graph(nx, sub.graph)
+    for h in _count_test_patterns() + [paw]:
+        small = _nx_graph(nx, h)
         autos = list(GraphMatcher(small, small).isomorphisms_iter())
         for seed in range(10):
             g = gen.random_gnp(9, 0.4, seed)
-            for v, row in enumerate(substructure_counts(g, [sub])):
+            for v, row in enumerate(substructure_counts(g, [h])):
                 for s in autos:
-                    assert all(row[u] == row[s[u]] for u in range(sub.graph.n)), (sub.name, seed, v)
+                    assert all(row[u] == row[s[u]] for u in range(h.n)), (h, seed, v)
 
 
 def test_scwl_output_on_family_corpus_is_pinned():
@@ -459,7 +478,7 @@ def _refine_directly(spec, graphs):
     if name == "dswl":
         return refine_dswl(graphs, parse_policy(arg))
     assert spec == "scwl:tri"
-    return refine_scwl(graphs, [make_substructure("c3", gen.cycle(3))])
+    return refine_scwl(graphs, [gen.cycle(3)])
 
 
 @pytest.mark.parametrize("spec", SPEC_FORMS)
