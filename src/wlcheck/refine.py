@@ -39,7 +39,10 @@ as such in round 1 and through its w = u term later; SC-WL's round 1,
 through the all-init round 0). So once a round leaves a group's partition
 unchanged, the partition never changes again and the group never again
 shares a color with another graph: the group is frozen, and its class count
-carries forward.
+carries forward. A changed group whose partition is discrete, each entry a
+class of its own, can never split again, by the same keys; it is frozen in
+the round that made it discrete, with no round run to confirm it. (Not with
+`early_exit`, whose graphs stay one group.)
 When the last groups freeze in a round that still changed the joint
 partition, the next round would change nothing; it is counted, not run.
 The returned ids are those of a run that advanced every graph every round,
@@ -59,7 +62,7 @@ the round's table, and its inner loop runs in C builtins (`map`, `zip`,
 element's color from the round before:
 
 - 1-WL and DS-WL: (c, *sorted neighbor colors);
-- GD-WL: the sorted packed (distance token id, color) pairs over all nodes;
+- GD-WL: the sorted packed (color, distance token id) pairs over all nodes;
 - SC-WL: the 1-WL round, whose round 1 reads the count ids (the call's id
   of each node's count vector) in place of the all-init colors;
 - 2-FWL: in round 1, (n, c, deg u, deg v, |N(u) & N(v)|), which K(u,v)
@@ -71,15 +74,17 @@ element's color from the round before:
   local to the round.
 
 These keys give the ids of the tagged tuple keys they replace, for three
-reasons. Set-up keys ("init", "mark", distance tokens, 2-FWL's initial pair
-classes, DSS-WL's bags, DS-WL's representations) start with a str, and round
-keys hold only ints. A round-r key holds a color from round r-1's id range,
-so no round key recurs in a later round (SC-WL's round 1 holds count ids
-instead; see `refine_scwl`); nor does a 2-FWL round-1 key, whose first
-entry n is at most 40, while every entry of a later key packs a color of at
-least 1 above 32 bits. And t is a bijection within its round. 2-FWL's later
-keys leave c(u,v) out: the w = u term is the only one whose first color is
-a diagonal color, and its second color is c(u,v). Below the diagonal, those
+reasons. First, a round's ids follow from its partition and its base alone:
+each is the count of ids issued before the round plus its key's position in
+the round's table, which starts empty, so keys of different rounds never
+meet and need not differ. Second, within a round two keys are equal exactly
+when the tagged keys are: round keys hold only ints, while set-up keys
+("init", "mark", distance tokens, 2-FWL's initial pair classes) and the
+keys a round may add besides (DSS-WL's bags, DS-WL's representations) start
+with a str; a packed int stands for one pair (see below); and t is a
+bijection within its round. Third, 2-FWL's later keys leave c(u,v) out:
+the w = u term is the only one whose first color is a diagonal color, and
+its second color is c(u,v). Below the diagonal, those
 rounds read c(u,v) from a per-round map from the id of K(v,u) to that of
 K(u,v). The initial colors are symmetric, so the color of (v,u) is a
 function of that of (u,v) in every round, and the map is well defined; on a
@@ -88,24 +93,26 @@ interned before, so no id moves.
 
 A context keeps the keys of the current round only, and counts every id it
 has issued. `_iterate` starts each round's table (`next_round`) and drops
-the one before, with the set-up keys at round 1; a key's id is the count of
-ids issued before the round plus its position in the table, so every id is
-the one a table that kept all keys would give. Dropping cannot merge or
-move an id, because no dropped key can recur: set-up keys start with a str,
-and a round-r key holds a color from round r-1's id range (SC-WL's round-1
-keys may recur, but each round's ids follow from its partition alone). So
-a call holds one round of keys at a time, not all of them; for 2-FWL and
+the one before, with the set-up keys at round 1. Dropping cannot merge or
+move an id, since no id depends on the keys of another round. So a call
+holds one round of keys at a time, not all of them; for 2-FWL and
 DSS-WL, with n^2 keys per graph and round, that is most of its memory. A
 frozen group interns nothing, so the ids issued fall short of a full run's;
 the relabelling that ends such a call skips the context to a full run's
 count (`InterningContext.skip_to`), which is what len() then reports.
 
-The packed pairs put a high id (distance token or 2-FWL's c(u,w)) above a
-color, `high << 32 | color`, so sorting the ints sorts the pairs: a packed
-key is in one-to-one correspondence with the sorted tuple of pairs. It
-needs every color id it packs below 2^32 (`PACKED_ID_LIMIT`); a round that
-starts with more ids issued than that raises `OverflowError` rather than
-let two keys collide.
+A packed int stands for a pair of ids, the first scaled above every value
+the second takes in its round, so sorting the ints sorts the pairs: a packed
+key is in one-to-one correspondence with the sorted tuple of pairs. GD-WL
+packs (color, token) as color * span + token, with span = len(ctx) after the
+set-up, above every token id; the token rows stay fixed, and each round
+scales only the n colors. 2-FWL packs (c(u,w), c(w,v)) as
+(c(u,w) - p) * s + c(w,v), where p is the first id of the round before and s
+the number of ids it issued: every color of a graph still advancing was
+issued in that round, so it lies in [p, p + s). Both maps are injective
+within a round, whatever the number of ids issued, and they keep the ints
+small; packed as `high << 32 | color`, each was two CPython digits wide,
+and slower to add and compare.
 """
 
 from __future__ import annotations
@@ -124,9 +131,10 @@ class InterningContext:
 
     The table holds the current round's keys only: `next_round`, which
     `_iterate` calls each round, drops the keys before it and keeps their
-    count. A key's id is that count plus its position in the table, the id
-    a table that kept every key would give, since no dropped key can recur.
-    len() counts every id issued, or after `skip_to` the count it was given.
+    count. A key's id is that count plus its position in the table, so a
+    round's ids follow from its partition alone, and keys of different
+    rounds need not differ. len() counts every id issued, or after
+    `skip_to` the count it was given.
     """
 
     def __init__(self):
@@ -182,18 +190,6 @@ def _partition_sig(state) -> tuple[int, ...]:
     return tuple(map({}.setdefault, chain.from_iterable(state), count()))
 
 
-_PACK_BITS = 32
-PACKED_ID_LIMIT = 1 << _PACK_BITS
-
-
-def _check_packable(ctx: InterningContext) -> None:
-    """Raise unless every id of ctx fits the low half of a packed pair."""
-    if len(ctx) > PACKED_ID_LIMIT:
-        raise OverflowError(
-            f"{len(ctx)} interned keys: packed multiset keys need ids below {PACKED_ID_LIMIT}"
-        )
-
-
 class StabilizationError(RuntimeError):
     """Internal error: refinement exceeded its theoretical round bound."""
 
@@ -201,6 +197,24 @@ class StabilizationError(RuntimeError):
 def _multisets_differ(state) -> bool:
     """True when two graphs' multisets of state entries differ."""
     return len({tuple(sorted(colors)) for colors in state}) > 1
+
+
+def _is_discrete(sig) -> bool:
+    """True when every entry of a `_partition_sig` has a class of its own."""
+    # a test of the last entry first, which opens a class of its own in
+    # every discrete partition, saves building the set in most rounds
+    return not sig or sig[-1] == len(sig) - 1 and len(set(sig)) == len(sig)
+
+
+def _share_a_color(lists) -> bool:
+    """True when some color is in every one of lists, which then form one
+    group of `_linked_groups`."""
+    common = set(lists[0])
+    for colors in lists[1:]:
+        common = common.intersection(colors)
+        if not common:
+            return False
+    return True
 
 
 def _linked_groups(lists, sig) -> list[list[int]]:
@@ -249,17 +263,21 @@ def _iterate(ctx: InterningContext, set_up, initial, early_exit=False):
     it can strictly refine at most N - 1 times, so the round cap is N + 1.
 
     After each round a changed group is split into the groups its lists now
-    form, and a new group whose partition that round left unchanged is
-    frozen; partitions are compared by `_partition_sig` over the group's own
-    lists.
+    form (none is sought when one color is in every list), and a new group
+    whose partition that round left unchanged is frozen; partitions are
+    compared by `_partition_sig` over the group's own lists. A changed group
+    or new group whose partition is discrete is frozen at once: no later
+    round can split it, so the round that would leave it unchanged is not
+    run, and its class count carries forward from the round that made it.
 
     With early_exit the loop also stops, before round 1 and after every
     round, as soon as two graphs' multisets of state entries differ. That
     verdict is final: every round's key holds the element's previous
     color, so each round's joint partition refines the one before, and
     multisets that differ at one round differ at every later one, the
-    stable coloring included. The graphs then stay one group: two graphs
-    with entries that share no color have different multisets already.
+    stable coloring included. The graphs then stay one group, discrete or
+    not: two graphs with entries that share no color have different
+    multisets already.
     """
     state = list(initial)
     groups = [list(range(len(state)))]
@@ -288,8 +306,12 @@ def _iterate(ctx: InterningContext, set_up, initial, early_exit=False):
                 regrouped = True
                 continue
             changed = True
+            if not early_exit and _is_discrete(new_sig):
+                frozen += len(new_sig)
+                regrouped = True
+                continue
             pieces = [group]
-            if not early_exit and len(group) > 1:
+            if not early_exit and len(group) > 1 and not _share_a_color(lists):
                 pieces = [[group[m] for m in members] for members in _linked_groups(lists, new_sig)]
             if len(pieces) == 1:
                 live.append(group)
@@ -298,7 +320,7 @@ def _iterate(ctx: InterningContext, set_up, initial, early_exit=False):
             regrouped = True
             for piece in pieces:
                 piece_sig = _partition_sig([state[i] for i in piece])
-                if piece_sig == _partition_sig([previous[i] for i in piece]):
+                if _is_discrete(piece_sig) or piece_sig == _partition_sig([previous[i] for i in piece]):
                     frozen += len(set(piece_sig))
                 else:
                     live.append(piece)
@@ -410,40 +432,41 @@ def refine_gdwl(
     initial = [[c0] * g.n for g in graphs]
 
     def set_up():
-        # per node v, the high half of each packed (id of token d(v,u), color
-        # of u) pair, with v's tokens interned in token order; only colors
-        # change per round
-        highs_per_graph = []
-        # tau -> value -> high, over the call: each distinct (tau, value) is
-        # interned once, so the per-row work sorts and hashes ints, not Fractions
-        high_by_tau: dict[int | None, dict] = {}
+        # per node v, the id of each token d(v,u), with v's tokens interned
+        # in token order; only colors change per round
+        tokens_per_graph = []
+        # tau -> value -> token id, over the call: each distinct (tau, value)
+        # is interned once, so the per-row work sorts and hashes ints, not
+        # Fractions
+        token_by_tau: dict[int | None, dict] = {}
         for g in graphs:
             rows, far = _distance_values(g, distance_kind)
-            highs = []
+            tokens = []
             for tau, row in rows:
-                high_of = high_by_tau.get(tau)
-                if high_of is None:
-                    high_of = high_by_tau[tau] = {}
-                new = set(row).difference(high_of)
+                token_of = token_by_tau.get(tau)
+                if token_of is None:
+                    token_of = token_by_tau[tau] = {}
+                new = set(row).difference(token_of)
                 if new:
                     # the row's new values in token order, the far one last
                     for value in sorted(new - {far}):
-                        high_of[value] = ctx.intern(("dtok", _distance_token(tau, value))) << _PACK_BITS
+                        token_of[value] = ctx.intern(("dtok", _distance_token(tau, value)))
                     if far in new:
-                        high_of[far] = ctx.intern(("dtok", far)) << _PACK_BITS
-                highs.append(list(map(high_of.__getitem__, row)))
-            highs_per_graph.append(highs)
+                        token_of[far] = ctx.intern(("dtok", far))
+                tokens.append(list(map(token_of.__getitem__, row)))
+            tokens_per_graph.append(tokens)
+        span = len(ctx)  # above every token id
 
         def update(active, state, ids, base):
-            _check_packable(ctx)
             setdefault = ids.setdefault
             out = []
             for i in active:
-                colors = state[i]
+                # each (token, color) pair packs as color * span + token
+                scaled = [c * span for c in state[i]]
                 out.append(
                     [
-                        setdefault(tuple(sorted(map(add, high, colors))), base + len(ids))
-                        for high in highs_per_graph[i]
+                        setdefault(tuple(sorted(map(add, tokens, scaled))), base + len(ids))
+                        for tokens in tokens_per_graph[i]
                     ]
                 )
             return out
@@ -501,8 +524,14 @@ def refine_2fwl(graphs: list[Graph], *, early_exit: bool = False) -> list[Colori
     }
     initial = [list(map(initial_color.__getitem__, flat)) for flat in types]
 
+    # the first id of the round before: every active color lies in
+    # [previous_base, base), the ids that round issued
+    previous_base = 0
+
     def later_round(active, state, ids, base):
-        _check_packable(ctx)
+        nonlocal previous_base
+        p, s = previous_base, base - previous_base
+        previous_base = base
         setdefault = ids.setdefault
         # id of K(v,u) -> id of K(u,v), over the graphs advanced: well
         # defined, since the color of (v,u) is a function of that of (u,v)
@@ -514,8 +543,9 @@ def refine_2fwl(graphs: list[Graph], *, early_exit: bool = False) -> list[Colori
             cols = list(zip(*mat))
             new_flat = []
             for u, row_u in enumerate(mat):
-                # K(u,v): the multiset of (c(u,w), c(w,v)) over w, one packed int each
-                high = [c << _PACK_BITS for c in row_u]
+                # K(u,v): the multiset of (c(u,w), c(w,v)) over w, one packed
+                # int (c(u,w) - p) * s + c(w,v) each
+                high = [(c - p) * s for c in row_u]
                 above = new_flat[u::n]
                 row = list(map(transpose.get, above))
                 for v, c in enumerate(row):
@@ -532,6 +562,8 @@ def refine_2fwl(graphs: list[Graph], *, early_exit: bool = False) -> list[Colori
         masks = [[sum(1 << w for w in nbrs) for nbrs in g.adjacency] for g in graphs]
 
         def first_round(active, state, ids, base):
+            nonlocal previous_base
+            previous_base = base
             setdefault = ids.setdefault
             out = []
             for i in active:
@@ -856,22 +888,6 @@ def run_algorithm(spec: str, graphs: list[Graph]) -> AlgoResult:
         representations=tuple(r.representation for r in results),
         rounds=results[0].rounds if results else 0,
     )
-
-
-ALGORITHM_SPECS = (
-    "1wl",
-    "spdwl",
-    "rdwl",
-    "gdwl",
-    "2fwl",
-    "dsswl:nm",
-    "dsswl:nd",
-    "dsswl:ego:K",
-    "dsswl:egom:K",
-    "dswl:nm",
-    "dswl:nd",
-    "scwl:NAMES",
-)
 
 
 def distinguishable(g: Graph, h: Graph, algo: str) -> bool:

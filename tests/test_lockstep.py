@@ -25,12 +25,10 @@ from wlcheck.graphs import Graph
 from wlcheck.refine import (
     DSS_WL_MAX_NODES,
     TWO_FWL_MAX_NODES,
-    _PACK_BITS,
     Coloring,
     InterningContext,
     StabilizationError,
     SubgraphPolicy,
-    _check_packable,
     _distance_token,
     _distance_values,
     _initial_subgraph_colors,
@@ -42,6 +40,19 @@ from wlcheck.refine import (
     parse_policy,
     substructure_counts,
 )
+
+# the reference packs each (high id, color) pair as high << 32 | color, so
+# it needs every id it packs below 2^32
+_PACK_BITS = 32
+PACKED_ID_LIMIT = 1 << _PACK_BITS
+
+
+def _check_packable(ctx: InterningContext) -> None:
+    """Raise unless every id of ctx fits the low half of a packed pair."""
+    if len(ctx) > PACKED_ID_LIMIT:
+        raise OverflowError(
+            f"{len(ctx)} interned keys: packed multiset keys need ids below {PACKED_ID_LIMIT}"
+        )
 
 
 def _iterate(update, initial, total_elements, early_exit=False):

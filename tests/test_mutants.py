@@ -121,11 +121,18 @@ MUTANTS = {
         biconn, "per_component_forms", ('["V"] * len(cuts)', '[f"V{v}" for v in cuts]'), 40,
         {"positive[gdwl]": 1},
     ),
-    # each graph freezes once its own partition is stable, though it still
-    # shares colors with graphs that go on refining
+    # a changed group splits into its single graphs, so each graph freezes
+    # once its own partition is stable or discrete, though it still shares
+    # colors with graphs that go on refining
     "groups_ignore_shared_colors": (
-        refine, "_linked_groups", lambda lists, sig: [[m] for m in range(len(lists))], 0,
-        {"positive[2fwl]": 3, "negative_counterexamples": 2, "hierarchy": 6, "wl_condition": 8,
+        refine, "_iterate",
+        (
+            "len(group) > 1 and not _share_a_color(lists):\n"
+            "                pieces = [[group[m] for m in members] for members in _linked_groups(lists, new_sig)]",
+            "len(group) > 1:\n                pieces = [[i] for i in group]",
+        ),
+        0,
+        {"positive[2fwl]": 3, "negative_counterexamples": 2, "hierarchy": 7, "wl_condition": 9,
          "expressivity_table": 1},
     ),
     # a row's own round 1 runs in every round, so 2-FWL stops after its
@@ -167,7 +174,7 @@ RECORDS_MD5 = {
     "solver_gathers_pivot_row_unsigned": "9bee2bcc87602a532ce80a1dbab7114f",
     "solver_gathers_column_unscaled": "a93031da908d9ce06b8ca7a97606305c",
     "tree_forms_carry_cut_vertex_ids": "68700aa64b0bef83df6117be7d42ac59",
-    "groups_ignore_shared_colors": "409fbbefe2095abf2d6778059062da34",
+    "groups_ignore_shared_colors": "5429ffd4db17fff629b55873fc89123e",
     "first_round_every_round": "f35a65784b9f959c472a41af86b0ee02",
     "wl_round_hashes_degrees": "5bb2c8f861e9aa819e6647c954c6807d",
     "bridge_test_ge": "529a26af026de43cef3352722d0b84c6",

@@ -14,7 +14,6 @@ from wlcheck import harness, refine
 from wlcheck.distances import UNREACHABLE, rd_matrix, spd_matrix
 from wlcheck.graphs import Graph, Partition
 from wlcheck.refine import (
-    ALGORITHM_SPECS,
     POLICY_TAGS,
     InterningContext,
     SubgraphPolicy,
@@ -451,6 +450,23 @@ def test_ego_policies_reject_negative_radius():
     with pytest.raises(ValueError):
         parse_policy("egom:-1")
 
+
+# the spec forms run_algorithm takes, with K an ego radius and NAMES a list
+# of substructure names
+ALGORITHM_SPECS = (
+    "1wl",
+    "spdwl",
+    "rdwl",
+    "gdwl",
+    "2fwl",
+    "dsswl:nm",
+    "dsswl:nd",
+    "dsswl:ego:K",
+    "dsswl:egom:K",
+    "dswl:nm",
+    "dswl:nd",
+    "scwl:NAMES",
+)
 
 # every concrete form of ALGORITHM_SPECS: ego radii 1 and 2, the triangle count
 SPEC_FORMS = [
@@ -1046,15 +1062,41 @@ def test_gdwl_kinds_in_one_shared_context_match_the_tuple_key_formulas(monkeypat
 
 
 @pytest.mark.parametrize("spec", ["2fwl", "spdwl", "rdwl", "gdwl"])
-def test_packing_overflow_raises_instead_of_colliding(spec, monkeypatch):
+def test_packed_keys_stay_injective_with_ids_above_2_to_the_40(spec, monkeypatch):
     graphs = [gen.random_gnp(9, Fraction(1, 3), 2), gen.path(5)]
-    expected = run_algorithm(spec, graphs)
-    final_size = len(_refine_directly(spec, graphs)[0].ctx)
-    # every round starts with fewer ids than the run ends with, so a limit
-    # of the final context size still fits ...
-    monkeypatch.setattr(refine, "PACKED_ID_LIMIT", final_size)
-    assert run_algorithm(spec, graphs) == expected
-    # ... and one far below it stops the run before it returns colors
-    monkeypatch.setattr(refine, "PACKED_ID_LIMIT", 2)
-    with pytest.raises(OverflowError):
-        run_algorithm(spec, graphs)
+    expected = _refine_directly(spec, graphs)
+    offset = 1 << 40
+    init = InterningContext.__init__
+
+    def issuing_from_offset(ctx):
+        init(ctx)
+        ctx._issued_before = offset
+
+    monkeypatch.setattr(InterningContext, "__init__", issuing_from_offset)
+    colorings = _refine_directly(spec, graphs)
+    # the same partitions and rounds, every id moved by the offset
+    for got, want in zip(colorings, expected, strict=True):
+        assert got.colors == tuple(c + offset for c in want.colors)
+        assert got.representation == tuple(c + offset for c in want.representation)
+        assert got.rounds == want.rounds
+    assert len(colorings[0].ctx) == len(expected[0].ctx) + offset
+
+
+def test_a_discrete_2fwl_partition_freezes_without_a_confirming_round(monkeypatch):
+    from test_lockstep import lockstep
+
+    g = gen.random_gnp(40, Fraction(1, 10), 0)
+    (reference,) = lockstep("2fwl", [g])
+    runs = _count_rounds_run(monkeypatch)
+    (coloring,) = refine_2fwl([g])
+    assert len(set(coloring.representation)) == g.n * g.n
+    assert (coloring.colors, coloring.representation, coloring.rounds, len(coloring.ctx)) == (
+        reference.colors,
+        reference.representation,
+        reference.rounds,
+        len(reference.ctx),
+    )
+    # round 1 and one general round; the round that would confirm the
+    # discrete partition is counted, not run
+    assert reference.rounds == 3
+    assert len(runs) == 2
