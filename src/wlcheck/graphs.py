@@ -108,12 +108,6 @@ class Partition:
                 class_of[v] = i
         return Partition(classes=classes, class_of=tuple(class_of))
 
-    def refines(self, coarser: "Partition") -> bool:
-        """True if every class of self lies inside one class of coarser."""
-        return all(
-            len({coarser.class_of[v] for v in cls}) == 1 for cls in self.classes
-        )
-
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list interchange format.
@@ -331,25 +325,3 @@ def induced_embeddings(h: Graph, g: Graph, visit) -> bool:
         return False
 
     return place(0)
-
-
-BRUTE_FORCE_ISO_MAX_NODES = 10
-
-
-def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
-    """Exhaustive isomorphism test, pruned by degrees. Oracle use only.
-
-    Capped at 10 nodes per graph. Past the node, edge and degree-sequence
-    filters, g and h are isomorphic exactly when g has an induced embedding
-    in h, since h has no node or edge to spare.
-    """
-    if g.n > BRUTE_FORCE_ISO_MAX_NODES or h.n > BRUTE_FORCE_ISO_MAX_NODES:
-        raise ValueError(
-            f"brute_force_isomorphic capped at {BRUTE_FORCE_ISO_MAX_NODES} nodes"
-        )
-    if g.n != h.n or g.m != h.m:
-        return False
-    if sorted(map(g.degree, range(g.n))) != sorted(map(h.degree, range(h.n))):
-        return False
-    return induced_embeddings(g, h, lambda image: True)
-

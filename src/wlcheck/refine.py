@@ -39,12 +39,14 @@ as such in round 1 and through its w = u term later; SC-WL's round 1,
 through the all-init round 0). So once a round leaves a group's partition
 unchanged, the partition never changes again and the group never again
 shares a color with another graph: the group is frozen, and its class count
-carries forward. A changed group whose partition is discrete, each entry a
-class of its own, can never split again, by the same keys; it is frozen in
-the round that made it discrete, with no round run to confirm it. (Not with
-`early_exit`, whose graphs stay one group.)
-When the last groups freeze in a round that still changed the joint
-partition, the next round would change nothing; it is counted, not run.
+carries forward. A group whose partition is discrete, each entry a class of
+its own, can never change again either. So one rule freezes a group: after
+each round, a group freezes once its partition is discrete or the round
+left it unchanged. A changed group that is not discrete splits into the
+groups its graphs now form, and the same rule applies to each piece; every
+other group or piece stays live. When the last groups freeze in a round
+that changed the joint partition, the loop runs one more round over no
+graph, which counts itself and changes nothing.
 The returned ids are those of a run that advanced every graph every round,
 because those depend only on the per-round partitions: the state after
 round r is the number of ids issued before round r plus each entry's
@@ -111,8 +113,7 @@ scales only the n colors. 2-FWL packs (c(u,w), c(w,v)) as
 the number of ids it issued: every color of a graph still advancing was
 issued in that round, so it lies in [p, p + s). Both maps are injective
 within a round, whatever the number of ids issued, and they keep the ints
-small; packed as `high << 32 | color`, each was two CPython digits wide,
-and slower to add and compare.
+small.
 """
 
 from __future__ import annotations
@@ -206,22 +207,21 @@ def _is_discrete(sig) -> bool:
     return not sig or sig[-1] == len(sig) - 1 and len(set(sig)) == len(sig)
 
 
-def _share_a_color(lists) -> bool:
-    """True when some color is in every one of lists, which then form one
-    group of `_linked_groups`."""
-    common = set(lists[0])
-    for colors in lists[1:]:
-        common = common.intersection(colors)
-        if not common:
-            return False
-    return True
-
-
 def _linked_groups(lists, sig) -> list[list[int]]:
     """Positions in lists grouped by shared colors: two lists are in one
     group when a chain of lists, each sharing a color with the next, joins
     them. sig is the `_partition_sig` of lists. Groups come in the order of
-    their first members."""
+    their first members. When one color is in every list, as in a group of
+    one list, they form one group, found without the union."""
+    # a single list needs no set: a 2-FWL, DS-WL or DSS-WL list holds n*n
+    # colors or more, and a group of one graph is tested every round
+    common = set(lists[0]) if len(lists) > 1 else ()
+    for colors in lists[1:]:
+        common = common.intersection(colors)
+        if not common:
+            break
+    else:
+        return [list(range(len(lists)))]
     holder = list(chain.from_iterable([m] * len(colors) for m, colors in enumerate(lists)))
     # (list of an entry, list where the entry's color first appears)
     links = set(zip(holder, map(holder.__getitem__, sig)))
@@ -262,27 +262,29 @@ def _iterate(ctx: InterningContext, set_up, initial, early_exit=False):
     partition of all entries of all lists survives a round. With N entries
     it can strictly refine at most N - 1 times, so the round cap is N + 1.
 
-    After each round a changed group is split into the groups its lists now
-    form (none is sought when one color is in every list), and a new group
-    whose partition that round left unchanged is frozen; partitions are
-    compared by `_partition_sig` over the group's own lists. A changed group
-    or new group whose partition is discrete is frozen at once: no later
-    round can split it, so the round that would leave it unchanged is not
-    run, and its class count carries forward from the round that made it.
+    One rule freezes a group: a group freezes once its partition is
+    discrete or the round left it unchanged. A changed group that is not
+    discrete is split into the groups its lists now form
+    (`_linked_groups`), and the same rule applies to each piece; every
+    other group or piece stays live. Partitions are compared by
+    `_partition_sig` over the group's or piece's own lists. Each round is
+    judged at the start of the next, after the early-exit test. When the
+    last groups freeze in a round that changed the joint partition, the
+    next round runs over no graph (active is empty): it counts itself and
+    changes nothing.
 
     With early_exit the loop also stops, before round 1 and after every
     round, as soon as two graphs' multisets of state entries differ. That
     verdict is final: every round's key holds the element's previous
     color, so each round's joint partition refines the one before, and
     multisets that differ at one round differ at every later one, the
-    stable coloring included. The graphs then stay one group, discrete or
-    not: two graphs with entries that share no color have different
-    multisets already.
+    stable coloring included. A group that would split holds two lists
+    that share no color, as does a discrete group of two nonempty lists;
+    their multisets differ, so the call ends before that round is judged.
+    A call on one graph runs as a full call.
     """
     state = list(initial)
-    groups = [list(range(len(state)))]
-    sigs = [_partition_sig(state)]
-    active = groups[0]
+    groups = [(list(range(len(state))), _partition_sig(state))]
     frozen = 0  # the classes of the frozen groups
     skipped = 0  # the ids of frozen groups that a full run would have issued
     rounds = 0
@@ -290,54 +292,40 @@ def _iterate(ctx: InterningContext, set_up, initial, early_exit=False):
     while not (early_exit and _multisets_differ(state)):
         if not rounds:
             step, update = set_up()
+        else:
+            # judge the round just run; previous is the state before it
+            changed = False
+            live = []
+            for group, sig in groups:
+                lists = [state[i] for i in group]
+                new_sig = _partition_sig(lists)
+                changed = changed or new_sig != sig
+                if new_sig == sig or _is_discrete(new_sig):
+                    frozen += len(set(new_sig))
+                    continue
+                linked = _linked_groups(lists, new_sig)
+                if len(linked) == 1:
+                    live.append((group, new_sig))
+                    continue
+                for members in linked:
+                    piece = [group[m] for m in members]
+                    piece_sig = _partition_sig([state[i] for i in piece])
+                    if _is_discrete(piece_sig) or piece_sig == _partition_sig([previous[i] for i in piece]):
+                        frozen += len(set(piece_sig))
+                    else:
+                        live.append((piece, piece_sig))
+            if not changed:
+                break
+            if rounds > cap:
+                raise StabilizationError(f"no stabilization after {rounds} rounds (cap {cap})")
+            groups = live
+        active = sorted(chain.from_iterable(group for group, _ in groups))
         previous = state[:]
         for i, colors in zip(active, step(active, state, *ctx.next_round())):
             state[i] = colors
         step = update
         rounds += 1
         skipped += frozen
-        changed = regrouped = False
-        live, live_sigs = [], []
-        for group, sig in zip(groups, sigs):
-            lists = [state[i] for i in group]
-            new_sig = _partition_sig(lists)
-            if new_sig == sig:
-                frozen += len(set(new_sig))
-                regrouped = True
-                continue
-            changed = True
-            if not early_exit and _is_discrete(new_sig):
-                frozen += len(new_sig)
-                regrouped = True
-                continue
-            pieces = [group]
-            if not early_exit and len(group) > 1 and not _share_a_color(lists):
-                pieces = [[group[m] for m in members] for members in _linked_groups(lists, new_sig)]
-            if len(pieces) == 1:
-                live.append(group)
-                live_sigs.append(new_sig)
-                continue
-            regrouped = True
-            for piece in pieces:
-                piece_sig = _partition_sig([state[i] for i in piece])
-                if _is_discrete(piece_sig) or piece_sig == _partition_sig([previous[i] for i in piece]):
-                    frozen += len(set(piece_sig))
-                else:
-                    live.append(piece)
-                    live_sigs.append(piece_sig)
-        if not changed:
-            break
-        if rounds > cap:
-            raise StabilizationError(f"no stabilization after {rounds} rounds (cap {cap})")
-        groups, sigs = live, live_sigs
-        if not groups:
-            # every group froze in a round that changed the joint
-            # partition: the next round changes nothing, counted, not run
-            rounds += 1
-            skipped += frozen
-            break
-        if regrouped:
-            active = sorted(chain.from_iterable(groups))
     if skipped:
         # the ids of a run that advanced every graph: those issued before
         # the last round plus each entry's first-appearance rank

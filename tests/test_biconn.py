@@ -6,9 +6,9 @@ import pytest
 
 from wlcheck import generators as gen
 from wlcheck.biconn import biconnectivity_report, brute_force_cut_sets, per_component_forms
-from wlcheck.graphs import Graph, brute_force_isomorphic, connected_components
+from wlcheck.graphs import Graph, connected_components
 from corpora import hierarchy_graphs
-from graph_helpers import induced_subgraph, relabel
+from graph_helpers import brute_force_isomorphic, induced_subgraph, relabel
 from wlcheck.harness import family_corpus, standard_corpus, tree_corpus
 
 

@@ -4,13 +4,12 @@ import tracemalloc
 
 import pytest
 
-from graph_helpers import induced_subgraph, relabel
+from graph_helpers import brute_force_isomorphic, induced_subgraph, relabel
 from wlcheck import generators as gen
 from wlcheck.graphs import (
     GRAPH_MAX_NODES,
     Graph,
     GraphFormatError,
-    brute_force_isomorphic,
     connected_components,
     encode_edge_list,
     encode_graph6,

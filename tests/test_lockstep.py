@@ -18,7 +18,7 @@ from operator import add
 import pytest
 
 from corpora import hierarchy_graphs
-from test_refine import SPEC_FORMS, _count_rounds_run, two_triangles
+from test_refine import SPEC_FORMS, _count_rounds_run, _early_exit_pairs, two_triangles
 from wlcheck import generators as gen
 from wlcheck import harness, refine
 from wlcheck.graphs import Graph
@@ -342,21 +342,23 @@ def refine_scwl(
     return _node_colorings(state, rounds, ctx)
 
 
-def lockstep(spec: str, graphs: list[Graph]) -> list[Coloring]:
+def lockstep(spec: str, graphs: list[Graph], early_exit: bool = False) -> list[Coloring]:
     """The colorings of the lockstep refine_* call that spec names."""
     name, _, arg = spec.partition(":")
     if name == "1wl":
-        return refine_1wl(graphs)
+        return refine_1wl(graphs, early_exit=early_exit)
     if name in ("spdwl", "rdwl", "gdwl"):
-        return refine_gdwl(graphs, {"spdwl": "spd", "rdwl": "rd", "gdwl": "spdrd"}[name])
+        kind = {"spdwl": "spd", "rdwl": "rd", "gdwl": "spdrd"}[name]
+        return refine_gdwl(graphs, kind, early_exit=early_exit)
     if name == "2fwl":
-        return refine_2fwl(graphs)
+        return refine_2fwl(graphs, early_exit=early_exit)
     if name == "dsswl":
-        return refine_dsswl(graphs, parse_policy(arg))
+        return refine_dsswl(graphs, parse_policy(arg), early_exit=early_exit)
     if name == "dswl":
-        return refine_dswl(graphs, parse_policy(arg))
+        return refine_dswl(graphs, parse_policy(arg), early_exit=early_exit)
     assert name == "scwl"
-    return refine_scwl(graphs, [_named_substructure(tok) for tok in arg.split(",")])
+    patterns = [_named_substructure(tok) for tok in arg.split(",")]
+    return refine_scwl(graphs, patterns, early_exit=early_exit)
 
 
 def _observed(colorings):
@@ -396,8 +398,8 @@ def test_corpus_refinement_matches_lockstep(spec, corpus):
 def test_a_round_that_only_frozen_groups_would_run_is_counted_not_run(monkeypatch):
     runs = _count_rounds_run(monkeypatch)
     # the paths stop sharing their end colors in round 3, which leaves
-    # each path's own partition as it was: both freeze, and round 4 would
-    # change nothing
+    # each path's own partition as it was: both freeze, and round 4, which
+    # would change nothing, advances no graph
     _, _, rounds, issued = _assert_matches_lockstep("1wl", [gen.path(3), gen.path(4)])
     assert rounds == 4
     assert issued == 1 + 2 + 3 + 4 + 4
@@ -479,15 +481,48 @@ def test_2fwl_early_exit_matches_lockstep(graphs, rounds, monkeypatch):
     assert refine.distinguishable(*graphs, "2fwl")
 
 
+# early-exit calls beside those of test_refine._early_exit_pairs: under
+# 1-WL the first pair's group splits after round 1, its graphs sharing no
+# degree; under SC-WL the second pair's joint partition turns discrete in
+# round 1 (no pair of atlas graphs, 7 nodes or fewer, does so under 1-WL);
+# single graphs, whose multisets never differ, run to the stable coloring
+# and freeze, the 7-node tree turning discrete
+EARLY_EXIT_GRAPHS = [
+    [Graph.from_edges(5, [(2, 3)]), Graph.from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 4), (2, 4), (3, 4)])],
+    [
+        Graph.from_edges(7, [(0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (1, 5), (2, 3), (3, 4), (3, 5)]),
+        Graph.from_edges(7, [(0, 1), (0, 5), (1, 2), (1, 6), (2, 3), (2, 4), (2, 5), (3, 4), (4, 5)]),
+    ],
+    [Graph.from_edges(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])],
+    [gen.path(5)],
+    [gen.cycle(6), gen.path(12)],
+]
+
+
+@pytest.mark.parametrize("spec", SPEC_FORMS)
+def test_early_exit_matches_lockstep(spec):
+    for graphs in [list(pair) for pair in _early_exit_pairs()] + EARLY_EXIT_GRAPHS + [
+        graphs for graphs, _ in EARLY_EXIT_CALLS
+    ]:
+        observed = _observed(refine._refine(spec, graphs, early_exit=True))
+        expected = _observed(lockstep(spec, graphs, early_exit=True))
+        # a call that round 0 decides builds no set-up, so GD-WL's context
+        # then lacks the distance tokens the reference interns up front
+        if observed[2] == 0:
+            observed, expected = observed[:3], expected[:3]
+        assert observed == expected, (spec, graphs)
+
+
 def test_lockstep_sees_a_skipped_counted_round(monkeypatch):
-    # a loop that forgets to count the round it does not run moves only
-    # rounds and ids, which no suite check reads: this comparison must
-    # see it
+    # a loop that stops once no group is live, and so never runs the round
+    # over no graph that counts itself, moves only rounds and ids, which no
+    # suite check reads: this comparison must see it
     source = textwrap.dedent(inspect.getsource(refine._iterate))
-    counted = "            rounds += 1\n            skipped += frozen\n"
-    assert source.count(counted) == 1
+    live = "            groups = live\n"
+    assert source.count(live) == 1
     namespace = dict(vars(refine))
-    exec(compile(source.replace(counted, "            pass\n"), refine.__file__, "exec"), namespace)
+    planted = source.replace(live, live + "            if not groups:\n                break\n")
+    exec(compile(planted, refine.__file__, "exec"), namespace)
     monkeypatch.setattr(refine, "_iterate", namespace["_iterate"])
     graphs = [gen.path(3), gen.path(4)]
     assert _observed(refine._refine("1wl", graphs)) != _observed(lockstep("1wl", graphs))

@@ -125,13 +125,7 @@ MUTANTS = {
     # once its own partition is stable or discrete, though it still shares
     # colors with graphs that go on refining
     "groups_ignore_shared_colors": (
-        refine, "_iterate",
-        (
-            "len(group) > 1 and not _share_a_color(lists):\n"
-            "                pieces = [[group[m] for m in members] for members in _linked_groups(lists, new_sig)]",
-            "len(group) > 1:\n                pieces = [[i] for i in group]",
-        ),
-        0,
+        refine, "_iterate", ("_linked_groups(lists, new_sig)", "[[m] for m in range(len(group))]"), 0,
         {"positive[2fwl]": 3, "negative_counterexamples": 2, "hierarchy": 7, "wl_condition": 9,
          "expressivity_table": 1},
     ),

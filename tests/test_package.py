@@ -36,10 +36,10 @@ def test_every_name_in_all_resolves():
 
 
 def test_test_only_graph_helpers_stay_out_of_the_package_namespace():
-    # no check calls them: tests import brute_force_isomorphic from
-    # wlcheck.graphs, and the others from tests/graph_helpers.py
-    for name in ("induced_subgraph", "relabel", "brute_force_isomorphic"):
+    # no check calls them: tests import them from tests/graph_helpers.py
+    names = ("induced_subgraph", "relabel", "brute_force_isomorphic", "BRUTE_FORCE_ISO_MAX_NODES")
+    for name in names:
         assert name not in wlcheck.__all__
         assert not hasattr(wlcheck, name)
-    for name in ("induced_subgraph", "relabel"):
         assert not hasattr(wlcheck.graphs, name)
+    assert not hasattr(wlcheck.graphs.Partition, "refines")

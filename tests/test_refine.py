@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from corpora import hierarchy_graphs
-from graph_helpers import relabel
+from graph_helpers import refines, relabel
 from wlcheck import generators as gen
 from wlcheck import harness, refine
 from wlcheck.distances import UNREACHABLE, rd_matrix, spd_matrix
@@ -72,16 +72,18 @@ def test_spdwl_distinguishes_example2():
 
 
 def _count_rounds_run(monkeypatch):
-    """Patch refine._iterate so that each round it runs, a row's own first
-    round included, appends to the list returned."""
+    """Patch refine._iterate so that each round it runs over some graph, a
+    row's own first round included, appends to the list returned; the round
+    over no graph that ends a call whose last groups froze is not counted."""
     runs = []
     iterate = refine._iterate
 
     def counting(ctx, set_up, initial, early_exit=False):
         def counted(step):
-            def run(*args):
-                runs.append(None)
-                return step(*args)
+            def run(active, *args):
+                if active:
+                    runs.append(None)
+                return step(active, *args)
 
             return run
 
@@ -118,6 +120,18 @@ def test_iterate_raises_past_its_round_cap():
     with pytest.raises(refine.StabilizationError, match=r"^no stabilization after 5 rounds \(cap 4\)$"):
         refine._iterate(InterningContext(), lambda: (update, update), [[0, 0, 1]])
     assert len(updates) == 5
+
+
+def test_linked_groups_takes_one_group_without_the_union_when_a_color_is_in_every_list():
+    # the union reads sig, which these calls leave out: a single list, a
+    # single empty list, and lists that all hold color 2
+    for lists in ([[3, 1, 3]], [[]], [[1, 2], [2, 5], [7, 2, 2]]):
+        assert refine._linked_groups(lists, None) == [list(range(len(lists)))]
+    # otherwise the union joins lists through chains of shared colors; two
+    # empty lists share none
+    lists = [[0, 1], [4], [1, 2], [4, 5], [6], [2, 3]]
+    assert refine._linked_groups(lists, refine._partition_sig(lists)) == [[0, 2, 5], [1, 3], [4]]
+    assert refine._linked_groups([[], []], ()) == [[0], [1]]
 
 
 def test_rdwl_separates_dodecahedron_from_desargues():
@@ -398,7 +412,7 @@ def test_monotone_refinement_of_1wl_rounds():
             for v in range(g.n)
         ]
         parts = Partition.from_labels(colors)
-        assert parts.refines(prev_parts)
+        assert refines(parts, prev_parts)
         prev_parts = parts
 
 
@@ -423,8 +437,8 @@ def test_partition_hierarchy_on_one_graph():
     ps = Partition.from_labels(spd.node_colors[0])
     pr = Partition.from_labels(rd.node_colors[0])
     pf = Partition.from_labels(fwl.node_colors[0])
-    assert ps.refines(p1)
-    assert pf.refines(ps) and pf.refines(pr)
+    assert refines(ps, p1)
+    assert refines(pf, ps) and refines(pf, pr)
 
 
 def test_parse_policy():
@@ -550,7 +564,7 @@ def test_refinement_properties_on_random_relabelings(spec):
         # jointly over both graphs, equal colors imply equal 1-WL colors
         one = run_algorithm("1wl", [g, h])
         fine = Partition.from_labels(result.node_colors[0] + result.node_colors[1])
-        assert fine.refines(Partition.from_labels(one.node_colors[0] + one.node_colors[1]))
+        assert refines(fine, Partition.from_labels(one.node_colors[0] + one.node_colors[1]))
 
     check()
 
@@ -582,9 +596,26 @@ def _early_exit_pairs():
     ]
 
 
+def _random_pairs(seed):
+    """50 pairs of equal size: G(n, p) pairs, relabelled copies and random
+    tree pairs."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(50):
+        n, p, kind = rng.randint(3, 9), Fraction(rng.randint(1, 9), 10), rng.randrange(3)
+        g = gen.random_gnp(n, p, rng.randrange(10**6))
+        if kind == 0:
+            pairs.append((g, gen.random_gnp(n, p, rng.randrange(10**6))))
+        elif kind == 1:
+            pairs.append((g, relabel(g, rng.sample(range(n), n))))
+        else:
+            pairs.append((gen.tree_random(n, rng.randrange(10**6)), gen.tree_random(n, rng.randrange(10**6))))
+    return pairs
+
+
 @pytest.mark.parametrize("spec", SPEC_FORMS)
 def test_early_exit_gives_the_full_refinement_verdict(spec):
-    for g, h in _early_exit_pairs():
+    for g, h in _early_exit_pairs() + _random_pairs(f"early exit {spec}"):
         full = run_algorithm(spec, [g, h])
         expected = full.representations[0] != full.representations[1]
         assert distinguishable(g, h, spec) == expected, (spec, g, h)
@@ -965,9 +996,11 @@ def test_round_keys_hold_only_ints_and_set_up_keys_start_with_a_str(spec, monkey
     tables = _record_tables(monkeypatch)
     ctx = _refine_directly(spec, SMALL_GRAPHS)[0].ctx
     # the table left holds the last round's keys, or none once the context
-    # skipped to its final count; DS-WL's representations join it
+    # skipped to its final count; DS-WL's representations join it. A round
+    # that advanced no graph leaves an empty table
     left = [ctx._ids] if any(type(key[0]) is not str for key in ctx._ids) else []
     set_up, *rounds = tables + left
+    rounds = [table for table in rounds if table]
     assert rounds
     for table in [set_up, *rounds, ctx._ids]:
         assert all(type(key) is tuple and key for key in table)
@@ -1097,6 +1130,6 @@ def test_a_discrete_2fwl_partition_freezes_without_a_confirming_round(monkeypatc
         len(reference.ctx),
     )
     # round 1 and one general round; the round that would confirm the
-    # discrete partition is counted, not run
+    # discrete partition is counted and advances no graph
     assert reference.rounds == 3
     assert len(runs) == 2
