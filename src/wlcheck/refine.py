@@ -35,8 +35,9 @@ a set of graphs of the call linked by shared colors. A round's partition of
 any set of graphs depends only on that set's partition in the round before,
 since a key reads colors of its own graph only; and every round's key holds
 the element's previous color (GD-WL through its zero-distance token, 2-FWL
-as such in round 1 and through its w = u term later; SC-WL's round 1,
-through the all-init round 0). So once a round leaves a group's partition
+as such in round 1 and through its w = u term later; the round 1 of GD-WL
+and of SC-WL, through the all-init round 0). So each round's partition
+refines the one before, and once a round leaves a group's partition
 unchanged, the partition never changes again and the group never again
 shares a color with another graph: the group is frozen, and its class count
 carries forward. A group whose partition is discrete, each entry a class of
@@ -47,13 +48,35 @@ groups its graphs now form, and the same rule applies to each piece; every
 other group or piece stays live. When the last groups freeze in a round
 that changed the joint partition, the loop runs one more round over no
 graph, which counts itself and changes nothing.
+
+Groups are judged by class counts. A count can only grow, and one that grew
+means a change; one that held is confirmed, before the group freezes, by one
+exact test: the entries' distinct (new, old) color pairs must be as many as
+the classes. A group that fails it counts as changed, so an update that
+flips between two partitions of one size, which a stop on counts alone would
+take for stable, still reaches the round cap.
+
+An entry alone in its class stays alone, since its key holds its own
+previous color, which no other entry holds. So each round gets the colors
+that exactly one entry of the live groups holds, and the rows with plain
+tuple keys (the 1-WL round, GD-WL from round 2, the DSS-WL slots) keep such
+an entry's color instead of keying it. A kept color lies below the round's
+base and every new id at or above it, so the state still labels a full
+run's partition one to one. Unlike neighbourhood-based element skipping
+(Paige-Tarjan 1987; Berkholz, Bonsma and Grohe 2017) this marks nothing:
+the judge counts the class sizes anyway. 2-FWL keys every pair, as its
+packed keys need every live color within the span of the round before;
+SC-WL's round 1 reads the count ids; and early_exit calls compute no class
+sizes, as graphs with equal multisets hold every color at least twice.
+
 The returned ids are those of a run that advanced every graph every round,
 because those depend only on the per-round partitions: the state after
 round r is the number of ids issued before round r plus each entry's
 first-appearance rank in the state (graph order, then element order), and
-that number is the set-up ids plus the class counts of rounds 1 to r-1. So
-once a group has frozen, `_iterate` relabels the final state by that rule
-and the context skips to the count such a run ends at.
+that number is the set-up ids plus the class counts of rounds 1 to r-1.
+Frozen groups and kept colors issue none of the ids such a run gives them,
+so a call that skipped any relabels its final state by that rule, and the
+context skips to the count such a run ends at.
 
 SC-WL counts per node of each pattern, not per orbit of its automorphism
 group; both give the same colors (see `refine_scwl`).
@@ -64,7 +87,9 @@ the round's table, and its inner loop runs in C builtins (`map`, `zip`,
 element's color from the round before:
 
 - 1-WL and DS-WL: (c, *sorted neighbor colors);
-- GD-WL: the sorted packed (color, distance token id) pairs over all nodes;
+- GD-WL: the sorted packed (color, distance token id) pairs over all
+  nodes; in round 1, where every color is the init color, the sorted token
+  ids alone;
 - SC-WL: the 1-WL round, whose round 1 reads the count ids (the call's id
   of each node's count vector) in place of the all-init colors;
 - 2-FWL: in round 1, (n, c, deg u, deg v, |N(u) & N(v)|), which K(u,v)
@@ -99,7 +124,8 @@ the one before, with the set-up keys at round 1. Dropping cannot merge or
 move an id, since no id depends on the keys of another round. So a call
 holds one round of keys at a time, not all of them; for 2-FWL and
 DSS-WL, with n^2 keys per graph and round, that is most of its memory. A
-frozen group interns nothing, so the ids issued fall short of a full run's;
+frozen group, or an entry that keeps its color, interns nothing, so the ids
+issued fall short of a full run's;
 the relabelling that ends such a call skips the context to a full run's
 count (`InterningContext.skip_to`), which is what len() then reports.
 
@@ -108,7 +134,8 @@ the second takes in its round, so sorting the ints sorts the pairs: a packed
 key is in one-to-one correspondence with the sorted tuple of pairs. GD-WL
 packs (color, token) as color * span + token, with span = len(ctx) after the
 set-up, above every token id; the token rows stay fixed, and each round
-scales only the n colors. 2-FWL packs (c(u,w), c(w,v)) as
+scales only the n colors. That map is injective for any colors, kept ones
+included. 2-FWL packs (c(u,w), c(w,v)) as
 (c(u,w) - p) * s + c(w,v), where p is the first id of the round before and s
 the number of ids it issued: every color of a graph still advancing was
 issued in that round, so it lies in [p, p + s). Both maps are injective
@@ -118,9 +145,10 @@ small.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import add
 
 from .distances import UNREACHABLE, _refuse_oversized, rd_matrix, spd_matrix
@@ -182,15 +210,6 @@ def _node_colorings(state, rounds, ctx) -> list[Coloring]:
     return [Coloring(tuple(c), tuple(sorted(c)), rounds, ctx) for c in state]
 
 
-def _partition_sig(state) -> tuple[int, ...]:
-    """Canonical fingerprint of the joint partition of all lists in state.
-
-    Each entry maps to the position where its color first appears, which
-    is invariant under color renaming.
-    """
-    return tuple(map({}.setdefault, chain.from_iterable(state), count()))
-
-
 class StabilizationError(RuntimeError):
     """Internal error: refinement exceeded its theoretical round bound."""
 
@@ -200,19 +219,24 @@ def _multisets_differ(state) -> bool:
     return len({tuple(sorted(colors)) for colors in state}) > 1
 
 
-def _is_discrete(sig) -> bool:
-    """True when every entry of a `_partition_sig` has a class of its own."""
-    # a test of the last entry first, which opens a class of its own in
-    # every discrete partition, saves building the set in most rounds
-    return not sig or sig[-1] == len(sig) - 1 and len(set(sig)) == len(sig)
+def _singles(sizes) -> set[int]:
+    """The colors that one entry alone holds, from a Counter of colors."""
+    return set(compress(sizes, map((1).__eq__, sizes.values())))
 
 
-def _linked_groups(lists, sig) -> list[list[int]]:
+def _unchanged(new, old, classes, old_classes) -> bool:
+    """True when lists new, with classes classes, partition their entries
+    as lists old, with old_classes classes, do: when the counts are equal
+    and the (new, old) color pairs of the entries take as many values."""
+    return classes == old_classes and len(set(zip(chain.from_iterable(new), chain.from_iterable(old)))) == classes
+
+
+def _linked_groups(lists) -> list[list[int]]:
     """Positions in lists grouped by shared colors: two lists are in one
     group when a chain of lists, each sharing a color with the next, joins
-    them. sig is the `_partition_sig` of lists. Groups come in the order of
-    their first members. When one color is in every list, as in a group of
-    one list, they form one group, found without the union."""
+    them. Groups come in the order of their first members. When one color
+    is in every list, as in a group of one list, they form one group,
+    found without the union."""
     # a single list needs no set: a 2-FWL, DS-WL or DSS-WL list holds n*n
     # colors or more, and a group of one graph is tested every round
     common = set(lists[0]) if len(lists) > 1 else ()
@@ -222,9 +246,10 @@ def _linked_groups(lists, sig) -> list[list[int]]:
             break
     else:
         return [list(range(len(lists)))]
+    flat = list(chain.from_iterable(lists))
     holder = list(chain.from_iterable([m] * len(colors) for m, colors in enumerate(lists)))
-    # (list of an entry, list where the entry's color first appears)
-    links = set(zip(holder, map(holder.__getitem__, sig)))
+    # (list of an entry, a list that holds the entry's color)
+    links = set(zip(holder, map(dict(zip(flat, holder)).__getitem__, flat)))
     parent = list(range(len(lists)))
 
     def root(m):
@@ -255,23 +280,30 @@ def _iterate(ctx: InterningContext, set_up, initial, early_exit=False):
     of early_exit and before round 1, so a call that round 0 decides builds
     nothing. Each round opens its table, (ids, base) = ctx.next_round(),
     and first in round 1, update in every later round, called as
-    update(active, state, ids, base), advances the graphs at the sorted
-    indices active, interning with ids.setdefault(key, base + len(ids)), and
-    returns their new lists. Returns (state, rounds), with the colors,
-    rounds and len(ctx) of a run that advances every graph until the
-    partition of all entries of all lists survives a round. With N entries
-    it can strictly refine at most N - 1 times, so the round cap is N + 1.
+    update(active, state, ids, base, single), advances the graphs at the
+    sorted indices active, interning with ids.setdefault(key, base +
+    len(ids)), and returns their new lists. single holds colors that one
+    entry of those graphs alone holds (none in round 1), and an update may
+    keep such an entry's color instead of keying it: no marking, as in
+    neighbourhood-based element skipping, since the judge counts class
+    sizes anyway. Returns (state, rounds), with the colors, rounds and
+    len(ctx) of a run that advances every graph until the partition of
+    all entries of all lists survives a round. With N entries it can
+    strictly refine at most N - 1 times, so the round cap is N + 1.
 
     One rule freezes a group: a group freezes once its partition is
     discrete or the round left it unchanged. A changed group that is not
     discrete is split into the groups its lists now form
     (`_linked_groups`), and the same rule applies to each piece; every
-    other group or piece stays live. Partitions are compared by
-    `_partition_sig` over the group's or piece's own lists. Each round is
-    judged at the start of the next, after the early-exit test. When the
-    last groups freeze in a round that changed the joint partition, the
-    next round runs over no graph (active is empty): it counts itself and
-    changes nothing.
+    other group or piece stays live. A class count that grew means a
+    change; one that held is confirmed by the exact test of `_unchanged`,
+    so a flipping update, which a stop on counts alone would miss, still
+    reaches the round cap. Each round is judged at the start of the next,
+    after the early-exit test, and its classes less the ids it issued (its
+    kept colors) count as skipped, as the frozen groups' classes do every
+    round. When the last groups freeze in a round that changed the joint
+    partition, the next round runs over no graph (active is empty): it
+    counts itself and changes nothing.
 
     With early_exit the loop also stops, before round 1 and after every
     round, as soon as two graphs' multisets of state entries differ. That
@@ -281,39 +313,49 @@ def _iterate(ctx: InterningContext, set_up, initial, early_exit=False):
     stable coloring included. A group that would split holds two lists
     that share no color, as does a discrete group of two nonempty lists;
     their multisets differ, so the call ends before that round is judged.
-    A call on one graph runs as a full call.
+    Such a call computes no class sizes and keeps no colors. A call on one
+    graph runs as a full call.
     """
     state = list(initial)
-    groups = [(list(range(len(state))), _partition_sig(state))]
+    groups = [(list(range(len(state))), len(set(chain.from_iterable(state))))]
+    single = ()
     frozen = 0  # the classes of the frozen groups
-    skipped = 0  # the ids of frozen groups that a full run would have issued
+    skipped = 0  # the ids a full run would have issued beyond those issued
     rounds = 0
     cap = sum(map(len, state)) + 1
     while not (early_exit and _multisets_differ(state)):
         if not rounds:
             step, update = set_up()
         else:
-            # judge the round just run; previous is the state before it
+            # judge the round just run; previous is the state before it, and
+            # the round kept the colors of its singles instead of issuing ids
+            skipped -= len(ids)
             changed = False
             live = []
-            for group, sig in groups:
-                lists = [state[i] for i in group]
-                new_sig = _partition_sig(lists)
-                changed = changed or new_sig != sig
-                if new_sig == sig or _is_discrete(new_sig):
-                    frozen += len(set(new_sig))
+            single = set()
+            for group, classes in groups:
+                lists, before = [state[i] for i in group], [previous[i] for i in group]
+                # a Counter gives the group's singles too; under early_exit
+                # every color is held twice while the call goes on
+                sizes = (set if early_exit else Counter)(chain.from_iterable(lists))
+                skipped += len(sizes)
+                unchanged = _unchanged(lists, before, len(sizes), classes)
+                changed = changed or not unchanged
+                if unchanged or len(sizes) == sum(map(len, lists)):
+                    frozen += len(sizes)
                     continue
-                linked = _linked_groups(lists, new_sig)
-                if len(linked) == 1:
-                    live.append((group, new_sig))
-                    continue
-                for members in linked:
-                    piece = [group[m] for m in members]
-                    piece_sig = _partition_sig([state[i] for i in piece])
-                    if _is_discrete(piece_sig) or piece_sig == _partition_sig([previous[i] for i in piece]):
-                        frozen += len(set(piece_sig))
+                pieces = _linked_groups(lists)
+                if len(pieces) == 1:
+                    live.append((group, len(sizes)))
+                for members in pieces if len(pieces) > 1 else ():
+                    new, old = [lists[m] for m in members], [before[m] for m in members]
+                    k = len(set(chain.from_iterable(new)))
+                    if k == sum(map(len, new)) or _unchanged(new, old, k, len(set(chain.from_iterable(old)))):
+                        frozen += k
                     else:
-                        live.append((piece, piece_sig))
+                        live.append(([group[m] for m in members], k))
+                if not early_exit:
+                    single.update(_singles(sizes))
             if not changed:
                 break
             if rounds > cap:
@@ -321,7 +363,8 @@ def _iterate(ctx: InterningContext, set_up, initial, early_exit=False):
             groups = live
         active = sorted(chain.from_iterable(group for group, _ in groups))
         previous = state[:]
-        for i, colors in zip(active, step(active, state, *ctx.next_round())):
+        ids, base = ctx.next_round()
+        for i, colors in zip(active, step(active, state, ids, base, single)):
             state[i] = colors
         step = update
         rounds += 1
@@ -348,7 +391,7 @@ def _wl_update(adjacencies):
     """The 1-WL round over a state of one color list per adjacency: key
     each node by its own color and its neighbors' sorted colors."""
 
-    def update(active, state, ids, base):
+    def update(active, state, ids, base, single):
         setdefault = ids.setdefault
         out = []
         for i in active:
@@ -356,7 +399,7 @@ def _wl_update(adjacencies):
             color_of = colors.__getitem__
             out.append(
                 [
-                    setdefault((c, *sorted(map(color_of, nbrs))), base + len(ids))
+                    setdefault((c, *sorted(map(color_of, nbrs))), base + len(ids)) if c not in single else c
                     for c, nbrs in zip(colors, adjacencies[i])
                 ]
             )
@@ -445,7 +488,12 @@ def refine_gdwl(
             tokens_per_graph.append(tokens)
         span = len(ctx)  # above every token id
 
-        def update(active, state, ids, base):
+        def first(active, state, ids, base, single):
+            # every color is the init color: a node's key is its sorted tokens
+            keys = [[tuple(sorted(tokens)) for tokens in tokens_per_graph[i]] for i in active]
+            return [[ids.setdefault(key, base + len(ids)) for key in row] for row in keys]
+
+        def update(active, state, ids, base, single):
             setdefault = ids.setdefault
             out = []
             for i in active:
@@ -454,12 +502,13 @@ def refine_gdwl(
                 out.append(
                     [
                         setdefault(tuple(sorted(map(add, tokens, scaled))), base + len(ids))
-                        for tokens in tokens_per_graph[i]
+                        if c not in single else c
+                        for c, tokens in zip(state[i], tokens_per_graph[i])
                     ]
                 )
             return out
 
-        return update, update
+        return first, update
 
     state, rounds = _iterate(ctx, set_up, initial, early_exit)
     return _node_colorings(state, rounds, ctx)
@@ -516,7 +565,7 @@ def refine_2fwl(graphs: list[Graph], *, early_exit: bool = False) -> list[Colori
     # [previous_base, base), the ids that round issued
     previous_base = 0
 
-    def later_round(active, state, ids, base):
+    def later_round(active, state, ids, base, single):
         nonlocal previous_base
         p, s = previous_base, base - previous_base
         previous_base = base
@@ -549,7 +598,7 @@ def refine_2fwl(graphs: list[Graph], *, early_exit: bool = False) -> list[Colori
         # per graph, each node's neighbors as the bits of an int
         masks = [[sum(1 << w for w in nbrs) for nbrs in g.adjacency] for g in graphs]
 
-        def first_round(active, state, ids, base):
+        def first_round(active, state, ids, base, single):
             nonlocal previous_base
             previous_base = base
             setdefault = ids.setdefault
@@ -658,7 +707,7 @@ def refine_dsswl(
     def set_up():
         bags = [_policy_bag(g, policy) for g in graphs]
 
-        def update(active, state, ids, base):
+        def update(active, state, ids, base, single):
             setdefault = ids.setdefault
             # (node color, sorted global neighbor colors) -> this round's token
             tokens = {}
@@ -676,7 +725,7 @@ def refine_dsswl(
                 color_of = flat.__getitem__
                 # the bag's n*n slots stop the zip before the node colors
                 new_flat = [
-                    setdefault((c, t, *sorted(map(color_of, nbrs))), base + len(ids))
+                    setdefault((c, t, *sorted(map(color_of, nbrs))), base + len(ids)) if c not in single else c
                     for c, nbrs, t in zip(flat, bag, global_tokens * n)
                 ]
                 new_flat.extend(node_colors(new_flat, n))
@@ -777,8 +826,8 @@ def refine_scwl(
             for g in graphs
         ]
 
-        def first(active, state, ids, base):  # round 1 reads the count ids
-            return wl_round(active, xs, ids, base)
+        def first(active, state, ids, base, single):  # round 1 reads the count ids
+            return wl_round(active, xs, ids, base, ())
 
         return first, wl_round
 

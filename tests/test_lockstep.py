@@ -1,11 +1,12 @@
 """The refinement loop against the lockstep loop it replaced.
 
 `refine._iterate` stops advancing a group of graphs once the group is
-stable, and relabels the final state. The loop below advances every graph
-every round until the joint partition survives a round; it and the
-refine_* functions that drove it are kept here as they were, as the
-reference. Both must give the same colors, representations, rounds and
-context size.
+stable, lets an entry alone in its class keep its color, and relabels the
+final state. The loop below advances and keys every entry every round
+until the joint partition survives a round; it and the refine_* functions
+that drove it are kept here as they were, as the reference, with its own
+copy of the partition fingerprint it compares rounds by. Both must give
+the same colors, representations, rounds and context size.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import inspect
 import textwrap
 from fractions import Fraction
+from itertools import chain, count
 from operator import add
 
 import pytest
@@ -35,7 +37,6 @@ from wlcheck.refine import (
     _multisets_differ,
     _named_substructure,
     _node_colorings,
-    _partition_sig,
     _policy_bag,
     parse_policy,
     substructure_counts,
@@ -53,6 +54,15 @@ def _check_packable(ctx: InterningContext) -> None:
         raise OverflowError(
             f"{len(ctx)} interned keys: packed multiset keys need ids below {PACKED_ID_LIMIT}"
         )
+
+
+def _partition_sig(state) -> tuple[int, ...]:
+    """Canonical fingerprint of the joint partition of all lists in state.
+
+    Each entry maps to the position where its color first appears, which
+    is invariant under color renaming.
+    """
+    return tuple(map({}.setdefault, chain.from_iterable(state), count()))
 
 
 def _iterate(update, initial, total_elements, early_exit=False):

@@ -113,7 +113,7 @@ def test_iterate_raises_past_its_round_cap():
     flip = {0: [[0, 1, 1]], 1: [[0, 0, 1]]}
     updates = []
 
-    def update(active, state, ids, base):
+    def update(active, state, ids, base, single):
         updates.append(None)
         return flip[state[0][1]]
 
@@ -123,15 +123,13 @@ def test_iterate_raises_past_its_round_cap():
 
 
 def test_linked_groups_takes_one_group_without_the_union_when_a_color_is_in_every_list():
-    # the union reads sig, which these calls leave out: a single list, a
-    # single empty list, and lists that all hold color 2
+    # a single list, a single empty list, and lists that all hold color 2
     for lists in ([[3, 1, 3]], [[]], [[1, 2], [2, 5], [7, 2, 2]]):
-        assert refine._linked_groups(lists, None) == [list(range(len(lists)))]
+        assert refine._linked_groups(lists) == [list(range(len(lists)))]
     # otherwise the union joins lists through chains of shared colors; two
     # empty lists share none
-    lists = [[0, 1], [4], [1, 2], [4, 5], [6], [2, 3]]
-    assert refine._linked_groups(lists, refine._partition_sig(lists)) == [[0, 2, 5], [1, 3], [4]]
-    assert refine._linked_groups([[], []], ()) == [[0], [1]]
+    assert refine._linked_groups([[0, 1], [4], [1, 2], [4, 5], [6], [2, 3]]) == [[0, 2, 5], [1, 3], [4]]
+    assert refine._linked_groups([[], []]) == [[0], [1]]
 
 
 def test_rdwl_separates_dodecahedron_from_desargues():
@@ -1133,3 +1131,84 @@ def test_a_discrete_2fwl_partition_freezes_without_a_confirming_round(monkeypatc
     # discrete partition is counted and advances no graph
     assert reference.rounds == 3
     assert len(runs) == 2
+
+
+def _record_rounds(monkeypatch):
+    """Patch refine._iterate so that each round it runs appends (the graphs
+    it advances, the joint state before it and after it, its base, its
+    singles) to the list returned."""
+    rounds = []
+    iterate = refine._iterate
+
+    def recording(ctx, set_up, initial, early_exit=False):
+        def recorded(step):
+            def run(active, state, ids, base, single):
+                out = step(active, state, ids, base, single)
+                after = list(state)
+                for i, colors in zip(active, out):
+                    after[i] = colors
+                rounds.append((active, list(state), after, base, single))
+                return out
+
+            return run
+
+        return iterate(ctx, lambda: tuple(map(recorded, set_up())), initial, early_exit)
+
+    monkeypatch.setattr(refine, "_iterate", recording)
+    return rounds
+
+
+def _check_rounds(rounds):
+    """Each round's joint partition refines the one before it, and each new
+    color of a graph the round advances is an id of the round or, for an
+    entry alone in its class, its previous color kept. Returns the number
+    of kept colors."""
+    kept = 0
+    for active, before, after, base, single in rounds:
+        fine, coarse = list(itertools.chain(*after)), list(itertools.chain(*before))
+        assert len(set(zip(fine, coarse))) == len(set(fine))
+        for i in active:
+            for c, old in zip(after[i], before[i], strict=True):
+                if c < base:
+                    assert c == old and old in single
+                    kept += 1
+    return kept
+
+
+def _random_batches(seed):
+    """20 batches of 1 to 6 G(n <= 9, p) graphs, with an empty graph now and then."""
+    rng = random.Random(seed)
+    return [
+        [
+            gen.random_gnp(rng.randint(1, 9), Fraction(rng.randint(0, 10), 10), rng.randrange(10**6))
+            if rng.random() < 0.9
+            else Graph.from_edges(0, [])
+            for _ in range(rng.randint(1, 6))
+        ]
+        for _ in range(20)
+    ]
+
+
+@pytest.mark.parametrize("spec", SPEC_FORMS)
+def test_each_round_refines_the_joint_partition_before_it(spec, monkeypatch):
+    # what the loop's class-count judge and its singles both rest on
+    hierarchy = hierarchy_graphs()
+    if spec == "2fwl":
+        hierarchy = [g for g in hierarchy if g.n <= refine.TWO_FWL_MAX_NODES]
+    rounds = _record_rounds(monkeypatch)
+    for graphs in [hierarchy] + _random_batches(f"refines {spec}"):
+        rounds.clear()
+        run_algorithm(spec, graphs)
+        assert rounds
+        _check_rounds(rounds)
+
+
+def test_dsswl_keeps_singleton_slot_colors_and_matches_lockstep(monkeypatch):
+    from test_lockstep import _observed, lockstep
+
+    graphs = [gen.path(6), gen.random_gnp(8, Fraction(2, 5), 3)]
+    expected = _observed(lockstep("dsswl:nm", graphs))
+    rounds = _record_rounds(monkeypatch)
+    colorings = refine_dsswl(graphs, parse_policy("nm"))
+    assert _check_rounds(rounds) > 0
+    assert _observed(colorings) == expected
