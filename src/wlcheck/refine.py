@@ -35,12 +35,12 @@ a set of graphs of the call linked by shared colors. A round's partition of
 any set of graphs depends only on that set's partition in the round before,
 since a key reads colors of its own graph only; and every round's key holds
 the element's previous color (GD-WL through its zero-distance token, 2-FWL
-as such in round 1 and through its w = u term later; the round 1 of GD-WL
-and of SC-WL, through the all-init round 0). So each round's partition
-refines the one before, and once a round leaves a group's partition
-unchanged, the partition never changes again and the group never again
-shares a color with another graph: the group is frozen, and its class count
-carries forward. A group whose partition is discrete, each entry a class of
+as such in round 1 and through its w = u term later; SC-WL's round 1,
+through the all-init round 0). So each round's partition refines the one
+before, and once a round leaves a group's partition unchanged, the
+partition never changes again and the group never again shares a color
+with another graph: the group is frozen, and its class count carries
+forward. A group whose partition is discrete, each entry a class of
 its own, can never change again either. So one rule freezes a group: after
 each round, a group freezes once its partition is discrete or the round
 left it unchanged. A changed group that is not discrete splits into the
@@ -53,21 +53,16 @@ Groups are judged by class counts. A count can only grow, and one that grew
 means a change; one that held is confirmed, before the group freezes, by one
 exact test: the entries' distinct (new, old) color pairs must be as many as
 the classes. A group that fails it counts as changed, so an update that
-flips between two partitions of one size, which a stop on counts alone would
-take for stable, still reaches the round cap.
+flips between two partitions of one size still reaches the round cap.
 
 An entry alone in its class stays alone, since its key holds its own
 previous color, which no other entry holds. So each round gets the colors
-that exactly one entry of the live groups holds, and the rows with plain
-tuple keys (the 1-WL round, GD-WL from round 2, the DSS-WL slots) keep such
-an entry's color instead of keying it. A kept color lies below the round's
-base and every new id at or above it, so the state still labels a full
-run's partition one to one. Unlike neighbourhood-based element skipping
-(Paige-Tarjan 1987; Berkholz, Bonsma and Grohe 2017) this marks nothing:
-the judge counts the class sizes anyway. 2-FWL keys every pair, as its
-packed keys need every live color within the span of the round before;
-SC-WL's round 1 reads the count ids; and early_exit calls compute no class
-sizes, as graphs with equal multisets hold every color at least twice.
+that exactly one entry of the live groups holds (none in round 1), and the
+rows with plain tuple keys (the 1-WL round, GD-WL, the DSS-WL slots) keep
+such an entry's color instead of keying it. A kept color lies below the
+round's base and every new id at or above it, so the state still labels a
+full run's partition one to one. 2-FWL keys every pair, as its packed keys
+need every live color within the span of the round before.
 
 The returned ids are those of a run that advanced every graph every round,
 because those depend only on the per-round partitions: the state after
@@ -87,9 +82,7 @@ the round's table, and its inner loop runs in C builtins (`map`, `zip`,
 element's color from the round before:
 
 - 1-WL and DS-WL: (c, *sorted neighbor colors);
-- GD-WL: the sorted packed (color, distance token id) pairs over all
-  nodes; in round 1, where every color is the init color, the sorted token
-  ids alone;
+- GD-WL: the sorted packed (color, distance token id) pairs over all nodes;
 - SC-WL: the 1-WL round, whose round 1 reads the count ids (the call's id
   of each node's count vector) in place of the all-init colors;
 - 2-FWL: in round 1, (n, c, deg u, deg v, |N(u) & N(v)|), which K(u,v)
@@ -125,9 +118,9 @@ move an id, since no id depends on the keys of another round. So a call
 holds one round of keys at a time, not all of them; for 2-FWL and
 DSS-WL, with n^2 keys per graph and round, that is most of its memory. A
 frozen group, or an entry that keeps its color, interns nothing, so the ids
-issued fall short of a full run's;
-the relabelling that ends such a call skips the context to a full run's
-count (`InterningContext.skip_to`), which is what len() then reports.
+issued fall short of a full run's; the relabelling that ends such a call
+skips the context to a full run's count (`InterningContext.skip_to`), which
+is what len() then reports.
 
 A packed int stands for a pair of ids, the first scaled above every value
 the second takes in its round, so sorting the ints sorts the pairs: a packed
@@ -284,12 +277,11 @@ def _iterate(ctx: InterningContext, set_up, initial, early_exit=False):
     sorted indices active, interning with ids.setdefault(key, base +
     len(ids)), and returns their new lists. single holds colors that one
     entry of those graphs alone holds (none in round 1), and an update may
-    keep such an entry's color instead of keying it: no marking, as in
-    neighbourhood-based element skipping, since the judge counts class
-    sizes anyway. Returns (state, rounds), with the colors, rounds and
-    len(ctx) of a run that advances every graph until the partition of
-    all entries of all lists survives a round. With N entries it can
-    strictly refine at most N - 1 times, so the round cap is N + 1.
+    keep such an entry's color instead of keying it. Returns (state,
+    rounds), with the colors, rounds and len(ctx) of a run that advances
+    every graph until the partition of all entries of all lists survives a
+    round. With N entries it can strictly refine at most N - 1 times, so
+    the round cap is N + 1.
 
     One rule freezes a group: a group freezes once its partition is
     discrete or the round left it unchanged. A changed group that is not
@@ -297,13 +289,12 @@ def _iterate(ctx: InterningContext, set_up, initial, early_exit=False):
     (`_linked_groups`), and the same rule applies to each piece; every
     other group or piece stays live. A class count that grew means a
     change; one that held is confirmed by the exact test of `_unchanged`,
-    so a flipping update, which a stop on counts alone would miss, still
-    reaches the round cap. Each round is judged at the start of the next,
-    after the early-exit test, and its classes less the ids it issued (its
-    kept colors) count as skipped, as the frozen groups' classes do every
-    round. When the last groups freeze in a round that changed the joint
-    partition, the next round runs over no graph (active is empty): it
-    counts itself and changes nothing.
+    so a flipping update still reaches the round cap. Each round is judged
+    at the start of the next, after the early-exit test, and its classes
+    less the ids it issued (its kept colors) count as skipped, as the
+    frozen groups' classes do every round. When the last groups freeze in
+    a round that changed the joint partition, the next round runs over no
+    graph (active is empty): it counts itself and changes nothing.
 
     With early_exit the loop also stops, before round 1 and after every
     round, as soon as two graphs' multisets of state entries differ. That
@@ -313,8 +304,7 @@ def _iterate(ctx: InterningContext, set_up, initial, early_exit=False):
     stable coloring included. A group that would split holds two lists
     that share no color, as does a discrete group of two nonempty lists;
     their multisets differ, so the call ends before that round is judged.
-    Such a call computes no class sizes and keeps no colors. A call on one
-    graph runs as a full call.
+    A call on one graph runs as a full call.
     """
     state = list(initial)
     groups = [(list(range(len(state))), len(set(chain.from_iterable(state))))]
@@ -335,9 +325,7 @@ def _iterate(ctx: InterningContext, set_up, initial, early_exit=False):
             single = set()
             for group, classes in groups:
                 lists, before = [state[i] for i in group], [previous[i] for i in group]
-                # a Counter gives the group's singles too; under early_exit
-                # every color is held twice while the call goes on
-                sizes = (set if early_exit else Counter)(chain.from_iterable(lists))
+                sizes = Counter(chain.from_iterable(lists))
                 skipped += len(sizes)
                 unchanged = _unchanged(lists, before, len(sizes), classes)
                 changed = changed or not unchanged
@@ -354,8 +342,7 @@ def _iterate(ctx: InterningContext, set_up, initial, early_exit=False):
                         frozen += k
                     else:
                         live.append(([group[m] for m in members], k))
-                if not early_exit:
-                    single.update(_singles(sizes))
+                single.update(_singles(sizes))
             if not changed:
                 break
             if rounds > cap:
@@ -488,11 +475,6 @@ def refine_gdwl(
             tokens_per_graph.append(tokens)
         span = len(ctx)  # above every token id
 
-        def first(active, state, ids, base, single):
-            # every color is the init color: a node's key is its sorted tokens
-            keys = [[tuple(sorted(tokens)) for tokens in tokens_per_graph[i]] for i in active]
-            return [[ids.setdefault(key, base + len(ids)) for key in row] for row in keys]
-
         def update(active, state, ids, base, single):
             setdefault = ids.setdefault
             out = []
@@ -508,7 +490,7 @@ def refine_gdwl(
                 )
             return out
 
-        return first, update
+        return update, update
 
     state, rounds = _iterate(ctx, set_up, initial, early_exit)
     return _node_colorings(state, rounds, ctx)
